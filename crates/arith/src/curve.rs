@@ -150,6 +150,7 @@ impl GroupElement {
             }
             prefix @ (0x02 | 0x03) => {
                 let x = Fp::from_be_bytes(xb)?;
+                crate::ops::record_decompression();
                 let rhs = x.square() * x + curve_b();
                 let mut y = rhs.sqrt()?;
                 if y.is_odd() != (prefix == 0x03) {

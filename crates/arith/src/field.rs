@@ -123,22 +123,6 @@ macro_rules! impl_prime_field {
                 *self + *self
             }
 
-            /// Square root, if one exists.
-            ///
-            /// Implemented for moduli `m ≡ 3 (mod 4)` via `a^{(m+1)/4}`; the
-            /// result is checked, so a `Some` return is always a genuine root.
-            pub fn sqrt(&self) -> Option<Self> {
-                let m = Self::modulus();
-                // exp = (m + 1) / 4
-                let exp = m.wrapping_add(&U256::ONE).shr(2);
-                let candidate = self.pow(&exp);
-                if candidate.square() == *self {
-                    Some(candidate)
-                } else {
-                    None
-                }
-            }
-
             /// Returns `true` if the canonical representative is odd.
             pub fn is_odd(&self) -> bool {
                 self.to_u256().is_odd()
@@ -324,6 +308,59 @@ impl_prime_field!(
     "FFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141"
 );
 
+impl Fp {
+    /// Square root, if one exists.
+    ///
+    /// `p ≡ 3 (mod 4)`, so a root of a square `a` is `a^{(p+1)/4}`. The
+    /// exponent's binary form is three runs of ones (223, 22 and 2 long),
+    /// which the fixed addition chain below — the one libsecp256k1 uses —
+    /// builds with 253 squarings and 13 multiplications, about half the work
+    /// of generic square-and-multiply. The result is checked, so a `Some`
+    /// return is always a genuine root.
+    pub fn sqrt(&self) -> Option<Self> {
+        // `xN` is `self^(2^N − 1)`: a run of N one-bits.
+        let x2 = self.square() * *self;
+        let x3 = x2.square() * *self;
+        let x6 = x3.square_n(3) * x3;
+        let x9 = x6.square_n(3) * x3;
+        let x11 = x9.square_n(2) * x2;
+        let x22 = x11.square_n(11) * x11;
+        let x44 = x22.square_n(22) * x22;
+        let x88 = x44.square_n(44) * x44;
+        let x176 = x88.square_n(88) * x88;
+        let x220 = x176.square_n(44) * x44;
+        let x223 = x220.square_n(3) * x3;
+        let candidate = ((x223.square_n(23) * x22).square_n(6) * x2).square_n(2);
+        if candidate.square() == *self {
+            Some(candidate)
+        } else {
+            None
+        }
+    }
+
+    /// `self^(2^n)`: `n` successive squarings.
+    fn square_n(&self, n: u32) -> Self {
+        let mut out = *self;
+        for _ in 0..n {
+            out = out.square();
+        }
+        out
+    }
+
+    /// The generic `a^{(p+1)/4}` square-and-multiply the addition chain in
+    /// [`Fp::sqrt`] replaced, kept as the oracle the chain is tested against.
+    #[cfg(test)]
+    fn sqrt_generic(&self) -> Option<Self> {
+        let exp = Self::modulus().wrapping_add(&U256::ONE).shr(2);
+        let candidate = self.pow(&exp);
+        if candidate.square() == *self {
+            Some(candidate)
+        } else {
+            None
+        }
+    }
+}
+
 impl Scalar {
     /// Evaluates the Lagrange coefficient `λ_{S,j}(x)` for interpolation of
     /// a polynomial from the share indices in `indices` at point `x`.
@@ -422,6 +459,33 @@ mod tests {
             let root = sq.sqrt().expect("square must have a root");
             assert!(root == a || root == -a);
         }
+    }
+
+    #[test]
+    fn sqrt_chain_matches_generic_exponentiation() {
+        // −1 is a non-residue (p ≡ 3 mod 4), hence so is the negation of
+        // every non-zero square.
+        let minus_one = -Fp::one();
+        let mut cases = vec![
+            Fp::zero(),
+            Fp::one(),
+            minus_one,
+            -Fp::from_u64(4),
+            -Fp::from_u64(9),
+        ];
+        let mut r = rng();
+        cases.extend((0..1000).map(|_| Fp::random(&mut r)));
+        let mut residues = 0;
+        for a in cases {
+            assert_eq!(a.sqrt(), a.sqrt_generic(), "{a:?}");
+            residues += usize::from(a.sqrt().is_some());
+        }
+        assert_eq!(Fp::zero().sqrt(), Some(Fp::zero()));
+        assert!(Fp::one().sqrt().is_some());
+        assert_eq!(minus_one.sqrt(), None);
+        assert_eq!((-Fp::from_u64(4)).sqrt(), None);
+        // About half of all field elements are squares.
+        assert!((400..=600).contains(&residues), "{residues}");
     }
 
     #[test]

@@ -18,6 +18,7 @@ use core::cell::Cell;
 thread_local! {
     static ADDS: Cell<u64> = const { Cell::new(0) };
     static DOUBLES: Cell<u64> = const { Cell::new(0) };
+    static DECOMPRESSIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// A snapshot of the group-operation counters.
@@ -89,6 +90,20 @@ pub fn measure<T>(f: impl FnOnce() -> T) -> (T, OpCount) {
 pub fn merge(count: OpCount) {
     ADDS.with(|c| c.set(c.get().wrapping_add(count.adds)));
     DOUBLES.with(|c| c.set(c.get().wrapping_add(count.doubles)));
+}
+
+/// Point decompressions (one field square root each) performed on this
+/// thread by `GroupElement::from_bytes` since the thread started. Kept apart
+/// from [`OpCount`]: a decompression is codec work, not a group operation,
+/// and the group-operation totals pinned across the workspace must not move
+/// with it. Compare two readings to count a region's decompressions.
+pub fn decompressions() -> u64 {
+    DECOMPRESSIONS.with(Cell::get)
+}
+
+#[inline]
+pub(crate) fn record_decompression() {
+    DECOMPRESSIONS.with(|c| c.set(c.get().wrapping_add(1)));
 }
 
 #[inline]

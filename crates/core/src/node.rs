@@ -618,6 +618,20 @@ impl DkgNode {
         self.completed.as_ref()
     }
 
+    /// The commitment matrix the embedded HybridVSS instance of `session`
+    /// holds under `digest`, if any — the lookup
+    /// [`DkgMessage::decode_known`] resolves inline commitments against
+    /// (see [`VssNode::known_commitment`]).
+    pub fn known_commitment(
+        &self,
+        session: SessionId,
+        digest: &Digest,
+    ) -> Option<Arc<CommitmentMatrix>> {
+        self.vss
+            .get(&session.dealer)?
+            .known_commitment(session, digest)
+    }
+
     /// Whether the DKG has completed at this node.
     pub fn is_complete(&self) -> bool {
         self.completed.is_some()

@@ -30,7 +30,7 @@ use crate::group::{
 };
 use crate::messages::{DealerProof, DkgInput, DkgMessage, Justification, Proposal, SignedVote};
 use crate::DkgConfig;
-use dkg_vss::{ReadyWitness, VssMessage};
+use dkg_vss::{KnownCommitments, ReadyWitness, VssMessage};
 
 impl WireEncode for Proposal {
     fn encode_to<W: WireWrite + ?Sized>(&self, w: &mut W) {
@@ -239,13 +239,22 @@ impl WireEncode for DkgMessage {
     }
 }
 
-impl WireDecode for DkgMessage {
-    // Tag byte plus the smallest embedded VSS message.
-    const MIN_WIRE_LEN: usize = 1 + 1 + 16;
+impl DkgMessage {
+    /// Decodes a message that must occupy the entire input, resolving
+    /// inline commitments of embedded HybridVSS `echo`/`ready` messages
+    /// through `known` — [`crate::DkgNode::known_commitment`] of the hosting
+    /// session (see [`VssMessage::decode_known`]). [`WireDecode::decode`] is
+    /// this with nothing known.
+    pub fn decode_known(bytes: &[u8], known: &KnownCommitments<'_>) -> Result<Self, WireError> {
+        dkg_wire::decode_exact(bytes, |r| Self::decode_known_from(r, known))
+    }
 
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
+    fn decode_known_from(
+        r: &mut Reader<'_>,
+        known: &KnownCommitments<'_>,
+    ) -> Result<Self, WireError> {
         match r.u8()? {
-            0 => Ok(DkgMessage::Vss(VssMessage::decode_from(r)?)),
+            0 => Ok(DkgMessage::Vss(VssMessage::decode_known_from(r, known)?)),
             1 => Ok(DkgMessage::Send {
                 tau: r.u64()?,
                 rank: r.u64()?,
@@ -290,6 +299,15 @@ impl WireDecode for DkgMessage {
                 tag,
             }),
         }
+    }
+}
+
+impl WireDecode for DkgMessage {
+    // Tag byte plus the smallest embedded VSS message.
+    const MIN_WIRE_LEN: usize = 1 + 1 + 16;
+
+    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Self::decode_known_from(r, &|_, _| None)
     }
 }
 

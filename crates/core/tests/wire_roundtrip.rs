@@ -6,7 +6,7 @@
 
 use dkg_arith::{PrimeField, Scalar};
 use dkg_core::{DealerProof, DkgMessage, Justification, Proposal, SignedVote};
-use dkg_crypto::SigningKey;
+use dkg_crypto::{Digest, SigningKey};
 use dkg_poly::{CommitmentMatrix, SymmetricBivariate};
 use dkg_sim::WireSize;
 use dkg_vss::{CommitmentRef, ReadyWitness, SessionId, VssMessage};
@@ -15,12 +15,25 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 fn cases(default: u32) -> u32 {
     std::env::var("WIRE_FUZZ_CASES")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
+}
+
+/// The matrix inside sample 0 (the embedded full-commitment echo), by its
+/// digest — what an honest session that has seen it answers lookups from.
+fn sample_commitment(seed: u64) -> (Digest, Arc<CommitmentMatrix>) {
+    match &sample_messages(seed)[0] {
+        DkgMessage::Vss(VssMessage::Echo { commitment, .. }) => (
+            commitment.digest(),
+            Arc::clone(commitment.matrix().expect("sample 0 is a full echo")),
+        ),
+        other => panic!("sample 0 is a full echo, got {other:?}"),
+    }
 }
 
 /// Deterministically builds one of each message shape from a seed.
@@ -54,7 +67,7 @@ fn sample_messages(seed: u64) -> Vec<DkgMessage> {
     vec![
         DkgMessage::Vss(VssMessage::Echo {
             session,
-            commitment: CommitmentRef::Full(matrix),
+            commitment: CommitmentRef::full(matrix),
             point: Scalar::random(&mut rng),
         }),
         DkgMessage::Send {
@@ -103,10 +116,14 @@ proptest! {
 
     #[test]
     fn every_message_roundtrips_losslessly(seed in any::<u64>()) {
+        let (digest, matrix) = sample_commitment(seed);
+        let known = |_, d: &Digest| (*d == digest).then(|| Arc::clone(&matrix));
         for message in sample_messages(seed) {
             let bytes = message.encode();
             let back = DkgMessage::decode(&bytes);
             prop_assert_eq!(back.as_ref(), Ok(&message));
+            // A session that knows the matrix decodes the same message.
+            prop_assert_eq!(DkgMessage::decode_known(&bytes, &known), back);
         }
     }
 
@@ -124,21 +141,42 @@ proptest! {
         flip_byte in 0usize..usize::MAX,
         flip_bit in 0u8..8,
         cut in 0usize..usize::MAX,
+        hit in any::<bool>(),
     ) {
         let message = sample_messages(seed).swap_remove(pick);
+        let (digest, matrix) = sample_commitment(seed);
+        // An honest session's lookup, and one that answers every digest the
+        // same way whatever it is asked.
+        let honest = |_, d: &Digest| (*d == digest).then(|| Arc::clone(&matrix));
+        let arbitrary = |_, _: &Digest| hit.then(|| Arc::clone(&matrix));
         let bytes = message.encode();
-        prop_assert!(DkgMessage::decode(&bytes[..cut % bytes.len()]).is_err());
+        let truncated = &bytes[..cut % bytes.len()];
+        prop_assert!(DkgMessage::decode(truncated).is_err());
+        prop_assert_eq!(
+            DkgMessage::decode_known(truncated, &honest),
+            DkgMessage::decode(truncated)
+        );
+        prop_assert!(DkgMessage::decode_known(truncated, &arbitrary).is_err());
         let mut flipped = bytes.clone();
         let idx = flip_byte % flipped.len();
         flipped[idx] ^= 1 << flip_bit;
-        if let Ok(back) = DkgMessage::decode(&flipped) {
-            prop_assert_eq!(back.encode(), flipped);
+        let back = DkgMessage::decode(&flipped);
+        if let Ok(back) = &back {
+            prop_assert_eq!(back.encode(), flipped.clone());
         }
+        // A flipped matrix misses the honest lookup, so resolution changes
+        // neither the message nor the error.
+        prop_assert_eq!(DkgMessage::decode_known(&flipped, &honest), back);
+        let _ = DkgMessage::decode_known(&flipped, &arbitrary);
     }
 
     #[test]
-    fn arbitrary_bytes_never_panic(bytes in vec(any::<u8>(), 0..300)) {
-        let _ = DkgMessage::decode(&bytes);
+    fn arbitrary_bytes_never_panic(bytes in vec(any::<u8>(), 0..300), hit in any::<bool>()) {
+        let (_, matrix) = sample_commitment(0);
+        let arbitrary = |_, _: &Digest| hit.then(|| Arc::clone(&matrix));
+        let back = DkgMessage::decode(&bytes);
+        prop_assert_eq!(DkgMessage::decode_known(&bytes, &|_, _| None), back);
+        let _ = DkgMessage::decode_known(&bytes, &arbitrary);
     }
 }
 

@@ -1086,8 +1086,12 @@ impl Endpoint {
         };
 
         match (&mut session.state, key) {
-            (SessionState::Dkg(_), SessionKey::Dkg { tau }) => {
-                let message = match DkgMessage::decode(payload) {
+            (SessionState::Dkg(node), SessionKey::Dkg { tau }) => {
+                // Inline commitments resolve against what this session
+                // already holds, so each matrix is decompressed once per
+                // session; anything else decodes context-free.
+                let known = |session, digest: &_| node.known_commitment(session, digest);
+                let message = match DkgMessage::decode_known(payload, &known) {
                     Ok(message) => message,
                     Err(e) => {
                         session.stats.rejected += 1;
@@ -1120,8 +1124,9 @@ impl Endpoint {
                 session.stats.bytes_in += datagram.len() as u64;
                 self.run_dkg(key, now, |node, sink| node.on_message(from, message, sink));
             }
-            (SessionState::Vss(_), SessionKey::Vss { session: sid }) => {
-                let message = match VssMessage::decode(payload) {
+            (SessionState::Vss(node), SessionKey::Vss { session: sid }) => {
+                let known = |session, digest: &_| node.known_commitment(session, digest);
+                let message = match VssMessage::decode_known(payload, &known) {
                     Ok(message) => message,
                     Err(e) => {
                         session.stats.rejected += 1;

@@ -397,6 +397,97 @@ fn restore_reproduces_the_live_endpoint() {
     assert_eq!(restored.persist_stats().recoveries, 1);
 }
 
+/// Every inline commitment matrix a restored full-mode node holds: for each
+/// dealer, the handles in its commitment store and in its recovery outbox
+/// `B` (up to `2n` echo/ready messages per dealer).
+fn inline_matrices_by_dealer(
+    image: &EndpointSnapshot,
+) -> Vec<(u64, Vec<std::sync::Arc<dkg_poly::CommitmentMatrix>>)> {
+    use dkg_engine::SessionStateSnapshot;
+    use dkg_vss::VssMessage;
+    let [session] = image.sessions.as_slice() else {
+        panic!("one DKG session hosted");
+    };
+    let SessionStateSnapshot::Dkg(dkg) = &session.state else {
+        panic!("the hosted session is a DKG");
+    };
+    dkg.vss
+        .iter()
+        .map(|(dealer, vss)| {
+            let stored = vss.commitments.iter().map(|(_, matrix)| matrix);
+            let sent = vss.outbox.iter().flat_map(|(_, messages)| messages);
+            let inline = sent.filter_map(|message| match message {
+                VssMessage::Echo { commitment, .. } | VssMessage::Ready { commitment, .. } => {
+                    commitment.matrix()
+                }
+                _ => None,
+            });
+            (*dealer, stored.chain(inline).cloned().collect())
+        })
+        .collect()
+}
+
+/// A full-mode node restored from its WAL (replay through
+/// `handle_datagram`) or from a snapshot alone re-snapshots to the live
+/// node's bytes, and still holds one matrix per dealer: digest resolution
+/// on the decode paths keeps the sharing the live node had, instead of
+/// `2n` decompressed copies per dealer.
+#[test]
+fn restored_full_mode_node_shares_one_matrix_per_dealer() {
+    use dkg_wire::WireEncode;
+    use std::sync::Arc;
+
+    let n = 7;
+    let setup = SystemSetup::generate(n, 0, 4242);
+    assert_eq!(setup.config.vss.mode, dkg_vss::CommitmentMode::Full);
+    let (mut net, stores) = build_persistent_net(&setup, Crypto::Direct, u64::MAX);
+    for &node in &setup.config.vss.nodes {
+        net.schedule_dkg_input(node, 0, DkgInput::Start, 0);
+    }
+    net.run();
+    let live = net
+        .endpoint(3)
+        .and_then(Endpoint::snapshot)
+        .expect("quiescent");
+
+    // From the WAL: the store holds the initial snapshot and every input.
+    let from_wal = Endpoint::restore(EndpointConfig {
+        store: Some(stores[&3].clone()),
+        ..EndpointConfig::default()
+    })
+    .expect("restore from WAL succeeds");
+    assert!(from_wal.persist_stats().wal_replayed > 0);
+    // From a snapshot alone: a fresh store holding the live image, no WAL.
+    let snapshot_only = StoreHandle::in_memory();
+    snapshot_only
+        .install_snapshot(&live.to_bytes())
+        .expect("mem store accepts bytes");
+    let from_snapshot = Endpoint::restore(EndpointConfig {
+        store: Some(snapshot_only),
+        ..EndpointConfig::default()
+    })
+    .expect("restore from snapshot succeeds");
+    assert_eq!(from_snapshot.persist_stats().wal_replayed, 0);
+
+    for restored in [&from_wal, &from_snapshot] {
+        let image = restored.snapshot().expect("quiescent");
+        assert_eq!(image.sessions.len(), live.sessions.len());
+        for (restored, live) in image.sessions.iter().zip(&live.sessions) {
+            assert_eq!(restored.encode(), live.encode());
+        }
+        let by_dealer = inline_matrices_by_dealer(&image);
+        assert_eq!(by_dealer.len(), n);
+        for (dealer, matrices) in by_dealer {
+            // Own echoes and readies to all n nodes, plus the stored matrix.
+            assert_eq!(matrices.len(), 2 * n + 1, "dealer {dealer}");
+            assert!(
+                matrices.iter().all(|m| Arc::ptr_eq(m, &matrices[0])),
+                "dealer {dealer}: every inline commitment shares one matrix"
+            );
+        }
+    }
+}
+
 /// A corrupt store surfaces as a typed recovery failure and the node
 /// stays down — never a panic, never silent resurrection.
 #[test]

@@ -54,7 +54,10 @@ pub mod standalone;
 pub mod wire;
 
 pub use config::{CommitmentMode, ConfigError, VssConfig};
-pub use messages::{CommitmentRef, ReadyWitness, SessionId, VssInput, VssMessage, VssOutput};
+pub use messages::{
+    CommitmentRef, InlineCommitment, ReadyWitness, SessionId, VssInput, VssMessage, VssOutput,
+};
 pub use node::{SigningContext, VssAction, VssJobId, VssNode};
 pub use snapshot::{PendingPointSnapshot, SnapshotError, TallySnapshot, VssSnapshot};
 pub use standalone::StandaloneVss;
+pub use wire::KnownCommitments;

@@ -4,6 +4,7 @@ use dkg_arith::Scalar;
 use dkg_crypto::{Digest, NodeId, Signature};
 use dkg_poly::{CommitmentMatrix, Univariate};
 use dkg_sim::WireSize;
+use std::sync::Arc;
 
 /// A session identifier `(P_d, τ)`: the dealer's identity plus a counter.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -32,30 +33,64 @@ impl SessionId {
     pub const ENCODED_LEN: usize = 16;
 }
 
+/// A commitment matrix carried inline in a message, with the SHA-256 digest
+/// that names it. The matrix is shared: the `2n` echo/ready messages a node
+/// sends or stores per dealer, and every message decoded against a session
+/// that already knows the matrix, hold one allocation between them.
+///
+/// The fields are private because `digest == sha256(matrix.to_bytes())`
+/// must hold — nodes key their commitment store by it.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct InlineCommitment {
+    matrix: Arc<CommitmentMatrix>,
+    digest: Digest,
+}
+
+impl InlineCommitment {
+    /// Pairs a matrix with a digest the caller already computed from the
+    /// matrix's point bytes (the decoder and the node's commitment store);
+    /// everyone else builds one with [`CommitmentRef::full`].
+    pub(crate) fn from_parts(matrix: Arc<CommitmentMatrix>, digest: Digest) -> Self {
+        InlineCommitment { matrix, digest }
+    }
+
+    /// The shared matrix.
+    pub fn matrix(&self) -> &Arc<CommitmentMatrix> {
+        &self.matrix
+    }
+}
+
 /// How a message refers to the dealer's commitment matrix: either inline
 /// (the paper's Fig. 1) or by SHA-256 digest (the hash optimisation measured
 /// in experiment E2).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum CommitmentRef {
     /// The full matrix is included.
-    Full(CommitmentMatrix),
+    Full(InlineCommitment),
     /// Only a digest of the matrix is included.
     Digest(Digest),
 }
 
 impl CommitmentRef {
+    /// An inline reference to `matrix`, hashing it once.
+    pub fn full(matrix: impl Into<Arc<CommitmentMatrix>>) -> Self {
+        let matrix = matrix.into();
+        let digest = dkg_crypto::sha256(&matrix.to_bytes());
+        CommitmentRef::Full(InlineCommitment { matrix, digest })
+    }
+
     /// The digest identifying the referenced commitment.
     pub fn digest(&self) -> Digest {
         match self {
-            CommitmentRef::Full(c) => dkg_crypto::sha256(&c.to_bytes()),
+            CommitmentRef::Full(inline) => inline.digest,
             CommitmentRef::Digest(d) => *d,
         }
     }
 
     /// The full matrix, if carried inline.
-    pub fn matrix(&self) -> Option<&CommitmentMatrix> {
+    pub fn matrix(&self) -> Option<&Arc<CommitmentMatrix>> {
         match self {
-            CommitmentRef::Full(c) => Some(c),
+            CommitmentRef::Full(inline) => Some(&inline.matrix),
             CommitmentRef::Digest(_) => None,
         }
     }
@@ -241,7 +276,7 @@ mod tests {
     #[test]
     fn commitment_ref_digest_is_stable() {
         let c = sample_commitment(2);
-        let full = CommitmentRef::Full(c.clone());
+        let full = CommitmentRef::full(c.clone());
         let digest = CommitmentRef::Digest(full.digest());
         assert_eq!(full.digest(), digest.digest());
         assert!(full.matrix().is_some());
@@ -257,7 +292,7 @@ mod tests {
         let session = SessionId::new(1, 0);
         let echo_full = VssMessage::Echo {
             session,
-            commitment: CommitmentRef::Full(c.clone()),
+            commitment: CommitmentRef::full(c.clone()),
             point: Scalar::one(),
         };
         let echo_digest = VssMessage::Echo {

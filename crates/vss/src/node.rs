@@ -38,7 +38,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::config::{CommitmentMode, VssConfig};
-use crate::messages::{CommitmentRef, ReadyWitness, SessionId, VssInput, VssMessage, VssOutput};
+use crate::messages::{
+    CommitmentRef, InlineCommitment, ReadyWitness, SessionId, VssInput, VssMessage, VssOutput,
+};
 use crate::snapshot::{PendingPointSnapshot, SnapshotError, TallySnapshot, VssSnapshot};
 
 /// An effect produced by the VSS state machine.
@@ -265,7 +267,7 @@ impl VssNode {
             commitments: self
                 .commitments
                 .iter()
-                .map(|(&digest, matrix)| (digest, (**matrix).clone()))
+                .map(|(&digest, matrix)| (digest, Arc::clone(matrix)))
                 .collect(),
             pending: self
                 .pending
@@ -355,11 +357,7 @@ impl VssNode {
                     )
                 })
                 .collect(),
-            commitments: snapshot
-                .commitments
-                .into_iter()
-                .map(|(digest, matrix)| (digest, Arc::new(matrix)))
-                .collect(),
+            commitments: snapshot.commitments.into_iter().collect(),
             pending: snapshot
                 .pending
                 .into_iter()
@@ -403,6 +401,22 @@ impl VssNode {
     /// whose [`VssSnapshot::signing_key`] is set.
     pub fn signing_directory(&self) -> Option<&Arc<KeyDirectory>> {
         self.signing.as_ref().map(|s| &s.directory)
+    }
+
+    /// The fully decoded commitment matrix this session holds under
+    /// `digest`, if `session` is this node's session — the lookup
+    /// [`VssMessage::decode_known`] resolves inline commitments against.
+    /// Every matrix in the store was decompressed and validated when it was
+    /// first decoded, and is keyed by the SHA-256 of its point bytes.
+    pub fn known_commitment(
+        &self,
+        session: SessionId,
+        digest: &Digest,
+    ) -> Option<Arc<CommitmentMatrix>> {
+        if session != self.session {
+            return None;
+        }
+        self.commitments.get(digest).cloned()
     }
 
     // ------------------------------------------------------------------
@@ -642,7 +656,9 @@ impl VssNode {
         if !valid {
             return;
         }
-        self.commitments.insert(digest, Arc::clone(&commitment));
+        // An echo or ready may have taught us this matrix first; keep that
+        // handle so the session holds each matrix exactly once.
+        let commitment = Arc::clone(self.commitments.entry(digest).or_insert(commitment));
         {
             let tally = self.tallies.entry(digest).or_default();
             if tally.row.is_none() {
@@ -684,7 +700,7 @@ impl VssNode {
             if matrix.threshold() == self.config.t {
                 self.commitments
                     .entry(digest)
-                    .or_insert_with(|| Arc::new(matrix.clone()));
+                    .or_insert_with(|| Arc::clone(matrix));
             }
         }
         if !self.commitments.contains_key(&digest) {
@@ -893,9 +909,11 @@ impl VssNode {
         interpolate_polynomial(&points).expect("distinct node indices")
     }
 
-    fn commitment_ref(&self, commitment: &CommitmentMatrix, digest: Digest) -> CommitmentRef {
+    fn commitment_ref(&self, commitment: &Arc<CommitmentMatrix>, digest: Digest) -> CommitmentRef {
         match self.config.mode {
-            CommitmentMode::Full => CommitmentRef::Full(commitment.clone()),
+            CommitmentMode::Full => {
+                CommitmentRef::Full(InlineCommitment::from_parts(Arc::clone(commitment), digest))
+            }
             CommitmentMode::Digest => CommitmentRef::Digest(digest),
         }
     }
@@ -1415,7 +1433,7 @@ mod tests {
             3,
             VssMessage::Echo {
                 session,
-                commitment: CommitmentRef::Full(commitment),
+                commitment: CommitmentRef::full(commitment),
                 point: bad,
             },
         );

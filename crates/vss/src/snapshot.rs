@@ -25,6 +25,8 @@ use dkg_wire::{Reader, WireDecode, WireEncode, WireError, WireWrite};
 
 use crate::config::{CommitmentMode, VssConfig};
 use crate::messages::{ReadyWitness, SessionId, VssMessage};
+use dkg_wire::primitives::decode_sequence;
+use std::sync::Arc;
 
 /// Errors raised when re-injecting a snapshot into a state machine.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -127,8 +129,11 @@ pub struct VssSnapshot {
     pub send_handled: bool,
     /// Per-commitment tallies, by digest.
     pub tallies: Vec<(Digest, TallySnapshot)>,
-    /// Fully known commitment matrices, by digest.
-    pub commitments: Vec<(Digest, CommitmentMatrix)>,
+    /// Fully known commitment matrices, by digest (the key is the SHA-256
+    /// of the matrix's point bytes). Shared with the inline commitments of
+    /// [`VssSnapshot::outbox`]: decoding resolves those against this list,
+    /// so a restored node holds each matrix once, as the live node did.
+    pub commitments: Vec<(Digest, Arc<CommitmentMatrix>)>,
     /// Points buffered until their commitment is known, by digest.
     pub pending: Vec<(Digest, Vec<PendingPointSnapshot>)>,
     /// The sharing result, if completed.
@@ -255,7 +260,11 @@ impl WireEncode for VssSnapshot {
         self.signing_key.encode_to(w);
         self.send_handled.encode_to(w);
         self.tallies.encode_to(w);
-        self.commitments.encode_to(w);
+        w.put_len(self.commitments.len());
+        for (digest, matrix) in &self.commitments {
+            digest.encode_to(w);
+            matrix.encode_to(w);
+        }
         self.pending.encode_to(w);
         self.completed.encode_to(w);
         self.completed_witnesses.encode_to(w);
@@ -273,25 +282,58 @@ impl WireDecode for VssSnapshot {
     const MIN_WIRE_LEN: usize = 8 + SessionId::ENCODED_LEN + VssConfig::MIN_WIRE_LEN + 32;
 
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let id = r.u64()?;
+        let session = SessionId::decode_from(r)?;
+        let config = VssConfig::decode_from(r)?;
+        let rng = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
+        let signing_key = Option::decode_from(r)?;
+        let send_handled = bool::decode_from(r)?;
+        let tallies = Vec::decode_from(r)?;
+        let commitments = decode_sequence(r, <(Digest, CommitmentMatrix)>::MIN_WIRE_LEN, |r| {
+            let digest = Digest::decode_from(r)?;
+            Ok((digest, Arc::new(CommitmentMatrix::decode_from(r)?)))
+        })?;
+        let pending = Vec::decode_from(r)?;
+        let completed = Option::decode_from(r)?;
+        let completed_witnesses = Vec::decode_from(r)?;
+        let reconstruct_started = bool::decode_from(r)?;
+        let reconstruct_pending = Vec::decode_from(r)?;
+        let reconstruct_verified = Vec::decode_from(r)?;
+        let reconstructed = Option::decode_from(r)?;
+        // `B` repeats each known matrix up to 2n times (full mode); resolve
+        // them against the list above instead of decompressing each copy.
+        let known = |_: SessionId, digest: &Digest| {
+            commitments
+                .iter()
+                .find(|(known, _)| known == digest)
+                .map(|(_, matrix)| Arc::clone(matrix))
+        };
+        let outbox = decode_sequence(r, <(NodeId, Vec<VssMessage>)>::MIN_WIRE_LEN, |r| {
+            let to = r.u64()?;
+            let messages = decode_sequence(r, VssMessage::MIN_WIRE_LEN, |r| {
+                VssMessage::decode_known_from(r, &known)
+            })?;
+            Ok((to, messages))
+        })?;
         Ok(VssSnapshot {
-            id: r.u64()?,
-            session: SessionId::decode_from(r)?,
-            config: VssConfig::decode_from(r)?,
-            rng: [r.u64()?, r.u64()?, r.u64()?, r.u64()?],
-            signing_key: Option::decode_from(r)?,
-            send_handled: bool::decode_from(r)?,
-            tallies: Vec::decode_from(r)?,
-            commitments: Vec::decode_from(r)?,
-            pending: Vec::decode_from(r)?,
-            completed: Option::decode_from(r)?,
-            completed_witnesses: Vec::decode_from(r)?,
-            reconstruct_started: bool::decode_from(r)?,
-            reconstruct_pending: Vec::decode_from(r)?,
-            reconstruct_verified: Vec::decode_from(r)?,
-            reconstructed: Option::decode_from(r)?,
-            outbox: Vec::decode_from(r)?,
+            id,
+            session,
+            config,
+            rng,
+            signing_key,
+            send_handled,
+            tallies,
+            pending,
+            completed,
+            completed_witnesses,
+            reconstruct_started,
+            reconstruct_pending,
+            reconstruct_verified,
+            reconstructed,
+            outbox,
             help_granted_total: r.u64()?,
             help_granted_per: Vec::decode_from(r)?,
+            commitments,
         })
     }
 }

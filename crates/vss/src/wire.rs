@@ -17,13 +17,35 @@
 //!
 //! `VssMessage::wire_size()` is defined as the exact encoded length, so the
 //! simulator's communication-complexity metrics are measured, not estimated.
+//!
+//! ## Digest-resolved decoding
+//!
+//! Fig. 1 puts the whole matrix in every `echo` and `ready`, so a node
+//! receives the same matrix `2n` times per dealer. [`WireDecode::decode`]
+//! is context-free and decompresses all of them;
+//! [`VssMessage::decode_known`] takes the hosting session's view of the
+//! matrices it already holds ([`crate::VssNode::known_commitment`]) and
+//! pays for a matrix only the first time it sees it — see
+//! [`dkg_wire::primitives::decode_matrix_resolved`]. Both produce equal
+//! messages from the same bytes and refuse the same bytes with the same
+//! error; the format is the same.
+
+use std::sync::Arc;
 
 use dkg_arith::Scalar;
-use dkg_crypto::Signature;
+use dkg_crypto::{Digest, Signature};
 use dkg_poly::{CommitmentMatrix, Univariate};
+use dkg_wire::primitives::decode_matrix_resolved;
 use dkg_wire::{Reader, WireDecode, WireEncode, WireError, WireWrite};
 
-use crate::messages::{CommitmentRef, ReadyWitness, SessionId, VssInput, VssMessage};
+use crate::messages::{
+    CommitmentRef, InlineCommitment, ReadyWitness, SessionId, VssInput, VssMessage,
+};
+
+/// A decoder's view of the commitment matrices its host already holds:
+/// `known(session, digest)` is the matrix of that session whose point bytes
+/// hash to `digest`, if the host has fully decoded it before.
+pub type KnownCommitments<'a> = dyn Fn(SessionId, &Digest) -> Option<Arc<CommitmentMatrix>> + 'a;
 
 impl WireEncode for SessionId {
     fn encode_to<W: WireWrite + ?Sized>(&self, w: &mut W) {
@@ -44,9 +66,9 @@ impl WireDecode for SessionId {
 impl WireEncode for CommitmentRef {
     fn encode_to<W: WireWrite + ?Sized>(&self, w: &mut W) {
         match self {
-            CommitmentRef::Full(matrix) => {
+            CommitmentRef::Full(inline) => {
                 w.put_u8(0);
-                matrix.encode_to(w);
+                inline.matrix().encode_to(w);
             }
             CommitmentRef::Digest(digest) => {
                 w.put_u8(1);
@@ -56,19 +78,34 @@ impl WireEncode for CommitmentRef {
     }
 }
 
-impl WireDecode for CommitmentRef {
-    // Tag byte plus a 32-byte digest (the smaller arm).
-    const MIN_WIRE_LEN: usize = 1 + 32;
-
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
+impl CommitmentRef {
+    /// Decodes a reference, resolving an inline matrix through `known`.
+    fn decode_known_from(
+        r: &mut Reader<'_>,
+        known: impl FnOnce(&Digest) -> Option<Arc<CommitmentMatrix>>,
+    ) -> Result<Self, WireError> {
         match r.u8()? {
-            0 => Ok(CommitmentRef::Full(CommitmentMatrix::decode_from(r)?)),
+            0 => {
+                let (matrix, digest) = decode_matrix_resolved(r, known)?;
+                Ok(CommitmentRef::Full(InlineCommitment::from_parts(
+                    matrix, digest,
+                )))
+            }
             1 => Ok(CommitmentRef::Digest(<[u8; 32]>::decode_from(r)?)),
             tag => Err(WireError::UnknownTag {
                 context: "commitment ref",
                 tag,
             }),
         }
+    }
+}
+
+impl WireDecode for CommitmentRef {
+    // Tag byte plus a 32-byte digest (the smaller arm).
+    const MIN_WIRE_LEN: usize = 1 + 32;
+
+    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Self::decode_known_from(r, |_| None)
     }
 }
 
@@ -172,13 +209,23 @@ impl WireEncode for VssMessage {
     }
 }
 
-impl WireDecode for VssMessage {
-    // Tag byte plus a session id (the `help` message).
-    const MIN_WIRE_LEN: usize = 1 + SessionId::ENCODED_LEN;
+impl VssMessage {
+    /// Decodes a message that must occupy the entire input, resolving
+    /// inline commitments in `echo`/`ready` through `known` (see the module
+    /// docs). [`WireDecode::decode`] is this with nothing known.
+    pub fn decode_known(bytes: &[u8], known: &KnownCommitments<'_>) -> Result<Self, WireError> {
+        dkg_wire::decode_exact(bytes, |r| Self::decode_known_from(r, known))
+    }
 
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
+    /// [`VssMessage::decode_known`] on a reader, leaving the cursor after
+    /// the message.
+    pub fn decode_known_from(
+        r: &mut Reader<'_>,
+        known: &KnownCommitments<'_>,
+    ) -> Result<Self, WireError> {
         let tag = r.u8()?;
         let session = SessionId::decode_from(r)?;
+        let known = |digest: &Digest| known(session, digest);
         match tag {
             0 => Ok(VssMessage::Send {
                 session,
@@ -187,12 +234,12 @@ impl WireDecode for VssMessage {
             }),
             1 => Ok(VssMessage::Echo {
                 session,
-                commitment: CommitmentRef::decode_from(r)?,
+                commitment: CommitmentRef::decode_known_from(r, known)?,
                 point: Scalar::decode_from(r)?,
             }),
             2 => Ok(VssMessage::Ready {
                 session,
-                commitment: CommitmentRef::decode_from(r)?,
+                commitment: CommitmentRef::decode_known_from(r, known)?,
                 point: Scalar::decode_from(r)?,
                 signature: Option::<Signature>::decode_from(r)?,
             }),
@@ -206,5 +253,14 @@ impl WireDecode for VssMessage {
                 tag,
             }),
         }
+    }
+}
+
+impl WireDecode for VssMessage {
+    // Tag byte plus a session id (the `help` message).
+    const MIN_WIRE_LEN: usize = 1 + SessionId::ENCODED_LEN;
+
+    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Self::decode_known_from(r, &|_, _| None)
     }
 }

@@ -1,10 +1,13 @@
 //! Codec properties for the HybridVSS messages: every message round-trips
 //! `encode → decode` losslessly, `wire_size()` equals the real encoded
-//! length, and decoding adversarially mangled bytes never panics.
+//! length, and decoding adversarially mangled bytes never panics — with the
+//! context-free decoder and with the digest-resolved one, whatever its
+//! lookup answers.
 //!
 //! `WIRE_FUZZ_CASES` raises the per-test case count (used by CI's fuzz step).
 
 use dkg_arith::{PrimeField, Scalar};
+use dkg_crypto::Digest;
 use dkg_crypto::SigningKey;
 use dkg_poly::{CommitmentMatrix, SymmetricBivariate, Univariate};
 use dkg_sim::WireSize;
@@ -14,12 +17,25 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 fn cases(default: u32) -> u32 {
     std::env::var("WIRE_FUZZ_CASES")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
+}
+
+/// The matrix every sample message of `seed` commits to, by its digest —
+/// what an honest session that has seen it answers lookups from.
+fn sample_commitment(seed: u64) -> (Digest, Arc<CommitmentMatrix>) {
+    match &sample_messages(seed)[1] {
+        VssMessage::Echo { commitment, .. } => (
+            commitment.digest(),
+            Arc::clone(commitment.matrix().expect("sample 1 is a full echo")),
+        ),
+        other => panic!("sample 1 is a full echo, got {other:?}"),
+    }
 }
 
 /// Deterministically builds one of each message shape from a seed.
@@ -41,7 +57,7 @@ fn sample_messages(seed: u64) -> Vec<VssMessage> {
         },
         VssMessage::Echo {
             session,
-            commitment: CommitmentRef::Full(matrix.clone()),
+            commitment: CommitmentRef::full(matrix.clone()),
             point: Scalar::random(&mut rng),
         },
         VssMessage::Echo {
@@ -57,7 +73,7 @@ fn sample_messages(seed: u64) -> Vec<VssMessage> {
         },
         VssMessage::Ready {
             session,
-            commitment: CommitmentRef::Full(matrix),
+            commitment: CommitmentRef::full(matrix),
             point: Scalar::random(&mut rng),
             signature: None,
         },
@@ -120,7 +136,7 @@ fn snapshot_types_roundtrip_losslessly() {
         signing_key: Some(Scalar::random(&mut rng)),
         send_handled: true,
         tallies: vec![(digest, tally)],
-        commitments: vec![(digest, matrix.clone())],
+        commitments: vec![(digest, Arc::new(matrix.clone()))],
         pending: vec![(digest, vec![pending])],
         completed: Some((matrix, Scalar::random(&mut rng))),
         completed_witnesses: vec![ReadyWitness { node: 1, signature }],
@@ -147,11 +163,32 @@ proptest! {
 
     #[test]
     fn every_message_roundtrips_losslessly(seed in any::<u64>()) {
+        let (digest, matrix) = sample_commitment(seed);
+        let ops_before = dkg_arith::ops::decompressions();
         for message in sample_messages(seed) {
             let bytes = message.encode();
             let back = VssMessage::decode(&bytes);
             prop_assert_eq!(back.as_ref(), Ok(&message));
         }
+        let context_free = dkg_arith::ops::decompressions() - ops_before;
+        // A session that knows the matrix decodes the same messages from the
+        // same bytes, and shares its matrix instead of decompressing again.
+        let known = |_, d: &Digest| (*d == digest).then(|| Arc::clone(&matrix));
+        let ops_before = dkg_arith::ops::decompressions();
+        for message in sample_messages(seed) {
+            let back = VssMessage::decode_known(&message.encode(), &known);
+            prop_assert_eq!(back.as_ref(), Ok(&message));
+            if let Ok(VssMessage::Echo { commitment, .. } | VssMessage::Ready { commitment, .. }) = &back {
+                if let Some(inline) = commitment.matrix() {
+                    prop_assert!(Arc::ptr_eq(inline, &matrix));
+                }
+            }
+        }
+        // The two inline copies (one echo, one ready) were hits; the dealer's
+        // `send` and the ready signature's nonce point pay as before.
+        let resolved = dkg_arith::ops::decompressions() - ops_before;
+        let dim = matrix.threshold() as u64 + 1;
+        prop_assert_eq!(context_free - resolved, 2 * dim * dim);
     }
 
     #[test]
@@ -178,23 +215,44 @@ proptest! {
         flip_byte in 0usize..usize::MAX,
         flip_bit in 0u8..8,
         cut in 0usize..usize::MAX,
+        hit in any::<bool>(),
     ) {
         let message = sample_messages(seed).swap_remove(pick);
+        let (digest, matrix) = sample_commitment(seed);
+        // An honest session's lookup, and one that answers every digest the
+        // same way whatever it is asked.
+        let honest = |_, d: &Digest| (*d == digest).then(|| Arc::clone(&matrix));
+        let arbitrary = |_, _: &Digest| hit.then(|| Arc::clone(&matrix));
         let bytes = message.encode();
         // Truncation: must error, never panic.
-        prop_assert!(VssMessage::decode(&bytes[..cut % bytes.len()]).is_err());
+        let truncated = &bytes[..cut % bytes.len()];
+        prop_assert!(VssMessage::decode(truncated).is_err());
+        prop_assert_eq!(
+            VssMessage::decode_known(truncated, &honest),
+            VssMessage::decode(truncated)
+        );
+        prop_assert!(VssMessage::decode_known(truncated, &arbitrary).is_err());
         // Bit flip: must not panic; if it still decodes, re-encoding must be
         // canonical (equal to the flipped input).
         let mut flipped = bytes.clone();
         let idx = flip_byte % flipped.len();
         flipped[idx] ^= 1 << flip_bit;
-        if let Ok(back) = VssMessage::decode(&flipped) {
-            prop_assert_eq!(back.encode(), flipped);
+        let back = VssMessage::decode(&flipped);
+        if let Ok(back) = &back {
+            prop_assert_eq!(back.encode(), flipped.clone());
         }
+        // A flipped matrix misses the honest lookup, so resolution changes
+        // neither the message nor the error.
+        prop_assert_eq!(VssMessage::decode_known(&flipped, &honest), back);
+        let _ = VssMessage::decode_known(&flipped, &arbitrary);
     }
 
     #[test]
-    fn arbitrary_bytes_never_panic(bytes in vec(any::<u8>(), 0..300)) {
-        let _ = VssMessage::decode(&bytes);
+    fn arbitrary_bytes_never_panic(bytes in vec(any::<u8>(), 0..300), hit in any::<bool>()) {
+        let (_, matrix) = sample_commitment(0);
+        let arbitrary = |_, _: &Digest| hit.then(|| Arc::clone(&matrix));
+        let back = VssMessage::decode(&bytes);
+        prop_assert_eq!(VssMessage::decode_known(&bytes, &|_, _| None), back);
+        let _ = VssMessage::decode_known(&bytes, &arbitrary);
     }
 }

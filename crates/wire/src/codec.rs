@@ -235,11 +235,21 @@ pub trait WireDecode: Sized {
 
     /// Decodes a value that must occupy the entire input.
     fn decode(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut r = Reader::new(bytes);
-        let value = Self::decode_from(&mut r)?;
-        r.finish()?;
-        Ok(value)
+        decode_exact(bytes, Self::decode_from)
     }
+}
+
+/// Runs `decode` over `bytes` and requires it to consume all of them —
+/// [`WireDecode::decode`] for decoders that take context the trait cannot
+/// carry.
+pub fn decode_exact<T>(
+    bytes: &[u8],
+    decode: impl FnOnce(&mut Reader<'_>) -> Result<T, WireError>,
+) -> Result<T, WireError> {
+    let mut r = Reader::new(bytes);
+    let value = decode(&mut r)?;
+    r.finish()?;
+    Ok(value)
 }
 
 #[cfg(test)]

@@ -37,7 +37,8 @@ pub mod frame;
 pub mod primitives;
 
 pub use codec::{
-    LenCounter, Reader, WireDecode, WireEncode, WireWrite, MAX_COMMITMENT_DIM, MAX_SEQUENCE_LEN,
+    decode_exact, LenCounter, Reader, WireDecode, WireEncode, WireWrite, MAX_COMMITMENT_DIM,
+    MAX_SEQUENCE_LEN,
 };
 pub use error::WireError;
 pub use frame::{

@@ -5,8 +5,9 @@
 use crate::codec::{Reader, WireDecode, WireEncode, WireWrite, MAX_COMMITMENT_DIM};
 use crate::error::WireError;
 use dkg_arith::{GroupElement, PrimeField, Scalar};
-use dkg_crypto::Signature;
+use dkg_crypto::{Digest, Signature};
 use dkg_poly::{CommitmentMatrix, CommitmentVector, Univariate};
+use std::sync::Arc;
 
 impl WireEncode for u8 {
     fn encode_to<W: WireWrite + ?Sized>(&self, w: &mut W) {
@@ -179,13 +180,25 @@ impl<T: WireDecode> WireDecode for Vec<T> {
     const MIN_WIRE_LEN: usize = 4;
 
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let len = r.len("sequence", crate::MAX_SEQUENCE_LEN, T::MIN_WIRE_LEN)?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(T::decode_from(r)?);
-        }
-        Ok(out)
+        decode_sequence(r, T::MIN_WIRE_LEN, T::decode_from)
     }
+}
+
+/// Decodes a `u32`-prefixed sequence whose elements `element` decodes —
+/// `Vec<T>::decode_from` for element decoders that need context the
+/// [`WireDecode`] trait cannot carry. `min_elem_size` bounds the allocation
+/// as [`WireDecode::MIN_WIRE_LEN`] does.
+pub fn decode_sequence<T>(
+    r: &mut Reader<'_>,
+    min_elem_size: usize,
+    mut element: impl FnMut(&mut Reader<'_>) -> Result<T, WireError>,
+) -> Result<Vec<T>, WireError> {
+    let len = r.len("sequence", crate::MAX_SEQUENCE_LEN, min_elem_size)?;
+    let mut out = Vec::with_capacity(len);
+    for _ in 0..len {
+        out.push(element(r)?);
+    }
+    Ok(out)
 }
 
 /// Pairs encode their elements back to back — the building block for the
@@ -254,33 +267,76 @@ impl WireDecode for CommitmentMatrix {
     const MIN_WIRE_LEN: usize = 4 + 33;
 
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let dim = r.len("commitment matrix", MAX_COMMITMENT_DIM, 33)?;
-        if dim == 0 {
-            return Err(WireError::InvalidValue {
-                context: "empty commitment matrix",
-            });
-        }
-        // The length guard above only proves `dim` rows fit; a square matrix
-        // needs dim² entries.
-        if dim.saturating_mul(dim).saturating_mul(33) > r.remaining() {
-            return Err(WireError::LengthOverflow {
-                context: "commitment matrix",
-                declared: (dim * dim) as u64,
-                max: (r.remaining() / 33) as u64,
-            });
-        }
-        let mut entries = Vec::with_capacity(dim);
-        for _ in 0..dim {
-            let mut row = Vec::with_capacity(dim);
-            for _ in 0..dim {
-                row.push(GroupElement::decode_from(r)?);
-            }
-            entries.push(row);
-        }
-        CommitmentMatrix::from_entries(entries).ok_or(WireError::InvalidValue {
-            context: "commitment matrix",
-        })
+        let (dim, points) = matrix_span(r)?;
+        decode_matrix_points(dim, points)
     }
+}
+
+/// Consumes one encoded commitment matrix without decompressing anything:
+/// returns its dimension and the `dim² × 33` bytes of its points, after
+/// every length check of the matrix decoder.
+fn matrix_span<'a>(r: &mut Reader<'a>) -> Result<(usize, &'a [u8]), WireError> {
+    let dim = r.len("commitment matrix", MAX_COMMITMENT_DIM, 33)?;
+    if dim == 0 {
+        return Err(WireError::InvalidValue {
+            context: "empty commitment matrix",
+        });
+    }
+    // The length guard above only proves `dim` rows fit; a square matrix
+    // needs dim² entries.
+    let span = dim.saturating_mul(dim).saturating_mul(33);
+    if span > r.remaining() {
+        return Err(WireError::LengthOverflow {
+            context: "commitment matrix",
+            declared: (dim * dim) as u64,
+            max: (r.remaining() / 33) as u64,
+        });
+    }
+    Ok((dim, r.take(span)?))
+}
+
+/// Decompresses the `dim²` points of a span returned by [`matrix_span`].
+fn decode_matrix_points(dim: usize, points: &[u8]) -> Result<CommitmentMatrix, WireError> {
+    let mut r = Reader::new(points);
+    let mut entries = Vec::with_capacity(dim);
+    for _ in 0..dim {
+        let mut row = Vec::with_capacity(dim);
+        for _ in 0..dim {
+            row.push(GroupElement::decode_from(&mut r)?);
+        }
+        entries.push(row);
+    }
+    CommitmentMatrix::from_entries(entries).ok_or(WireError::InvalidValue {
+        context: "commitment matrix",
+    })
+}
+
+/// Decodes a commitment matrix, resolving it by digest against matrices the
+/// caller already holds.
+///
+/// The matrix's point bytes are hashed (SHA-256 — the digest that
+/// identifies a commitment everywhere in the protocol, i.e. the hash of
+/// `CommitmentMatrix::to_bytes`) and `known` is asked for that digest. On a
+/// hit the span is skipped and the held matrix handed out; on a miss every
+/// point is decompressed and validated, with exactly the errors of
+/// [`CommitmentMatrix::decode_from`]. Either way the digest is returned, so
+/// callers need not re-encode the matrix to name it.
+///
+/// `known` must only return a matrix that itself passed a full decode and
+/// whose point bytes hash to the digest it is asked for. A hit is then as
+/// good as a decode: by collision resistance the received bytes *are* the
+/// canonical encoding of the held matrix.
+pub fn decode_matrix_resolved(
+    r: &mut Reader<'_>,
+    known: impl FnOnce(&Digest) -> Option<Arc<CommitmentMatrix>>,
+) -> Result<(Arc<CommitmentMatrix>, Digest), WireError> {
+    let (dim, points) = matrix_span(r)?;
+    let digest = dkg_crypto::sha256(points);
+    let matrix = match known(&digest) {
+        Some(matrix) => matrix,
+        None => Arc::new(decode_matrix_points(dim, points)?),
+    };
+    Ok((matrix, digest))
 }
 
 /// A commitment vector is its `u32` length (`t + 1`) followed by the
@@ -401,6 +457,47 @@ mod tests {
             CommitmentMatrix::decode(&bytes),
             Err(WireError::LengthOverflow { .. })
         ));
+    }
+
+    #[test]
+    fn resolved_matrix_decode_hits_by_digest_and_misses_like_a_plain_decode() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let f = SymmetricBivariate::random_with_secret(&mut rng, 2, Scalar::from_u64(9));
+        let held = Arc::new(CommitmentMatrix::commit(&f));
+        let digest = dkg_crypto::sha256(&held.to_bytes());
+        let mut bytes = held.encode();
+        bytes.push(0xaa); // the cursor must stop after the matrix
+        let known = |d: &Digest| (*d == digest).then(|| Arc::clone(&held));
+
+        // Hit: the held handle comes back and the span is skipped.
+        let mut r = Reader::new(&bytes);
+        let (matrix, named) = decode_matrix_resolved(&mut r, known).unwrap();
+        assert!(Arc::ptr_eq(&matrix, &held));
+        assert_eq!((named, r.remaining()), (digest, 1));
+        // Miss: an equal matrix is decoded afresh under the same digest.
+        let mut r = Reader::new(&bytes);
+        let (matrix, named) = decode_matrix_resolved(&mut r, |_| None).unwrap();
+        assert!(!Arc::ptr_eq(&matrix, &held) && matrix == held);
+        assert_eq!((named, r.remaining()), (digest, 1));
+
+        // Any other bytes miss the honest lookup and fail exactly as the
+        // context-free decoder fails: an off-curve point, a short body.
+        let mut off_curve = held.encode();
+        off_curve[4 + 1..4 + 33].fill(0); // x = 0: 0³ + 7 is not a square
+        let mut r = Reader::new(&off_curve);
+        assert_eq!(
+            decode_matrix_resolved(&mut r, known).err(),
+            Some(WireError::InvalidPoint)
+        );
+        assert_eq!(
+            CommitmentMatrix::decode(&off_curve),
+            Err(WireError::InvalidPoint)
+        );
+        let short = &bytes[..bytes.len() - 40];
+        assert_eq!(
+            decode_matrix_resolved(&mut Reader::new(short), known).err(),
+            CommitmentMatrix::decode(short).err()
+        );
     }
 
     #[test]

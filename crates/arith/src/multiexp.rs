@@ -31,8 +31,8 @@
 //! [`crate::parallel::par_threshold`] points (`DKG_MULTIEXP_PAR_THRESHOLD`,
 //! default 256): the `t+1`-sized multiexps inside a single `verify-poly`
 //! stay sequential (the engine's job-level pool already keeps the cores
-//! busy there), while the big fused cross-session folds of `dkg-poly`'s
-//! batch layer split across the machine.
+//! busy there), while a multiexp big enough to be worth it splits across
+//! the machine.
 //!
 //! ## Window width
 //!
@@ -224,8 +224,9 @@ fn extract_window(be_bytes: &[u8; 32], w: usize, c: usize) -> usize {
 
 /// Computes `Π_i points_i ^ (base^i)` for `i = 0..points.len()`, i.e. a
 /// multi-exponentiation with successive powers of a fixed base. This is the
-/// access pattern of `verify-poly` / `verify-point`, where the exponents are
-/// `i^j` and `m^j i^ℓ`.
+/// access pattern of every per-claim commitment check in `dkg-poly`:
+/// `verify-poly`'s columns, the row projection, share commitments and
+/// commitment-vector evaluation all raise their points to `1, x, x², …`.
 pub fn multiexp_powers(points: &[GroupElement], base: Scalar) -> GroupElement {
     let mut scalars = Vec::with_capacity(points.len());
     let mut acc = Scalar::one();

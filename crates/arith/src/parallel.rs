@@ -2,7 +2,7 @@
 //!
 //! The workspace already parallelises *across* crypto jobs (the
 //! `ThreadPoolExecutor` in `dkg-engine`), but one *big* multi-exponentiation
-//! — a fused cross-session fold, a large reconstruction batch — used to run
+//! — a large reconstruction or signing batch — used to run
 //! on a single core no matter how many were available. This module is the
 //! seam that lets `dkg-arith` split such a computation across OS threads
 //! while staying engine-independent: plain `std::thread::scope`, no

@@ -8,10 +8,6 @@
 //! configuration and writing the JSON baseline
 //! (`target/criterion/parallel_verify/baseline.json`).
 //!
-//! It also measures the cross-session RLC fold: 256 single-claim point
-//! batches (one per session) folded by [`CryptoJob::fold`] into a single
-//! multi-exponentiation versus run job-by-job.
-//!
 //! Acceptance criterion (asserted when the machine has ≥ 4 cores; on
 //! smaller machines — e.g. a 1-core container — it is reported but not
 //! enforced, since no executor can beat physics): 4 workers verify the
@@ -23,7 +19,7 @@ use std::time::{Duration, Instant};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dkg_arith::{GroupElement, PrimeField, Scalar};
 use dkg_engine::{Executor, InlineExecutor, ThreadPoolExecutor};
-use dkg_poly::{CommitmentMatrix, CryptoJob, PointClaim, SymmetricBivariate, Univariate};
+use dkg_poly::{CommitmentMatrix, CryptoJob, SymmetricBivariate, Univariate};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -92,48 +88,6 @@ fn bench_dealing_verification(c: &mut Criterion) {
     group.finish();
 }
 
-/// Cross-session folding: many single-claim point batches vs one folded
-/// multiexp over all of them.
-fn bench_cross_session_fold(c: &mut Criterion) {
-    let mut group = c.benchmark_group("parallel_verify_fold");
-    group.sample_size(10);
-    let sessions = 256usize;
-    let mut rng = StdRng::seed_from_u64(11);
-    let jobs: Vec<CryptoJob> = (0..sessions)
-        .map(|_| {
-            let secret = Scalar::random(&mut rng);
-            let poly = SymmetricBivariate::random_with_secret(&mut rng, 3, secret);
-            let commitment = CommitmentMatrix::commit(&poly);
-            let claim = PointClaim::new(
-                2,
-                5,
-                poly.evaluate(Scalar::from_u64(5), Scalar::from_u64(2)),
-            );
-            CryptoJob::point_batch(commitment, vec![claim])
-        })
-        .collect();
-    group.bench_with_input(
-        BenchmarkId::new("per_session", sessions),
-        &jobs,
-        |b, jobs| {
-            b.iter(|| {
-                assert!(jobs.iter().all(|j| j.run().all_valid()));
-            });
-        },
-    );
-    let folded = CryptoJob::fold(jobs.clone()).expect("point batches fold");
-    group.bench_with_input(
-        BenchmarkId::new("folded", sessions),
-        &folded,
-        |b, folded| {
-            b.iter(|| {
-                assert!(folded.run().all_valid());
-            });
-        },
-    );
-    group.finish();
-}
-
 /// The acceptance criterion: ≥ 2.5× wall-clock speedup for n = 256 dealing
 /// verification at 4 workers versus the inline executor, enforced on
 /// machines with at least 4 cores.
@@ -187,7 +141,6 @@ fn assert_parallel_speedup(_c: &mut Criterion) {
 criterion_group!(
     parallel,
     bench_dealing_verification,
-    bench_cross_session_fold,
     assert_parallel_speedup
 );
 criterion_main!(parallel);

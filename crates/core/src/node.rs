@@ -632,6 +632,13 @@ impl DkgNode {
             .known_commitment(session, digest)
     }
 
+    /// Row projections held across the embedded HybridVSS instances (see
+    /// [`VssNode::projection_count`]): derived state, so a freshly restored
+    /// node reports zero until its instances judge their next points.
+    pub fn projection_count(&self) -> usize {
+        self.vss.values().map(VssNode::projection_count).sum()
+    }
+
     /// Whether the DKG has completed at this node.
     pub fn is_complete(&self) -> bool {
         self.completed.is_some()

@@ -257,7 +257,7 @@ impl Drop for ThreadPoolExecutor {
 mod tests {
     use super::*;
     use dkg_arith::{PrimeField, Scalar};
-    use dkg_poly::{CommitmentMatrix, PointClaim, SymmetricBivariate};
+    use dkg_poly::{CommitmentMatrix, SymmetricBivariate};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -275,10 +275,7 @@ mod tests {
                 if k % 3 == 0 {
                     value += Scalar::one();
                 }
-                CryptoJob::point_batch(
-                    matrix.clone(),
-                    vec![PointClaim::new(verifier, sender, value)],
-                )
+                CryptoJob::point_batch(matrix.project(verifier), vec![(sender, value)])
             })
             .collect()
     }

@@ -488,6 +488,80 @@ fn restored_full_mode_node_shares_one_matrix_per_dealer() {
     }
 }
 
+/// Row projections are derived state: a snapshot does not carry them, a
+/// node restored from one holds none until its next point, WAL replay
+/// derives them again on the way, and either way the node re-snapshots to
+/// the live node's bytes and finishes the run the uninterrupted node ran.
+#[test]
+fn restored_node_rederives_its_projections_lazily() {
+    use dkg_wire::WireEncode;
+
+    let n = 7;
+    let setup = SystemSetup::generate(n, 0, 31337);
+    let nodes = setup.config.vss.nodes.clone();
+    let projections = |endpoint: &Endpoint| {
+        endpoint
+            .dkg_session(0)
+            .expect("dkg session hosted")
+            .projection_count()
+    };
+    let session_bytes = |endpoint: &Endpoint| -> Vec<Vec<u8>> {
+        let image = endpoint.snapshot().expect("quiescent");
+        image.sessions.iter().map(WireEncode::encode).collect()
+    };
+
+    // Mid-run: node 3 has judged points under every dealer's matrix.
+    let (mut net, stores) = build_persistent_net(&setup, Crypto::Direct, u64::MAX);
+    for &node in &nodes {
+        net.schedule_dkg_input(node, 0, DkgInput::Start, 0);
+    }
+    net.run_until(150);
+    let live = net.endpoint(3).expect("endpoint 3 exists");
+    assert!(!live.is_complete(SessionKey::Dkg { tau: 0 }));
+    assert_eq!(projections(live), n);
+
+    let from_wal = Endpoint::restore(EndpointConfig {
+        store: Some(stores[&3].clone()),
+        ..EndpointConfig::default()
+    })
+    .expect("restore from WAL succeeds");
+    assert!(from_wal.persist_stats().wal_replayed > 0);
+    assert_eq!(projections(&from_wal), n, "replay judges the same points");
+    assert_eq!(session_bytes(&from_wal), session_bytes(live));
+
+    let snapshot_only = StoreHandle::in_memory();
+    snapshot_only
+        .install_snapshot(&live.snapshot().expect("quiescent").to_bytes())
+        .expect("mem store accepts bytes");
+    let from_snapshot = Endpoint::restore(EndpointConfig {
+        store: Some(snapshot_only),
+        ..EndpointConfig::default()
+    })
+    .expect("restore from snapshot succeeds");
+    assert_eq!(from_snapshot.persist_stats().wal_replayed, 0);
+    assert_eq!(projections(&from_snapshot), 0, "nothing derived yet");
+    assert_eq!(session_bytes(&from_snapshot), session_bytes(live));
+
+    // To the end: node 3 restarted at that point from its whole WAL, or
+    // from a store that compacts after every record, ends where the
+    // uninterrupted node ends. Replay projects every matrix again; after a
+    // snapshot restore only the sharings still judging points do.
+    let (reference, ref_keys, ref_digest) = run_persistent(&setup, Crypto::Direct, u64::MAX, &[]);
+    let reference = reference.endpoint(3).expect("endpoint 3 exists");
+    assert_eq!(projections(reference), n);
+    for (wal_compact_bytes, replayed) in [(u64::MAX, true), (1, false)] {
+        let (net, keys, digest) =
+            run_persistent(&setup, Crypto::Direct, wal_compact_bytes, &[(3, 150)]);
+        assert_eq!(net.recoveries(), 1);
+        assert_eq!((keys, digest), (ref_keys.clone(), ref_digest));
+        let restored = net.endpoint(3).expect("endpoint 3 recovered");
+        assert_eq!(session_bytes(restored), session_bytes(reference));
+        let again = projections(restored);
+        assert_eq!(replayed, again == n, "{again}");
+        assert!(again > 0);
+    }
+}
+
 /// A corrupt store surfaces as a typed recovery failure and the node
 /// stays down — never a panic, never silent resurrection.
 #[test]

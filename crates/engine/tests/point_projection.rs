@@ -1,0 +1,245 @@
+//! Echo/ready points are judged against the verifier's row projection of
+//! the commitment matrix (`CommitmentMatrix::project`): one projection per
+//! (node, known digest), a fraction of the group operations of Fig. 1's
+//! `(t+1)²`-point `verify-point`, and not one byte of the protocol moved.
+//!
+//! Group operations are counted by `dkg_arith::ops`, which is thread-local:
+//! every run here executes its crypto inline on the test's own thread.
+
+use std::collections::BTreeMap;
+
+use dkg_arith::{ops, GroupElement, PrimeField, Scalar};
+use dkg_core::{DkgConfig, DkgInput};
+use dkg_engine::runner::{build_dkg_net, collect_outcomes, SystemSetup};
+use dkg_engine::{Endpoint, EndpointConfig, SessionKey};
+use dkg_sim::DelayModel;
+use dkg_vss::{CommitmentMode, SessionId, VssConfig, VssInput, VssMessage, VssNode, VssSnapshot};
+use dkg_wire::{decode_datagram, encode_datagram, WireDecode};
+
+const TAU: u64 = 0;
+const N: usize = 7;
+
+/// What a seed-7, n = 7 DKG over `EndpointNet` cost and said.
+struct Run {
+    group_ops: u64,
+    transcript: String,
+    /// Per node: projections held, and commitments known, over its `n`
+    /// embedded HybridVSS instances.
+    derived: Vec<(usize, usize)>,
+}
+
+fn seed_7_dkg(mode: CommitmentMode) -> Run {
+    let mut config = DkgConfig::standard(N, 0).expect("standard parameters");
+    config.vss.mode = mode;
+    let setup = SystemSetup::with_config(config, 7);
+    // The fixed-base generator table is built on first use; keep that out
+    // of the count.
+    let _ = GroupElement::commit(&Scalar::one());
+    let mut net = build_dkg_net(&setup, TAU, DelayModel::Uniform { min: 10, max: 80 });
+    net.record_transcript();
+    for &node in &setup.config.vss.nodes {
+        net.schedule_dkg_input(node, TAU, DkgInput::Start, 0);
+    }
+    let (_, spent) = ops::measure(|| net.run());
+    assert_eq!(collect_outcomes(&net, TAU).len(), N, "every node completes");
+    assert!(net.rejections().is_empty());
+    let derived = setup
+        .config
+        .vss
+        .nodes
+        .iter()
+        .map(|&id| {
+            let node = net
+                .endpoint(id)
+                .and_then(|endpoint| endpoint.dkg_session(TAU))
+                .expect("session hosted");
+            let image = node.snapshot().expect("quiescent");
+            let known = image.vss.iter().map(|(_, vss)| vss.commitments.len()).sum();
+            (node.projection_count(), known)
+        })
+        .collect();
+    let digest = net.transcript_digest().expect("transcript recorded");
+    Run {
+        group_ops: spent.total(),
+        transcript: digest.iter().map(|b| format!("{b:02x}")).collect(),
+        derived,
+    }
+}
+
+/// The pinned-counter role `e2e check` plays for the n = 13 workloads: the
+/// exact group-operation total of the seed-7 run, against the total the
+/// same run cost when every point was checked against the whole matrix, and
+/// the byte transcript that must not have moved with it. The matrices here
+/// are 3 × 3 (t = 2), so the whole-run ratio is 0.42–0.44; it falls as t
+/// grows (0.34 on the n = 13, t = 4 benchmark workloads).
+#[test]
+fn seed_7_dkg_projects_once_per_digest_at_a_fraction_of_the_group_ops() {
+    // (mode, group ops before projection, after, transcript digest before
+    // and after).
+    let pinned = [
+        (
+            CommitmentMode::Full,
+            430_736u64,
+            181_812u64,
+            "25c5928abb7c5e1c3972dbccc2c4af06518402c2989ef2965de89adf73ca8c4c",
+        ),
+        (
+            CommitmentMode::Digest,
+            436_773,
+            191_508,
+            "760c1fc1d555f287750526b28f168ba1854d47b47cbb6aad269c46f63b201ddd",
+        ),
+    ];
+    for (mode, matrix_ops, projected_ops, transcript) in pinned {
+        let run = seed_7_dkg(mode);
+        // Each node's n instances know their dealer's matrix and projected
+        // it exactly once: n per node, n² per DKG.
+        assert_eq!(run.derived, vec![(N, N); N], "{mode:?}");
+        assert_eq!(run.transcript, transcript, "{mode:?}");
+        assert_eq!(run.group_ops, projected_ops, "{mode:?}");
+        assert!(
+            (run.group_ops as f64) < 0.45 * matrix_ops as f64,
+            "{mode:?}: {} vs {matrix_ops}",
+            run.group_ops
+        );
+    }
+}
+
+/// A hand-driven 4-node digest-mode sharing (dealer 1, t = 1), so the test
+/// decides the order in which node 2 sees things.
+struct Sharing {
+    session: SessionId,
+    endpoints: BTreeMap<u64, Endpoint>,
+    /// Undelivered datagrams, `(from, to, kind, bytes)`.
+    queue: Vec<(u64, u64, &'static str, Vec<u8>)>,
+    now: u64,
+}
+
+impl Sharing {
+    fn start() -> Self {
+        let config = VssConfig::standard_with_mode(4, 0, CommitmentMode::Digest).expect("valid");
+        let session = SessionId::new(1, TAU);
+        let endpoints = (1..=4u64)
+            .map(|id| {
+                let mut endpoint = Endpoint::new(id, EndpointConfig::default());
+                endpoint
+                    .add_vss_session(VssNode::new(id, config.clone(), session, 900 + id, None))
+                    .expect("fresh endpoint has no session");
+                (id, endpoint)
+            })
+            .collect();
+        let mut sharing = Sharing {
+            session,
+            endpoints,
+            queue: Vec::new(),
+            now: 0,
+        };
+        let secret = Scalar::from_u64(77);
+        sharing
+            .endpoints
+            .get_mut(&1)
+            .expect("dealer")
+            .handle_vss_input(session, VssInput::Share { secret }, 0)
+            .expect("share accepted");
+        sharing.collect(1);
+        sharing
+    }
+
+    fn collect(&mut self, node: u64) {
+        let endpoint = self.endpoints.get_mut(&node).expect("node exists");
+        while let Some(transmit) = endpoint.poll_transmit() {
+            self.queue
+                .push((node, transmit.to, transmit.kind, transmit.payload));
+        }
+    }
+
+    /// Delivers every queued datagram of `kind` addressed to `to`, after
+    /// `mangle` had its way with the bytes.
+    fn deliver(&mut self, kind: &str, to: u64, mangle: impl Fn(u64, Vec<u8>) -> Vec<u8>) -> usize {
+        let (due, rest): (Vec<_>, Vec<_>) = std::mem::take(&mut self.queue)
+            .into_iter()
+            .partition(|(_, t, k, _)| *t == to && *k == kind);
+        self.queue = rest;
+        for (from, _, _, bytes) in &due {
+            self.now += 1;
+            let endpoint = self.endpoints.get_mut(&to).expect("receiver exists");
+            endpoint
+                .handle_datagram(*from, &mangle(*from, bytes.clone()), self.now)
+                .expect("well-formed traffic is accepted");
+        }
+        self.collect(to);
+        due.len()
+    }
+
+    fn image(&self, node: u64) -> (usize, VssSnapshot) {
+        let vss = self.endpoints[&node]
+            .vss_session(self.session)
+            .expect("session hosted");
+        (vss.projection_count(), vss.snapshot().expect("quiescent"))
+    }
+}
+
+/// Echoes that outrun the dealer's `send` wait in `pending` and are judged
+/// as one multi-claim batch when the `send` arrives; with one of them
+/// corrupted the fold rejects, and per-claim attribution discards exactly
+/// that point.
+#[test]
+fn flushed_batch_with_one_corrupted_echo_discards_exactly_that_point() {
+    let mut sharing = Sharing::start();
+    let honest = |_, bytes| bytes;
+    for node in [1, 3, 4] {
+        assert_eq!(sharing.deliver("vss-send", node, honest), 1);
+    }
+    // Node 3's echo to node 2 claims a point that is off by one.
+    let echoes = sharing.deliver("vss-echo", 2, |from, bytes| {
+        if from != 3 {
+            return bytes;
+        }
+        let (header, payload) = decode_datagram(&bytes).expect("honest frame");
+        let VssMessage::Echo {
+            session,
+            commitment,
+            point,
+        } = VssMessage::decode(payload).expect("honest payload")
+        else {
+            panic!("an echo");
+        };
+        let forged = VssMessage::Echo {
+            session,
+            commitment,
+            point: point + Scalar::one(),
+        };
+        encode_datagram(header, &forged)
+    });
+    assert_eq!(echoes, 3);
+    let (projections, waiting) = sharing.image(2);
+    assert_eq!(
+        projections, 0,
+        "nothing to project before the matrix is known"
+    );
+    assert!(waiting.tallies.is_empty());
+    assert_eq!(waiting.pending.len(), 1);
+    assert_eq!(waiting.pending[0].1.len(), 3);
+
+    assert_eq!(sharing.deliver("vss-send", 2, honest), 1);
+    let (projections, judged) = sharing.image(2);
+    assert_eq!(projections, 1);
+    assert!(judged.pending.is_empty());
+    let [(_, tally)] = judged.tallies.as_slice() else {
+        panic!("one commitment, one tally");
+    };
+    assert_eq!(tally.echo_from, vec![1, 3, 4]);
+    assert_eq!(tally.echo_verified, vec![1, 4]);
+    let senders: Vec<u64> = tally.points.iter().map(|&(m, _)| m).collect();
+    assert_eq!(senders, vec![1, 4]);
+
+    // The sharing is none the worse for it.
+    while !sharing.queue.is_empty() {
+        let (_, to, kind, _) = sharing.queue[0];
+        sharing.deliver(kind, to, honest);
+    }
+    let key = SessionKey::Vss {
+        session: sharing.session,
+    };
+    assert!(sharing.endpoints.values().all(|e| e.is_complete(key)));
+}

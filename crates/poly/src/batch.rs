@@ -1,27 +1,38 @@
 //! Batched commitment verification.
 //!
-//! The hottest verification path the paper identifies is the product
-//! `Π_{j,ℓ} (C_{jℓ})^{m^j i^ℓ}` inside `verify-point` (Fig. 1): every echo,
-//! ready and reconstruction share pays one such multi-exponentiation. When a
-//! node holds many `(i, m, α)` claims against the same commitment — a
-//! buffered batch of echo points, a reconstruction quorum, the `t + 1`
-//! sub-shares of node addition — the checks can be *folded* into a single
-//! multi-exponentiation by a random linear combination (RLC) — and one big
-//! multiexp is exactly the shape `dkg-arith` can split across every core
-//! (its parallel Pippenger engages above `DKG_MULTIEXP_PAR_THRESHOLD`
-//! points, bit-identically), so folding and parallelism compound:
+//! The hottest check the paper identifies is `verify-point` (Fig. 1),
+//! `g^α = Π_{j,ℓ} (C_{jℓ})^{m^j i^ℓ}`, paid once per `echo` and per `ready`.
+//! The verifier index `i` is the checking node's own id in every claim it
+//! ever judges, so the node regroups the product once per matrix into the
+//! row projection `R_j = Π_ℓ (C_{jℓ})^{i^ℓ}`
+//! ([`CommitmentMatrix::project`]) and each claim `(m, α)` becomes
+//! `g^α = Π_j R_j^{m^j}`: `t + 1` points with small exponents instead of
+//! `(t+1)²`. That makes a point check the same shape as the other checks
+//! here — a share against a commitment *vector* — and
+//! [`verify_points_batch`], [`verify_shares_batch`] and
+//! [`verify_vector_shares_batch`] are one fold under three domain tags.
 //!
-//! with random coefficients `e_k`, every claim `g^{α_k} = Π C^{w_k}` holds
-//! iff `g^{Σ e_k α_k} = Π C^{Σ e_k w_k}` except with probability `1/q` per
-//! forged claim, because a cheating tuple would have to guess the `e_k`
-//! drawn *after* the claims are fixed. One Pippenger multiexp over the
-//! `(t+1)²` matrix entries (plus one generator term) then replaces `n`
-//! separate multiexps — asymptotically `n` times fewer group operations,
-//! which `dkg_arith::ops` lets tests assert directly.
+//! When a node holds many claims against the same vector — a buffered batch
+//! of echo points, a reconstruction quorum, the `t + 1` sub-shares of node
+//! addition — the checks are *folded* into a single multi-exponentiation by
+//! a random linear combination (RLC): with random coefficients `e_k`, every
+//! claim `g^{α_k} = Π_j V_j^{m_k^j}` holds iff
+//! `g^{Σ e_k α_k} = Π_j V_j^{Σ e_k m_k^j}` except with probability `1/q`
+//! per forged claim, because a cheating tuple would have to guess the `e_k`
+//! drawn *after* the claims are fixed. One multiexp over the `t + 1` vector
+//! entries then replaces `n` separate ones. The generator side `g^{Σ e_k
+//! α_k}` never enters that multiexp: `fold_holds` computes it through the
+//! fixed-base generator table (additions only) and compares, instead of
+//! paying 256 doublings to carry `g` as one more variable-base input.
+//!
+//! Folding pays only *within* one vector. Merging claims against different
+//! projections into one multiexp would turn every small exponent `m^j` into
+//! a full-width `e_k · m^j`, which costs more than it saves, so there is no
+//! cross-matrix point fold.
 //!
 //! The coefficients are derived **Fiat–Shamir style** inside this module:
 //! each `e_k` is the full-width hash of a transcript committing to the
-//! commitment entries and every queued claim. A sender fixing its claim
+//! vector entries and every queued claim. A sender fixing its claim
 //! therefore fixes the coefficients that will judge it; finding a bad batch
 //! that still folds to the identity requires finding a hash preimage
 //! relation, so callers cannot weaken soundness by passing a predictable
@@ -36,29 +47,6 @@ use dkg_arith::{multiexp, GroupElement, PrimeField, Scalar};
 use dkg_crypto::sha256;
 
 use crate::commitment::{CommitmentMatrix, CommitmentVector};
-
-/// One `verify-point` claim: node `P_verifier` received `value`, allegedly
-/// `f(sender, verifier)`, under some commitment matrix.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct PointClaim {
-    /// The receiving node's index `i`.
-    pub verifier: u64,
-    /// The sending node's index `m`.
-    pub sender: u64,
-    /// The claimed evaluation `α = f(m, i)`.
-    pub value: Scalar,
-}
-
-impl PointClaim {
-    /// Convenience constructor.
-    pub fn new(verifier: u64, sender: u64, value: Scalar) -> Self {
-        PointClaim {
-            verifier,
-            sender,
-            value,
-        }
-    }
-}
 
 /// Fiat–Shamir coefficient stream: `e_k = H(H(transcript) ∥ k)` expanded to
 /// 64 uniform bytes, so each coefficient has the scalar field's full width
@@ -97,114 +85,19 @@ impl CoefficientStream {
     }
 }
 
-fn append_claim(transcript: &mut Vec<u8>, claim: &PointClaim) {
-    transcript.extend_from_slice(&claim.verifier.to_be_bytes());
-    transcript.extend_from_slice(&claim.sender.to_be_bytes());
-    transcript.extend_from_slice(&claim.value.to_be_bytes());
+/// The closing comparison of every fold: `Π points^weights = g^exponent`.
+/// The generator term goes through the fixed-base table
+/// ([`GroupElement::commit`]) rather than into the multiexp.
+fn fold_holds(points: &[GroupElement], weights: &[Scalar], exponent: &Scalar) -> bool {
+    multiexp(points, weights) == GroupElement::commit(exponent)
 }
 
-/// Accumulates `verify-point` claims against one or more commitment
-/// matrices (e.g. the `n` parallel VSS sessions of a DKG round) and checks
-/// them all with a single multi-exponentiation.
-#[derive(Debug, Default)]
-pub struct BatchVerifier<'a> {
-    groups: Vec<(&'a CommitmentMatrix, Vec<PointClaim>)>,
-    claims: usize,
-}
-
-impl<'a> BatchVerifier<'a> {
-    /// An empty batch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of claims queued.
-    pub fn len(&self) -> usize {
-        self.claims
-    }
-
-    /// Whether no claims are queued.
-    pub fn is_empty(&self) -> bool {
-        self.claims == 0
-    }
-
-    /// Queues `claim` for verification against `matrix`. Claims against the
-    /// same matrix (by identity) share its entries in the folded product.
-    pub fn push(&mut self, matrix: &'a CommitmentMatrix, claim: PointClaim) {
-        self.claims += 1;
-        if let Some((_, claims)) = self
-            .groups
-            .iter_mut()
-            .find(|(m, _)| std::ptr::eq(*m, matrix))
-        {
-            claims.push(claim);
-            return;
-        }
-        self.groups.push((matrix, vec![claim]));
-    }
-
-    /// Verifies every queued claim in one multi-exponentiation. Returns
-    /// `true` iff (up to RLC soundness error) every claim satisfies
-    /// `verify-point`. An empty batch is vacuously valid.
-    pub fn verify(&self) -> bool {
-        if self.claims == 0 {
-            return true;
-        }
-        // Bind the coefficients to everything being verified.
-        let mut transcript = b"dkg-batch-verify-point-v1".to_vec();
-        for (matrix, claims) in &self.groups {
-            transcript.extend_from_slice(&matrix.to_bytes());
-            for claim in claims {
-                append_claim(&mut transcript, claim);
-            }
-        }
-        let mut coefficients = CoefficientStream::new(&transcript);
-
-        let mut points = Vec::new();
-        let mut scalars = Vec::new();
-        // Folded generator exponent: -Σ e_k α_k across all groups.
-        let mut alpha_fold = Scalar::zero();
-        for (matrix, claims) in &self.groups {
-            let t = matrix.threshold();
-            // Σ_k e_k · m_k^j · i_k^ℓ for every matrix entry (j, ℓ).
-            let mut weights = vec![vec![Scalar::zero(); t + 1]; t + 1];
-            for claim in claims {
-                let e = coefficients.next_coefficient();
-                alpha_fold += e * claim.value;
-                let mi = Scalar::from_u64(claim.sender);
-                let xi = Scalar::from_u64(claim.verifier);
-                let mut m_pow = e;
-                for row in weights.iter_mut() {
-                    let mut term = m_pow;
-                    for w in row.iter_mut() {
-                        *w += term;
-                        term *= xi;
-                    }
-                    m_pow *= mi;
-                }
-            }
-            for (j, row) in weights.into_iter().enumerate() {
-                for (l, w) in row.into_iter().enumerate() {
-                    points.push(matrix.entry(j, l));
-                    scalars.push(w);
-                }
-            }
-        }
-        points.push(GroupElement::generator());
-        scalars.push(-alpha_fold);
-        multiexp(&points, &scalars).is_identity()
-    }
-}
-
-/// Batch-verifies `verify-point` claims against a single commitment matrix.
-/// Equivalent to `claims.iter().all(|c| matrix.verify_point(c.verifier,
-/// c.sender, c.value))` up to RLC soundness error.
-pub fn verify_points_batch(matrix: &CommitmentMatrix, claims: &[PointClaim]) -> bool {
-    let mut batch = BatchVerifier::new();
-    for &claim in claims {
-        batch.push(matrix, claim);
-    }
-    batch.verify()
+/// Batch-verifies `verify-point` claims `(m, α)` of one verifier `P_i`
+/// against `projection = matrix.project(i)`: each must satisfy
+/// `g^α = Π_j R_j^{m^j}`. Equivalent to `claims.iter().all(|&(m, α)|
+/// matrix.verify_point(i, m, α))` up to RLC soundness error.
+pub fn verify_points_batch(projection: &CommitmentVector, claims: &[(u64, Scalar)]) -> bool {
+    verify_column_batch(b"dkg-batch-verify-point-v2", projection.entries(), claims)
 }
 
 /// Batch-verifies reconstruction shares: each `(m, s_m)` must satisfy
@@ -272,9 +165,8 @@ impl PartialSigClaim {
 
 /// Batch-verifies partial signatures against one DKG commitment matrix:
 /// folds every claim's `g^{s_k} = R_k · A_k^{c_kλ_k}` check into a single
-/// multiexp over the matrix's first column, the nonce commitments and the
-/// generator — so a burst of signing requests costs one multiexp instead of
-/// one per partial.
+/// multiexp over the matrix's first column and the nonce commitments — so a
+/// burst of signing requests costs one multiexp instead of one per partial.
 pub fn verify_partial_sigs_batch(matrix: &CommitmentMatrix, claims: &[PartialSigClaim]) -> bool {
     if claims.is_empty() {
         return true;
@@ -294,12 +186,12 @@ pub fn verify_partial_sigs_batch(matrix: &CommitmentMatrix, claims: &[PartialSig
     }
     let mut coefficients = CoefficientStream::new(&transcript);
 
-    // Each claim demands R_k^{e_k} · Π_j (C_{j0})^{e_k·cλ_k·k^j} · g^{-e_k s_k}
-    // = identity once folded; the column weights accumulate across claims.
+    // Each claim demands R_k^{e_k} · Π_j (C_{j0})^{e_k·cλ_k·k^j} = g^{e_k s_k}
+    // once folded; the column weights accumulate across claims.
     let mut weights = vec![Scalar::zero(); column.len()];
     let mut response_fold = Scalar::zero();
-    let mut points = Vec::with_capacity(column.len() + claims.len() + 1);
-    let mut scalars = Vec::with_capacity(column.len() + claims.len() + 1);
+    let mut points = Vec::with_capacity(column.len() + claims.len());
+    let mut scalars = Vec::with_capacity(column.len() + claims.len());
     for claim in claims {
         let e = coefficients.next_coefficient();
         response_fold += e * claim.response;
@@ -314,17 +206,12 @@ pub fn verify_partial_sigs_batch(matrix: &CommitmentMatrix, claims: &[PartialSig
     }
     points.extend_from_slice(column);
     scalars.extend(weights);
-    points.push(GroupElement::generator());
-    scalars.push(-response_fold);
-    multiexp(&points, &scalars).is_identity()
+    fold_holds(&points, &scalars, &response_fold)
 }
 
-/// Shared fold: checks `g^{s_k} = Π_j column_j^{k^j}` for every `(k, s_k)`
-/// with one multiexp over `column ∥ g`.
-fn verify_column_batch(domain: &[u8], column: &[GroupElement], shares: &[(u64, Scalar)]) -> bool {
-    if shares.is_empty() {
-        return true;
-    }
+/// What the coefficients of a column fold are bound to: the domain tag,
+/// the column being judged against and every `(index, share)` claim.
+fn column_transcript(domain: &[u8], column: &[GroupElement], shares: &[(u64, Scalar)]) -> Vec<u8> {
     let mut transcript = domain.to_vec();
     for entry in column {
         transcript.extend_from_slice(&entry.to_bytes());
@@ -333,7 +220,16 @@ fn verify_column_batch(domain: &[u8], column: &[GroupElement], shares: &[(u64, S
         transcript.extend_from_slice(&index.to_be_bytes());
         transcript.extend_from_slice(&share.to_be_bytes());
     }
-    let mut coefficients = CoefficientStream::new(&transcript);
+    transcript
+}
+
+/// Shared fold: checks `g^{s_k} = Π_j column_j^{k^j}` for every `(k, s_k)`
+/// with one multiexp over `column`.
+fn verify_column_batch(domain: &[u8], column: &[GroupElement], shares: &[(u64, Scalar)]) -> bool {
+    if shares.is_empty() {
+        return true;
+    }
+    let mut coefficients = CoefficientStream::new(&column_transcript(domain, column, shares));
 
     let mut weights = vec![Scalar::zero(); column.len()];
     let mut share_fold = Scalar::zero();
@@ -347,11 +243,7 @@ fn verify_column_batch(domain: &[u8], column: &[GroupElement], shares: &[(u64, S
             term *= x;
         }
     }
-    let mut points = Vec::with_capacity(column.len() + 1);
-    points.extend_from_slice(column);
-    points.push(GroupElement::generator());
-    weights.push(-share_fold);
-    multiexp(&points, &weights).is_identity()
+    fold_holds(column, &weights, &share_fold)
 }
 
 #[cfg(test)]
@@ -370,14 +262,12 @@ mod tests {
         (poly, commitment)
     }
 
-    fn honest_claims(poly: &SymmetricBivariate, verifier: u64, senders: u64) -> Vec<PointClaim> {
+    /// The `(m, f(m, i))` claims verifier `i` receives from senders `1..=senders`.
+    fn honest_claims(poly: &SymmetricBivariate, verifier: u64, senders: u64) -> Vec<(u64, Scalar)> {
         (1..=senders)
             .map(|m| {
-                PointClaim::new(
-                    verifier,
-                    m,
-                    poly.evaluate(Scalar::from_u64(m), Scalar::from_u64(verifier)),
-                )
+                let value = poly.evaluate(Scalar::from_u64(m), Scalar::from_u64(verifier));
+                (m, value)
             })
             .collect()
     }
@@ -386,17 +276,20 @@ mod tests {
     fn accepts_honest_point_batches() {
         let (poly, commitment) = setup(3, 1);
         let claims = honest_claims(&poly, 2, 7);
-        assert!(verify_points_batch(&commitment, &claims));
+        assert!(verify_points_batch(&commitment.project(2), &claims));
+        // The same claims under another verifier's projection are wrong.
+        assert!(!verify_points_batch(&commitment.project(3), &claims));
     }
 
     #[test]
     fn rejects_any_single_corruption() {
         let (poly, commitment) = setup(2, 2);
+        let projection = commitment.project(3);
         for bad in 0..5 {
             let mut claims = honest_claims(&poly, 3, 5);
-            claims[bad].value += Scalar::one();
+            claims[bad].1 += Scalar::one();
             assert!(
-                !verify_points_batch(&commitment, &claims),
+                !verify_points_batch(&projection, &claims),
                 "corrupted claim {bad} slipped through"
             );
         }
@@ -405,36 +298,12 @@ mod tests {
     #[test]
     fn empty_and_singleton_batches() {
         let (poly, commitment) = setup(2, 3);
-        assert!(verify_points_batch(&commitment, &[]));
+        let projection = commitment.project(1);
+        assert!(verify_points_batch(&projection, &[]));
         let claims = honest_claims(&poly, 1, 1);
-        assert!(verify_points_batch(&commitment, &claims));
-        let bad = [PointClaim::new(1, 1, claims[0].value + Scalar::one())];
-        assert!(!verify_points_batch(&commitment, &bad));
-    }
-
-    #[test]
-    fn multi_matrix_batches_fold_into_one_check() {
-        let (poly_a, commitment_a) = setup(2, 4);
-        let (poly_b, commitment_b) = setup(3, 5);
-        let mut batch = BatchVerifier::new();
-        for claim in honest_claims(&poly_a, 4, 4) {
-            batch.push(&commitment_a, claim);
-        }
-        for claim in honest_claims(&poly_b, 2, 6) {
-            batch.push(&commitment_b, claim);
-        }
-        assert_eq!(batch.len(), 10);
-        assert!(batch.verify());
-
-        let mut bad = BatchVerifier::new();
-        for claim in honest_claims(&poly_a, 4, 4) {
-            bad.push(&commitment_a, claim);
-        }
-        bad.push(
-            &commitment_b,
-            PointClaim::new(2, 1, Scalar::from_u64(12345)),
-        );
-        assert!(!bad.verify());
+        assert!(verify_points_batch(&projection, &claims));
+        let bad = [(1, claims[0].1 + Scalar::one())];
+        assert!(!verify_points_batch(&projection, &bad));
     }
 
     #[test]
@@ -513,21 +382,27 @@ mod tests {
 
     #[test]
     fn coefficients_are_bound_to_the_claims() {
-        // Changing any part of a claim changes its Fiat–Shamir coefficient
-        // stream; this just pins the derivation so accidental transcript
-        // omissions (e.g. dropping the matrix bytes) would be caught.
+        // Changing the projection or any part of a claim changes the
+        // Fiat–Shamir coefficient stream; this pins the derivation so an
+        // accidental transcript omission (e.g. dropping the projection
+        // bytes) would be caught.
         let (poly, commitment) = setup(2, 9);
         let claims = honest_claims(&poly, 3, 3);
-        let mut t1 = b"dkg-batch-verify-point-v1".to_vec();
-        t1.extend_from_slice(&commitment.to_bytes());
-        for claim in &claims {
-            append_claim(&mut t1, claim);
-        }
-        let mut t2 = t1.clone();
-        *t2.last_mut().unwrap() ^= 1;
-        let mut s1 = CoefficientStream::new(&t1);
-        let mut s2 = CoefficientStream::new(&t2);
-        assert_eq!(s1.next_coefficient(), s2.next_coefficient()); // both fixed to 1
-        assert_ne!(s1.next_coefficient(), s2.next_coefficient());
+        let domain = b"dkg-batch-verify-point-v2";
+        let second = |column: &CommitmentVector, claims: &[(u64, Scalar)]| {
+            let mut stream =
+                CoefficientStream::new(&column_transcript(domain, column.entries(), claims));
+            assert_eq!(stream.next_coefficient(), Scalar::one()); // fixed to 1
+            stream.next_coefficient()
+        };
+        let reference = second(&commitment.project(3), &claims);
+        assert_eq!(reference, second(&commitment.project(3), &claims));
+        assert_ne!(reference, second(&commitment.project(4), &claims));
+        let mut other_sender = claims.clone();
+        other_sender[2].0 += 1;
+        assert_ne!(reference, second(&commitment.project(3), &other_sender));
+        let mut other_value = claims.clone();
+        other_value[2].1 += Scalar::one();
+        assert_ne!(reference, second(&commitment.project(3), &other_value));
     }
 }

@@ -15,7 +15,7 @@
 
 use crate::bivariate::SymmetricBivariate;
 use crate::univariate::Univariate;
-use dkg_arith::{generator_table, multiexp, GroupElement, PrimeField, Scalar};
+use dkg_arith::{generator_table, multiexp, multiexp_powers, GroupElement, PrimeField, Scalar};
 
 /// Errors arising when combining or validating commitments.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -94,27 +94,14 @@ impl CommitmentMatrix {
 
     /// `verify-poly(C, i, a)` from Fig. 1.
     pub fn verify_poly(&self, i: u64, a: &Univariate) -> bool {
-        let t = self.threshold();
-        if a.degree() != t {
+        if a.degree() != self.threshold() {
             return false;
         }
         let x = Scalar::from_u64(i);
-        // Powers 1, i, i², …, i^t.
-        let mut powers = Vec::with_capacity(t + 1);
-        let mut acc = Scalar::one();
-        for _ in 0..=t {
-            powers.push(acc);
-            acc *= x;
-        }
-        for (l, &coeff) in a.coefficients().iter().enumerate() {
-            let lhs = GroupElement::commit(&coeff);
-            let column: Vec<GroupElement> = (0..=t).map(|j| self.entries[j][l]).collect();
-            let rhs = multiexp(&column, &powers);
-            if lhs != rhs {
-                return false;
-            }
-        }
-        true
+        a.coefficients().iter().enumerate().all(|(l, coeff)| {
+            let column: Vec<GroupElement> = self.entries.iter().map(|row| row[l]).collect();
+            GroupElement::commit(coeff) == multiexp_powers(&column, x)
+        })
     }
 
     /// `verify-point(C, i, m, α)` from Fig. 1: checks that `α = f(m, i)`.
@@ -141,16 +128,26 @@ impl CommitmentMatrix {
     /// The commitment to node `P_i`'s share `s_i = f(i, 0)`:
     /// `g^{s_i} = Π_j (C_{j0})^{i^j}`. Used to validate shares during `Rec`.
     pub fn share_commitment(&self, i: u64) -> GroupElement {
-        let t = self.threshold();
+        self.share_polynomial_commitment().evaluate_in_exponent(i)
+    }
+
+    /// The row projection of `C` for verifier `P_i`: `R_j = Π_ℓ (C_{jℓ})^{i^ℓ}`,
+    /// the inner product over `ℓ` of `verify-point` with `i` fixed. For
+    /// every matrix (symmetric or not) and every `(m, α)`,
+    /// `project(i).verify_share(m, α) == verify_point(i, m, α)`, because
+    /// `Π_{j,ℓ} (C_{jℓ})^{m^j i^ℓ} = Π_j R_j^{m^j}` is a regrouping of the
+    /// same product. A node checks every point it ever receives as verifier
+    /// `i` = itself, so it projects each matrix once and pays `t + 1`
+    /// points per check instead of `(t+1)²`.
+    pub fn project(&self, i: u64) -> CommitmentVector {
         let x = Scalar::from_u64(i);
-        let column: Vec<GroupElement> = (0..=t).map(|j| self.entries[j][0]).collect();
-        let mut powers = Vec::with_capacity(t + 1);
-        let mut acc = Scalar::one();
-        for _ in 0..=t {
-            powers.push(acc);
-            acc *= x;
+        CommitmentVector {
+            entries: self
+                .entries
+                .iter()
+                .map(|row| multiexp_powers(row, x))
+                .collect(),
         }
-        multiexp(&column, &powers)
     }
 
     /// Entry-wise product of several matrices: the DKG's final commitment
@@ -249,14 +246,7 @@ impl CommitmentVector {
 
     /// Computes `Π_ℓ V_ℓ^{i^ℓ} = g^{a(i)}` without knowing the polynomial.
     pub fn evaluate_in_exponent(&self, i: u64) -> GroupElement {
-        let x = Scalar::from_u64(i);
-        let mut powers = Vec::with_capacity(self.entries.len());
-        let mut acc = Scalar::one();
-        for _ in 0..self.entries.len() {
-            powers.push(acc);
-            acc *= x;
-        }
-        multiexp(&self.entries, &powers)
+        multiexp_powers(&self.entries, Scalar::from_u64(i))
     }
 
     /// Combines vectors with Lagrange weights: `V_ℓ = Π_d (V_{d,ℓ})^{λ_d}`.

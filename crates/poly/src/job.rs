@@ -17,23 +17,25 @@
 //! (batch-verify first, fall back to per-claim checks only when the fold
 //! rejects) lives here once, inside [`CryptoJob::run`].
 //!
-//! Batched point verification is a single job kind that carries claims
-//! against *many* commitment matrices at once ([`CryptoJob::point_batch`]
-//! with several groups, or [`CryptoJob::fold`] merging the point batches of
-//! several sessions), so an executor can fold the verification work of
-//! independent sessions into one Pippenger multi-exponentiation. Once a
-//! fused fold crosses `DKG_MULTIEXP_PAR_THRESHOLD` points, that single
-//! multiexp additionally splits across cores inside `dkg-arith` (pool
-//! workers pin their jobs' arithmetic to one thread via
-//! `dkg_arith::parallel::sequential`, so job-level and multiexp-level
-//! parallelism never oversubscribe each other).
+//! An echo/ready point batch ([`CryptoJob::point_batch`]) carries the
+//! `(sender, α)` claims of one session against the verifier's **row
+//! projection** of that session's commitment matrix
+//! ([`CommitmentMatrix::project`]) — `t + 1` points per check instead of
+//! the `(t+1)²` of Fig. 1's `verify-point`, the projection itself being
+//! derived once per matrix by the state machine and shared by every job
+//! prepared against it. Point batches of different sessions are *not*
+//! merged: a cross-session fold would replace every small exponent by a
+//! full-width RLC weight and cost more than running the jobs one by one.
+//! [`CryptoJob::fold`] merges partial-signature batches only, where the
+//! exponents are full-width either way and a signing burst against one key
+//! really does become one multi-exponentiation.
 
 use std::sync::Arc;
 
 use dkg_arith::Scalar;
 use dkg_crypto::{KeyDirectory, NodeId, Signature};
 
-use crate::batch::{BatchVerifier, PartialSigClaim, PointClaim};
+use crate::batch::PartialSigClaim;
 use crate::commitment::{CommitmentMatrix, CommitmentVector};
 use crate::univariate::Univariate;
 
@@ -68,13 +70,17 @@ pub enum CryptoJob {
         /// The claimed row polynomial `a_i(y)`.
         row: Univariate,
     },
-    /// A batch of `verify-point` claims, possibly against several
-    /// commitment matrices (e.g. the parallel VSS sessions of one or more
-    /// DKG rounds). Verified with one RLC-folded multi-exponentiation
-    /// across *all* groups; per-claim attribution only on failure.
+    /// A batch of `verify-point` claims received by one verifier `P_i`
+    /// under one commitment matrix, judged against the matrix's row
+    /// projection for `i`: each `(m, α)` must satisfy
+    /// `g^α = Π_j R_j^{m^j}`, which is `verify-point(C, i, m, α)` regrouped.
+    /// Verified with one RLC-folded multi-exponentiation; per-claim
+    /// attribution only on failure.
     PointBatch {
-        /// `(matrix, claims)` groups; claim order is group-major.
-        groups: Vec<(Arc<CommitmentMatrix>, Vec<PointClaim>)>,
+        /// `C.project(i)`, shared by every job prepared against `C`.
+        projection: Arc<CommitmentVector>,
+        /// The `(sender index m, claimed f(m, i))` claims.
+        claims: Vec<(u64, Scalar)>,
     },
     /// A batch of reconstruction shares: each `(m, s_m)` must satisfy
     /// `g^{s_m} = Π_j (C_{j0})^{m^j}`.
@@ -166,10 +172,15 @@ impl CryptoVerdict {
 }
 
 impl CryptoJob {
-    /// A point batch against a single commitment matrix.
-    pub fn point_batch(matrix: impl Into<Arc<CommitmentMatrix>>, claims: Vec<PointClaim>) -> Self {
+    /// A point batch against the verifier's projection of one commitment
+    /// matrix ([`CommitmentMatrix::project`]).
+    pub fn point_batch(
+        projection: impl Into<Arc<CommitmentVector>>,
+        claims: Vec<(u64, Scalar)>,
+    ) -> Self {
         CryptoJob::PointBatch {
-            groups: vec![(matrix.into(), claims)],
+            projection: projection.into(),
+            claims,
         }
     }
 
@@ -188,7 +199,7 @@ impl CryptoJob {
     pub fn claim_count(&self) -> usize {
         match self {
             CryptoJob::VerifyPoly { .. } => 1,
-            CryptoJob::PointBatch { groups } => groups.iter().map(|(_, c)| c.len()).sum(),
+            CryptoJob::PointBatch { claims, .. } => claims.len(),
             CryptoJob::ShareBatch { shares, .. } => shares.len(),
             CryptoJob::VectorShareBatch { shares, .. } => shares.len(),
             CryptoJob::PartialSigBatch { groups } => groups.iter().map(|(_, c)| c.len()).sum(),
@@ -208,31 +219,23 @@ impl CryptoJob {
         }
     }
 
-    /// Merges several same-kind batch jobs into one, so their claims fold
-    /// into a single multi-exponentiation even when they came from
-    /// different sessions: all-[`CryptoJob::PointBatch`] inputs fold into
-    /// one point batch, all-[`CryptoJob::PartialSigBatch`] inputs into one
-    /// partial-signature batch (a burst of signing requests costs one
-    /// multiexp). Claim order is preserved (jobs in input order, claims in
-    /// job order): split the verdict back per input job with
-    /// [`CryptoVerdict::split`] over the inputs' claim counts.
+    /// Merges several [`CryptoJob::PartialSigBatch`] jobs into one, so a
+    /// burst of signing requests costs one multiexp per DKG key even when
+    /// the requests came from different sessions. Claim order is preserved
+    /// (jobs in input order, claims in job order): split the verdict back
+    /// per input job with [`CryptoVerdict::split`] over the inputs' claim
+    /// counts.
     ///
-    /// Returns `None` for mixed or unfoldable kinds.
+    /// Returns `None` for an empty input or any other job kind.
     pub fn fold(jobs: Vec<CryptoJob>) -> Option<CryptoJob> {
-        let mut points = Vec::new();
-        let mut partials = Vec::new();
+        let mut groups = Vec::new();
         for job in jobs {
-            match job {
-                CryptoJob::PointBatch { groups: g } => points.extend(g),
-                CryptoJob::PartialSigBatch { groups: g } => partials.extend(g),
-                _ => return None,
-            }
+            let CryptoJob::PartialSigBatch { groups: g } = job else {
+                return None;
+            };
+            groups.extend(g);
         }
-        match (points.is_empty(), partials.is_empty()) {
-            (false, true) => Some(CryptoJob::PointBatch { groups: points }),
-            (true, false) => Some(CryptoJob::PartialSigBatch { groups: partials }),
-            _ => None,
-        }
+        (!groups.is_empty()).then_some(CryptoJob::PartialSigBatch { groups })
     }
 
     /// Executes the job. Pure and deterministic: no protocol state, no
@@ -248,29 +251,11 @@ impl CryptoJob {
             CryptoJob::VerifyPoly { matrix, index, row } => CryptoVerdict {
                 valid: vec![matrix.verify_poly(*index, row)],
             },
-            CryptoJob::PointBatch { groups } => {
-                let claims: usize = groups.iter().map(|(_, c)| c.len()).sum();
-                // One fold across every group (cross-session batching).
-                let mut batch = BatchVerifier::new();
-                for (matrix, group_claims) in groups {
-                    for &claim in group_claims {
-                        batch.push(matrix.as_ref(), claim);
-                    }
-                }
-                if batch.verify() {
-                    return CryptoVerdict::accept_all(claims);
-                }
-                // Attribute blame per claim.
-                let valid = groups
-                    .iter()
-                    .flat_map(|(matrix, group_claims)| {
-                        group_claims
-                            .iter()
-                            .map(|c| matrix.verify_point(c.verifier, c.sender, c.value))
-                    })
-                    .collect();
-                CryptoVerdict { valid }
-            }
+            CryptoJob::PointBatch { projection, claims } => vector_verdict(
+                crate::batch::verify_points_batch(projection, claims),
+                projection,
+                claims,
+            ),
             CryptoJob::ShareBatch { matrix, shares } => {
                 if crate::batch::verify_shares_batch(matrix, shares) {
                     return CryptoVerdict::accept_all(shares.len());
@@ -284,17 +269,11 @@ impl CryptoJob {
                         .collect(),
                 }
             }
-            CryptoJob::VectorShareBatch { vector, shares } => {
-                if crate::batch::verify_vector_shares_batch(vector, shares) {
-                    return CryptoVerdict::accept_all(shares.len());
-                }
-                CryptoVerdict {
-                    valid: shares
-                        .iter()
-                        .map(|&(i, s)| vector.verify_share(i, s))
-                        .collect(),
-                }
-            }
+            CryptoJob::VectorShareBatch { vector, shares } => vector_verdict(
+                crate::batch::verify_vector_shares_batch(vector, shares),
+                vector,
+                shares,
+            ),
             CryptoJob::PartialSigBatch { groups } => {
                 // One fold per matrix group; groups are independent, so the
                 // cross-request win is the per-group fold (a burst against
@@ -319,6 +298,24 @@ impl CryptoJob {
                     .collect(),
             },
         }
+    }
+}
+
+/// The verdict of a share batch against a commitment vector: every claim
+/// accepted when the fold held, per-claim attribution otherwise.
+fn vector_verdict(
+    fold_held: bool,
+    vector: &CommitmentVector,
+    shares: &[(u64, Scalar)],
+) -> CryptoVerdict {
+    if fold_held {
+        return CryptoVerdict::accept_all(shares.len());
+    }
+    CryptoVerdict {
+        valid: shares
+            .iter()
+            .map(|&(i, s)| vector.verify_share(i, s))
+            .collect(),
     }
 }
 
@@ -542,14 +539,12 @@ mod tests {
         (poly, commitment)
     }
 
-    fn claims(poly: &SymmetricBivariate, verifier: u64, senders: u64) -> Vec<PointClaim> {
+    /// The `(m, f(m, i))` claims verifier `i` receives from senders `1..=senders`.
+    fn claims(poly: &SymmetricBivariate, verifier: u64, senders: u64) -> Vec<(u64, Scalar)> {
         (1..=senders)
             .map(|m| {
-                PointClaim::new(
-                    verifier,
-                    m,
-                    poly.evaluate(Scalar::from_u64(m), Scalar::from_u64(verifier)),
-                )
+                let value = poly.evaluate(Scalar::from_u64(m), Scalar::from_u64(verifier));
+                (m, value)
             })
             .collect()
     }
@@ -576,29 +571,16 @@ mod tests {
     fn point_batch_attributes_blame_per_claim() {
         let (poly, commitment) = setup(2, 2);
         let mut cs = claims(&poly, 3, 5);
-        cs[1].value += Scalar::one();
-        cs[4].value += Scalar::from_u64(9);
-        let job = CryptoJob::point_batch(commitment, cs);
-        let verdict = job.run();
-        assert_eq!(verdict.valid, vec![true, false, true, true, false]);
-    }
-
-    #[test]
-    fn folded_point_batches_match_individual_runs() {
-        let (poly_a, commitment_a) = setup(2, 3);
-        let (poly_b, commitment_b) = setup(3, 4);
-        let mut claims_b = claims(&poly_b, 2, 4);
-        claims_b[0].value += Scalar::one();
-        let job_a = CryptoJob::point_batch(commitment_a, claims(&poly_a, 1, 3));
-        let job_b = CryptoJob::point_batch(commitment_b, claims_b);
-        let counts = [job_a.claim_count(), job_b.claim_count()];
-        let individual = [job_a.run(), job_b.run()];
-
-        let folded = CryptoJob::fold(vec![job_a, job_b]).expect("point batches fold");
-        assert_eq!(folded.claim_count(), counts.iter().sum::<usize>());
-        let verdicts = folded.run().split(&counts).expect("counts match");
-        assert_eq!(verdicts[0], individual[0]);
-        assert_eq!(verdicts[1], individual[1]);
+        cs[1].1 += Scalar::one();
+        cs[4].1 += Scalar::from_u64(9);
+        let oracle: Vec<bool> = cs
+            .iter()
+            .map(|&(m, alpha)| commitment.verify_point(3, m, alpha))
+            .collect();
+        let job = CryptoJob::point_batch(commitment.project(3), cs);
+        assert_eq!(job.kind(), "point-batch");
+        assert_eq!(job.run().valid, oracle);
+        assert_eq!(oracle, vec![true, false, true, true, false]);
     }
 
     #[test]
@@ -608,9 +590,11 @@ mod tests {
             matrix: Arc::new(commitment.clone()),
             shares: vec![],
         };
-        assert!(
-            CryptoJob::fold(vec![CryptoJob::point_batch(commitment, vec![]), share_job]).is_none()
-        );
+        let point_job = CryptoJob::point_batch(commitment.project(1), vec![]);
+        assert!(CryptoJob::fold(vec![share_job.clone()]).is_none());
+        assert!(CryptoJob::fold(vec![point_job.clone()]).is_none());
+        assert!(CryptoJob::fold(vec![point_job, share_job]).is_none());
+        assert!(CryptoJob::fold(vec![]).is_none());
     }
 
     #[test]
@@ -695,7 +679,7 @@ mod tests {
 
         // Mixed kinds refuse to fold.
         let (poly_c, commitment_c) = setup(2, 15);
-        let point_job = CryptoJob::point_batch(commitment_c, claims(&poly_c, 1, 2));
+        let point_job = CryptoJob::point_batch(commitment_c.project(1), claims(&poly_c, 1, 2));
         assert!(CryptoJob::fold(vec![job_a, point_job]).is_none());
     }
 
@@ -741,7 +725,7 @@ mod tests {
     #[test]
     fn job_queue_inline_runs_immediately_and_deferred_queues() {
         let (poly, commitment) = setup(2, 10);
-        let job = || CryptoJob::point_batch(commitment.clone(), claims(&poly, 2, 3));
+        let job = || CryptoJob::point_batch(commitment.project(2), claims(&poly, 2, 3));
         let mut queue: JobQueue<&'static str> = JobQueue::new();
         match queue.submit(job(), "ctx") {
             Submission::Ready(ctx, verdict) => {
@@ -769,9 +753,10 @@ mod tests {
         let (poly, commitment) = setup(2, 11);
         let mut queue: JobQueue<u8> = JobQueue::new();
         queue.set_deferred(true);
-        let Submission::Queued(id) =
-            queue.submit(CryptoJob::point_batch(commitment, claims(&poly, 1, 4)), 7)
-        else {
+        let Submission::Queued(id) = queue.submit(
+            CryptoJob::point_batch(commitment.project(1), claims(&poly, 1, 4)),
+            7,
+        ) else {
             panic!("deferred mode must queue");
         };
         let _ = queue.poll();
@@ -786,7 +771,7 @@ mod tests {
     #[test]
     fn running_a_job_twice_is_deterministic() {
         let (poly, commitment) = setup(2, 9);
-        let job = CryptoJob::point_batch(commitment, claims(&poly, 2, 6));
+        let job = CryptoJob::point_batch(commitment.project(2), claims(&poly, 2, 6));
         assert_eq!(job.run(), job.run());
     }
 }

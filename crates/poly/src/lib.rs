@@ -11,9 +11,10 @@
 //!   the paper's `verify-poly` and `verify-point` predicates and the
 //!   entry-wise combination rules used by the DKG, share renewal and node
 //!   addition,
-//! * [`batch`] — the batched verification engine: random-linear-combination
-//!   folding of many `verify-point` / share checks into a single Pippenger
-//!   multi-exponentiation,
+//! * [`batch`] — the batched verification engine: `verify-point` claims
+//!   judged against the verifier's row projection of the matrix, and
+//!   random-linear-combination folding of many point / share checks into a
+//!   single Pippenger multi-exponentiation,
 //! * [`job`] — [`CryptoJob`] / [`CryptoVerdict`]: the same checks packaged
 //!   as owned, schedulable units of pure computation, so protocol state
 //!   machines can hand verification work to an executor (inline, worker
@@ -30,7 +31,7 @@ pub mod univariate;
 
 pub use batch::{
     verify_partial_sigs_batch, verify_points_batch, verify_shares_batch,
-    verify_vector_shares_batch, BatchVerifier, PartialSigClaim, PointClaim,
+    verify_vector_shares_batch, PartialSigClaim,
 };
 pub use bivariate::SymmetricBivariate;
 pub use commitment::{CommitmentError, CommitmentMatrix, CommitmentVector};

@@ -7,9 +7,7 @@
 //! the claim is asserted exactly rather than inferred from wall-clock time.
 
 use dkg_arith::{ops, PrimeField, Scalar};
-use dkg_poly::{
-    verify_points_batch, verify_shares_batch, CommitmentMatrix, PointClaim, SymmetricBivariate,
-};
+use dkg_poly::{verify_points_batch, verify_shares_batch, CommitmentMatrix, SymmetricBivariate};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -31,24 +29,23 @@ fn batched_verify_point_beats_256_individual_calls() {
     let t = 3;
     let verifier = 5u64;
     let (poly, commitment) = setup(t);
-    let claims: Vec<PointClaim> = (1..=N)
+    let claims: Vec<(u64, Scalar)> = (1..=N)
         .map(|m| {
-            PointClaim::new(
-                verifier,
-                m,
-                poly.evaluate(Scalar::from_u64(m), Scalar::from_u64(verifier)),
-            )
+            let value = poly.evaluate(Scalar::from_u64(m), Scalar::from_u64(verifier));
+            (m, value)
         })
         .collect();
 
     let (all_ok, individual) = ops::measure(|| {
         claims
             .iter()
-            .all(|c| commitment.verify_point(c.verifier, c.sender, c.value))
+            .all(|&(m, alpha)| commitment.verify_point(verifier, m, alpha))
     });
     assert!(all_ok);
 
-    let (batch_ok, batched) = ops::measure(|| verify_points_batch(&commitment, &claims));
+    // The batched side pays for its projection too.
+    let (batch_ok, batched) =
+        ops::measure(|| verify_points_batch(&commitment.project(verifier), &claims));
     assert!(batch_ok);
 
     assert!(
@@ -57,10 +54,11 @@ fn batched_verify_point_beats_256_individual_calls() {
         batched.total(),
         individual.total()
     );
-    // The win must be structural (one multiexp instead of 256), not marginal.
+    // The win must be structural (one projection and one t+1-point multiexp
+    // instead of 256 (t+1)²-point ones), not marginal: 41 091 vs 956.
     assert!(
-        batched.total() * 20 < individual.total(),
-        "expected ≥20× fewer group ops, got {} vs {}",
+        batched.total() * 40 < individual.total(),
+        "expected ≥40× fewer group ops, got {} vs {}",
         batched.total(),
         individual.total()
     );
@@ -82,14 +80,12 @@ fn batched_share_commitment_beats_individual_checks() {
     let (batch_ok, batched) = ops::measure(|| verify_shares_batch(&commitment, &shares));
     assert!(batch_ok);
 
-    // The margin here is 15× where `verify_point` asserts 20×: the
-    // individual side of *this* comparison is dominated by fixed-base
-    // `commit` calls, which the size-tuned generator table (window 10
-    // instead of 8) made ~20% cheaper, so the structural batching win
-    // lands near 18× rather than 20×.
+    // The margin here is 20× where `verify_point` asserts 40×: the
+    // individual side of *this* comparison is t+1 points per check to begin
+    // with and dominated by fixed-base `commit` calls (17 657 vs 860).
     assert!(
-        batched.total() * 15 < individual.total(),
-        "expected ≥15× fewer group ops, got {} vs {}",
+        batched.total() * 20 < individual.total(),
+        "expected ≥20× fewer group ops, got {} vs {}",
         batched.total(),
         individual.total()
     );

@@ -1,9 +1,9 @@
 //! Property-based tests for polynomial algebra and Feldman commitments.
 
-use dkg_arith::{PrimeField, Scalar};
+use dkg_arith::{GroupElement, PrimeField, Scalar};
 use dkg_poly::{
     interpolate_secret, verify_points_batch, verify_vector_shares_batch, CommitmentMatrix,
-    CommitmentVector, PointClaim, SymmetricBivariate, Univariate,
+    CommitmentVector, CryptoJob, SymmetricBivariate, Univariate,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -11,6 +11,13 @@ use rand::SeedableRng;
 
 fn scalar_from(seed: u64) -> Scalar {
     Scalar::from_u64(seed)
+}
+
+/// The `(m, f(m, i))` claims verifier `i` receives from senders `1..=n`.
+fn honest_claims(f: &SymmetricBivariate, i: u64, n: usize) -> Vec<(u64, Scalar)> {
+    (1..=n as u64)
+        .map(|m| (m, f.evaluate(Scalar::from_u64(m), Scalar::from_u64(i))))
+        .collect()
 }
 
 proptest! {
@@ -130,6 +137,49 @@ proptest! {
         prop_assert!(!v.verify_share(i, poly.evaluate_at_index(i) + Scalar::one()));
     }
 
+    /// The row projection regroups `verify-point`'s product and nothing
+    /// else: on honest matrices and on arbitrary (non-symmetric) ones, for
+    /// the true evaluation, an off-by-one and a random value, both
+    /// predicates give the same answer.
+    #[test]
+    fn projection_agrees_with_verify_point(
+        seed in any::<u64>(), t in 1usize..4, i in 1u64..9, m in 1u64..9
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (xi, xm) = (Scalar::from_u64(i), Scalar::from_u64(m));
+        let secret = Scalar::random(&mut rng);
+        let f = SymmetricBivariate::random_with_secret(&mut rng, t, secret);
+        let honest = (CommitmentMatrix::commit(&f), f.evaluate(xm, xi));
+        // Any (t+1)×(t+1) coefficients, committed entry by entry: the
+        // "polynomial" Σ c_{jℓ} x^j y^ℓ is not symmetric.
+        let coefficients: Vec<Vec<Scalar>> = (0..=t)
+            .map(|_| (0..=t).map(|_| Scalar::random(&mut rng)).collect())
+            .collect();
+        let entries = coefficients
+            .iter()
+            .map(|row| row.iter().map(GroupElement::commit).collect())
+            .collect();
+        let mut value = Scalar::zero();
+        for row in coefficients.iter().rev() {
+            let inner = row.iter().rev().fold(Scalar::zero(), |acc, &c| acc * xi + c);
+            value = value * xm + inner;
+        }
+        let arbitrary = (CommitmentMatrix::from_entries(entries).expect("square"), value);
+        prop_assert!(arbitrary.0.entry(0, 1) != arbitrary.0.entry(1, 0));
+
+        for (c, alpha) in [honest, arbitrary] {
+            let projection = c.project(i);
+            prop_assert_eq!(projection.degree(), t);
+            prop_assert!(c.verify_point(i, m, alpha));
+            for candidate in [alpha, alpha + Scalar::one(), Scalar::random(&mut rng)] {
+                prop_assert_eq!(
+                    projection.verify_share(m, candidate),
+                    c.verify_point(i, m, candidate)
+                );
+            }
+        }
+    }
+
     /// Batched verification accepts exactly when every per-share
     /// `verify-point` accepts: complete agreement on honest batches.
     #[test]
@@ -140,11 +190,9 @@ proptest! {
         let secret = Scalar::random(&mut rng);
         let f = SymmetricBivariate::random_with_secret(&mut rng, t, secret);
         let c = CommitmentMatrix::commit(&f);
-        let claims: Vec<PointClaim> = (1..=n as u64)
-            .map(|m| PointClaim::new(i, m, f.evaluate(Scalar::from_u64(m), Scalar::from_u64(i))))
-            .collect();
-        prop_assert!(claims.iter().all(|cl| c.verify_point(cl.verifier, cl.sender, cl.value)));
-        prop_assert!(verify_points_batch(&c, &claims));
+        let claims = honest_claims(&f, i, n);
+        prop_assert!(claims.iter().all(|&(m, alpha)| c.verify_point(i, m, alpha)));
+        prop_assert!(verify_points_batch(&c.project(i), &claims));
     }
 
     /// A single corrupted tuple makes the batch reject — the RLC fold must
@@ -163,14 +211,46 @@ proptest! {
         let secret = Scalar::random(&mut rng);
         let f = SymmetricBivariate::random_with_secret(&mut rng, t, secret);
         let c = CommitmentMatrix::commit(&f);
-        let mut claims: Vec<PointClaim> = (1..=n as u64)
-            .map(|m| PointClaim::new(i, m, f.evaluate(Scalar::from_u64(m), Scalar::from_u64(i))))
-            .collect();
+        let mut claims = honest_claims(&f, i, n);
         let bad = bad % n;
-        claims[bad].value += Scalar::from_u64(delta);
-        prop_assert!(!verify_points_batch(&c, &claims));
-        for (k, cl) in claims.iter().enumerate() {
-            prop_assert_eq!(c.verify_point(cl.verifier, cl.sender, cl.value), k != bad);
+        claims[bad].1 += Scalar::from_u64(delta);
+        prop_assert!(!verify_points_batch(&c.project(i), &claims));
+        for (k, &(m, alpha)) in claims.iter().enumerate() {
+            prop_assert_eq!(c.verify_point(i, m, alpha), k != bad);
+        }
+    }
+
+    /// The point-batch job's verdict is, bit for bit, what Fig. 1's
+    /// `verify-point` says about each claim: for an all-good batch, with one
+    /// bad claim at every position, and with every claim bad.
+    #[test]
+    fn point_batch_verdicts_match_the_per_claim_oracle(
+        seed in any::<u64>(), t in 1usize..4, i in 1u64..8, n in 1usize..7
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let secret = Scalar::random(&mut rng);
+        let f = SymmetricBivariate::random_with_secret(&mut rng, t, secret);
+        let c = CommitmentMatrix::commit(&f);
+        let projection = std::sync::Arc::new(c.project(i));
+        let good = honest_claims(&f, i, n);
+        let all_bad: Vec<(u64, Scalar)> =
+            good.iter().map(|&(m, alpha)| (m, alpha + Scalar::one())).collect();
+        let mut batches = vec![good.clone(), all_bad];
+        for bad in 0..n {
+            let mut claims = good.clone();
+            claims[bad].1 = Scalar::random(&mut rng);
+            batches.push(claims);
+        }
+        for (k, claims) in batches.into_iter().enumerate() {
+            let oracle: Vec<bool> =
+                claims.iter().map(|&(m, alpha)| c.verify_point(i, m, alpha)).collect();
+            match k {
+                0 => prop_assert!(oracle.iter().all(|&ok| ok)),
+                1 => prop_assert!(oracle.iter().all(|&ok| !ok)),
+                _ => prop_assert_eq!(oracle.iter().filter(|&&ok| !ok).count(), 1),
+            }
+            let job = CryptoJob::point_batch(projection.clone(), claims);
+            prop_assert_eq!(job.run().valid, oracle);
         }
     }
 

@@ -30,8 +30,8 @@ use std::sync::Arc;
 use dkg_arith::{PrimeField, Scalar};
 use dkg_crypto::{Digest, KeyDirectory, NodeId, SigningKey};
 use dkg_poly::{
-    interpolate_polynomial, interpolate_secret, CommitmentMatrix, CryptoJob, CryptoVerdict,
-    JobQueue, PointClaim, ShareCollector, ShareProgress, Submission, SymmetricBivariate,
+    interpolate_polynomial, interpolate_secret, CommitmentMatrix, CommitmentVector, CryptoJob,
+    CryptoVerdict, JobQueue, ShareCollector, ShareProgress, Submission, SymmetricBivariate,
     Univariate,
 };
 use rand::rngs::StdRng;
@@ -140,7 +140,14 @@ pub struct VssNode {
     /// Fully known commitment matrices per digest (shared with the jobs
     /// prepared against them — cloning one is a refcount bump).
     commitments: BTreeMap<Digest, Arc<CommitmentMatrix>>,
-    /// Points buffered until their commitment is known (digest mode).
+    /// This node's row projection of each known matrix
+    /// ([`CommitmentMatrix::project`] at `self.id`), which every point job
+    /// under that digest is judged against. Derived state: computed on the
+    /// first point job of a digest, never sent, logged or snapshotted, and
+    /// derived again on first use after [`VssNode::restore`].
+    projections: BTreeMap<Digest, Arc<CommitmentVector>>,
+    /// Points buffered until their commitment is known (digest mode): at
+    /// most one `echo` and one `ready` per sender.
     pending: BTreeMap<Digest, Vec<PendingPoint>>,
     /// Whether the dealer's `send` has been processed already.
     send_handled: bool,
@@ -195,6 +202,7 @@ impl VssNode {
             rng: StdRng::seed_from_u64(rng_seed),
             tallies: BTreeMap::new(),
             commitments: BTreeMap::new(),
+            projections: BTreeMap::new(),
             pending: BTreeMap::new(),
             send_handled: false,
             completed: None,
@@ -358,6 +366,7 @@ impl VssNode {
                 })
                 .collect(),
             commitments: snapshot.commitments.into_iter().collect(),
+            projections: BTreeMap::new(),
             pending: snapshot
                 .pending
                 .into_iter()
@@ -417,6 +426,12 @@ impl VssNode {
             return None;
         }
         self.commitments.get(digest).cloned()
+    }
+
+    /// How many row projections this node holds: one per digest it has
+    /// prepared a point job under, none right after [`VssNode::restore`].
+    pub fn projection_count(&self) -> usize {
+        self.projections.len()
     }
 
     // ------------------------------------------------------------------
@@ -704,13 +719,24 @@ impl VssNode {
             }
         }
         if !self.commitments.contains_key(&digest) {
-            // Digest mode: buffer until the dealer's send arrives.
-            self.pending.entry(digest).or_default().push(PendingPoint {
-                from,
-                point,
-                is_ready,
-                signature,
-            });
+            // Digest mode: buffer until the dealer's send arrives. An
+            // honest node sends one echo and one ready per session and
+            // links are authenticated, so each sender gets one pending slot
+            // of each kind; whatever else it sends for unknown digests is
+            // dropped, which bounds the buffer by 2n points.
+            let slot_taken = self
+                .pending
+                .values()
+                .flatten()
+                .any(|p| p.from == from && p.is_ready == is_ready);
+            if !slot_taken {
+                self.pending.entry(digest).or_default().push(PendingPoint {
+                    from,
+                    point,
+                    is_ready,
+                    signature,
+                });
+            }
             return;
         }
         // Cheap, non-mutating pre-filters so already-settled traffic does
@@ -749,10 +775,12 @@ impl VssNode {
     }
 
     /// Prepare stage for echo/ready points: the whole batch becomes one
-    /// [`CryptoJob`], folded into a single multiexp by the executor. The
-    /// job attributes blame per point when the fold rejects, so only bad
-    /// tuples are discarded (RLC accepts ⇒ every tuple verifies; the fast
-    /// path never admits a point the slow path would reject).
+    /// [`CryptoJob`] against this node's projection of the commitment
+    /// (derived here the first time the digest needs one), folded into a
+    /// single multiexp by the executor. The job attributes blame per point
+    /// when the fold rejects, so only bad tuples are discarded (RLC accepts
+    /// ⇒ every tuple verifies; the fast path never admits a point the slow
+    /// path would reject).
     fn submit_points(
         &mut self,
         digest: Digest,
@@ -762,11 +790,12 @@ impl VssNode {
         if entries.is_empty() {
             return;
         }
-        let claims: Vec<PointClaim> = entries
-            .iter()
-            .map(|p| PointClaim::new(self.id, p.from, p.point))
-            .collect();
-        let job = CryptoJob::point_batch(Arc::clone(&self.commitments[&digest]), claims);
+        let projection = self
+            .projections
+            .entry(digest)
+            .or_insert_with(|| Arc::new(self.commitments[&digest].project(self.id)));
+        let claims = entries.iter().map(|p| (p.from, p.point)).collect();
+        let job = CryptoJob::point_batch(Arc::clone(projection), claims);
         self.submit(job, JobCtx::Points { digest, entries }, actions);
     }
 
@@ -1454,6 +1483,63 @@ mod tests {
             },
         );
         assert!(node.poll_job().is_none());
+    }
+
+    /// One peer repeating `echo`/`ready` for digests the node does not know
+    /// fills its own two pending slots and nothing else, and the sharing
+    /// still completes once the dealer's `send` arrives.
+    #[test]
+    fn pending_points_are_bounded_per_sender() {
+        let n = 4;
+        let cfg = config(n, 0, CommitmentMode::Digest);
+        let session = SessionId::new(1, 0);
+        let mut nodes: BTreeMap<NodeId, VssNode> = (1..=n as u64)
+            .map(|i| (i, VssNode::new(i, cfg.clone(), session, 700 + i, None)))
+            .collect();
+        let victim = nodes.get_mut(&2).unwrap();
+        for k in 0..10_000u64 {
+            // Alternate one repeated digest with ever-new ones.
+            let digest = dkg_crypto::sha256(&(k % 2 * k).to_be_bytes());
+            let commitment = CommitmentRef::Digest(digest);
+            let point = Scalar::from_u64(k);
+            let echo = VssMessage::Echo {
+                session,
+                commitment: commitment.clone(),
+                point,
+            };
+            let ready = VssMessage::Ready {
+                session,
+                commitment,
+                point,
+                signature: None,
+            };
+            assert!(victim.handle_message(3, echo).is_empty());
+            assert!(victim.handle_message(3, ready).is_empty());
+        }
+        let held: Vec<&PendingPoint> = victim.pending.values().flatten().collect();
+        assert_eq!(held.len(), 2);
+        assert!(held
+            .iter()
+            .all(|p| p.from == 3 && p.point == Scalar::zero()));
+        assert!(held[0].is_ready != held[1].is_ready);
+        assert_eq!(victim.snapshot().expect("idle").pending.len(), 1);
+
+        let secret = Scalar::from_u64(4242);
+        let initial = vec![(
+            1u64,
+            nodes
+                .get_mut(&1)
+                .unwrap()
+                .handle_input(VssInput::Share { secret }),
+        )];
+        run_synchronously(&mut nodes, initial);
+        assert!(nodes.values().all(|node| node.is_complete()));
+        let shares: Vec<(u64, Scalar)> = nodes
+            .iter()
+            .take(cfg.t + 1)
+            .map(|(&i, node)| (i, node.share().unwrap()))
+            .collect();
+        assert_eq!(interpolate_secret(&shares), Some(secret));
     }
 
     /// Deferred mode: a share arriving while a reconstruction batch is in

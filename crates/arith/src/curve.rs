@@ -113,7 +113,13 @@ impl GroupElement {
     // as the paper's `C^e` (the `Mul` operator impl delegates here).
     #[allow(clippy::should_implement_trait)]
     pub fn mul(self, k: &Scalar) -> Self {
-        ProjectivePoint::from(self).mul_scalar(k).to_affine()
+        self.mul_projective(k).to_affine()
+    }
+
+    /// [`Self::mul`] without the final affine normalisation, for callers
+    /// that keep accumulating (Schnorr verification adds `g^s` to it).
+    pub fn mul_projective(&self, k: &Scalar) -> ProjectivePoint {
+        windowed_ladder(*self, k)
     }
 
     /// Samples a uniformly random group element (with known-to-nobody dlog is
@@ -227,6 +233,33 @@ impl fmt::Display for GroupElement {
     }
 }
 
+/// A [`GroupElement`] without its identity flag: 64 bytes against 72, which
+/// is what a precomputed table of thousands of points stores
+/// ([`crate::fixed_base`]). `(0, 0)` is not on the curve — it is how
+/// [`GroupElement::identity`] already fills its coordinates — so it stands
+/// for the identity here.
+#[derive(Copy, Clone)]
+pub(crate) struct PackedPoint {
+    x: Fp,
+    y: Fp,
+}
+
+impl From<GroupElement> for PackedPoint {
+    fn from(p: GroupElement) -> Self {
+        PackedPoint { x: p.x, y: p.y }
+    }
+}
+
+impl From<PackedPoint> for GroupElement {
+    fn from(p: PackedPoint) -> Self {
+        GroupElement {
+            x: p.x,
+            y: p.y,
+            infinity: p.x.is_zero() && p.y.is_zero(),
+        }
+    }
+}
+
 /// A point in Jacobian projective coordinates `(X, Y, Z)` representing the
 /// affine point `(X/Z², Y/Z³)`.
 ///
@@ -318,6 +351,17 @@ impl ProjectivePoint {
             .collect()
     }
 
+    /// `self.to_affine() == *p` without the field inversion: cross-multiplies
+    /// `X == x·Z²` and `Y == y·Z³` (3M + 1S). The identity equals only the
+    /// identity.
+    pub fn eq_affine(&self, p: &GroupElement) -> bool {
+        if self.is_identity() || p.infinity {
+            return self.is_identity() && p.infinity;
+        }
+        let zz = self.z.square();
+        self.x == p.x * zz && self.y == p.y * zz * self.z
+    }
+
     /// Point doubling (works for all inputs including the identity).
     pub fn double(&self) -> Self {
         if self.is_identity() || self.y.is_zero() {
@@ -345,38 +389,49 @@ impl ProjectivePoint {
     /// window (variable time; this library is a protocol reproduction, not a
     /// hardened side-channel-free implementation).
     pub fn mul_scalar(&self, k: &Scalar) -> Self {
-        let exp = k.to_u256();
-        if exp.is_zero() || self.is_identity() {
-            return ProjectivePoint::identity();
-        }
-        // Precompute multiples 0P..15P (table[d] = d·P).
-        let mut table = [ProjectivePoint::identity(); 16];
-        let mut prev = ProjectivePoint::identity();
-        for entry in table.iter_mut().skip(1) {
-            prev += *self;
-            *entry = prev;
-        }
-        let bits = exp.bits();
-        let top_window = bits.div_ceil(4);
-        let mut acc = ProjectivePoint::identity();
-        for w in (0..top_window).rev() {
-            for _ in 0..4 {
-                acc = acc.double();
-            }
-            let mut digit = 0usize;
-            for b in 0..4 {
-                let bit_index = w * 4 + (3 - b);
-                digit <<= 1;
-                if exp.bit(bit_index) {
-                    digit |= 1;
-                }
-            }
-            if let Some(multiple) = table.get(digit).filter(|_| digit != 0) {
-                acc += *multiple;
-            }
-        }
-        acc
+        windowed_ladder(*self, k)
     }
+}
+
+/// The 4-bit windowed ladder behind [`ProjectivePoint::mul_scalar`] and
+/// [`GroupElement::mul_projective`]. Generic over the base's representation
+/// so that an affine base fills the digit table with mixed additions; the
+/// group-operation count is the same either way.
+fn windowed_ladder<B: Copy>(base: B, k: &Scalar) -> ProjectivePoint
+where
+    ProjectivePoint: AddAssign<B> + AddAssign,
+{
+    let exp = k.to_u256();
+    if exp.is_zero() {
+        return ProjectivePoint::identity();
+    }
+    // Precompute multiples 0P..15P (table[d] = d·P).
+    let mut table = [ProjectivePoint::identity(); 16];
+    let mut prev = ProjectivePoint::identity();
+    for entry in table.iter_mut().skip(1) {
+        prev += base;
+        *entry = prev;
+    }
+    let bits = exp.bits();
+    let top_window = bits.div_ceil(4);
+    let mut acc = ProjectivePoint::identity();
+    for w in (0..top_window).rev() {
+        for _ in 0..4 {
+            acc = acc.double();
+        }
+        let mut digit = 0usize;
+        for b in 0..4 {
+            let bit_index = w * 4 + (3 - b);
+            digit <<= 1;
+            if exp.bit(bit_index) {
+                digit |= 1;
+            }
+        }
+        if let Some(multiple) = table.get(digit).filter(|_| digit != 0) {
+            acc += *multiple;
+        }
+    }
+    acc
 }
 
 impl Add for ProjectivePoint {
@@ -420,6 +475,53 @@ impl Add for ProjectivePoint {
 
 impl AddAssign for ProjectivePoint {
     fn add_assign(&mut self, rhs: ProjectivePoint) {
+        *self = *self + rhs;
+    }
+}
+
+/// Mixed addition: a Jacobian accumulator plus an affine point, which is the
+/// general addition with `Z₂ = 1` folded in (7M + 4S against 11M + 5S).
+/// Total like the general one — either side may be the identity, the points
+/// may be equal (doubles) or opposite (identity) — and it records the same
+/// group operation the general addition would.
+impl Add<GroupElement> for ProjectivePoint {
+    type Output = ProjectivePoint;
+    fn add(self, rhs: GroupElement) -> ProjectivePoint {
+        if rhs.infinity {
+            return self;
+        }
+        if self.is_identity() {
+            return rhs.into();
+        }
+        let z1z1 = self.z.square();
+        let u2 = rhs.x * z1z1;
+        let s2 = rhs.y * z1z1 * self.z;
+        if self.x == u2 {
+            if self.y == s2 {
+                return self.double();
+            }
+            return ProjectivePoint::identity();
+        }
+        crate::ops::record_add();
+        let h = u2 - self.x;
+        let hh = h.square();
+        let i = hh.double().double();
+        let j = h * i;
+        let r = (s2 - self.y).double();
+        let v = self.x * i;
+        let x3 = r.square() - j - v.double();
+        let y3 = r * (v - x3) - (self.y * j).double();
+        let z3 = (self.z + h).square() - z1z1 - hh;
+        ProjectivePoint {
+            x: x3,
+            y: y3,
+            z: z3,
+        }
+    }
+}
+
+impl AddAssign<GroupElement> for ProjectivePoint {
+    fn add_assign(&mut self, rhs: GroupElement) {
         *self = *self + rhs;
     }
 }
@@ -585,6 +687,85 @@ mod tests {
             assert_eq!(*affine, p.to_affine());
         }
         assert!(ProjectivePoint::batch_to_affine(&[]).is_empty());
+    }
+
+    /// A spread of Jacobian representations: identity (constructed and
+    /// arithmetic), unit-z, and accumulated points with z ≠ 1.
+    fn projective_samples(r: &mut StdRng) -> Vec<ProjectivePoint> {
+        let g = ProjectivePoint::generator();
+        let mut samples = vec![ProjectivePoint::identity(), g + (-g), g];
+        let mut acc = ProjectivePoint::identity();
+        for _ in 0..6 {
+            acc += g.mul_scalar(&Scalar::random(r));
+            samples.push(acc);
+        }
+        samples
+    }
+
+    #[test]
+    fn mixed_addition_matches_general_addition() {
+        let mut r = rng();
+        let accs = projective_samples(&mut r);
+        let mut addends = vec![GroupElement::identity(), GroupElement::generator()];
+        addends.extend((0..4).map(|_| GroupElement::random(&mut r)));
+        // Equal (→ doubling) and opposite (→ identity) to every accumulator.
+        addends.extend(accs.iter().map(|p| p.to_affine()));
+        addends.extend(accs.iter().map(|p| -p.to_affine()));
+        for acc in &accs {
+            for q in &addends {
+                let (mixed, mixed_ops) = crate::ops::measure(|| *acc + *q);
+                let (general, general_ops) =
+                    crate::ops::measure(|| *acc + ProjectivePoint::from(*q));
+                assert_eq!(mixed.to_affine(), general.to_affine());
+                assert_eq!(mixed_ops, general_ops);
+                let mut assigned = *acc;
+                assigned += *q;
+                assert_eq!(assigned.to_affine(), general.to_affine());
+            }
+        }
+        let g = GroupElement::generator();
+        assert!((ProjectivePoint::identity() + GroupElement::identity()).is_identity());
+        assert_eq!((ProjectivePoint::identity() + g).to_affine(), g);
+        assert_eq!((ProjectivePoint::generator() + g).to_affine(), g + g);
+        assert!((ProjectivePoint::generator() + (-g)).is_identity());
+    }
+
+    #[test]
+    fn eq_affine_agrees_with_normalised_equality() {
+        let mut r = rng();
+        let points = projective_samples(&mut r);
+        let mut affines: Vec<GroupElement> = points.iter().map(|p| p.to_affine()).collect();
+        affines.push(GroupElement::random(&mut r));
+        affines.push(-GroupElement::generator());
+        for p in &points {
+            for a in &affines {
+                assert_eq!(p.eq_affine(a), p.to_affine() == *a);
+            }
+        }
+        assert!(ProjectivePoint::identity().eq_affine(&GroupElement::identity()));
+        assert!(!ProjectivePoint::identity().eq_affine(&GroupElement::generator()));
+        assert!(!ProjectivePoint::generator().eq_affine(&GroupElement::identity()));
+    }
+
+    #[test]
+    fn affine_and_projective_ladders_agree() {
+        let mut r = rng();
+        let p = GroupElement::random(&mut r);
+        let q_minus_1 = -Scalar::one();
+        for k in [
+            Scalar::zero(),
+            Scalar::one(),
+            q_minus_1,
+            Scalar::random(&mut r),
+        ] {
+            let (a, a_ops) = crate::ops::measure(|| p.mul_projective(&k));
+            let (b, b_ops) = crate::ops::measure(|| ProjectivePoint::from(p).mul_scalar(&k));
+            assert_eq!(a.to_affine(), b.to_affine());
+            assert_eq!(a_ops, b_ops);
+        }
+        assert!(GroupElement::identity()
+            .mul(&Scalar::from_u64(5))
+            .is_identity());
     }
 
     #[test]

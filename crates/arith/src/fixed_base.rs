@@ -1,12 +1,31 @@
 //! Precomputed fixed-base scalar multiplication.
 //!
-//! Every Feldman commitment the protocols compute or verify is an
-//! exponentiation of the *same* base: `g^s` for the fixed group generator
-//! (`GroupElement::commit`). A windowed table trades a one-time
-//! precomputation for removing all doublings from every subsequent
-//! multiplication: with window width `w`, the table stores
-//! `d · 2^{wi} · B` for every window `i` and digit `d ∈ [1, 2^w)`, and a
-//! scalar multiplication becomes at most `⌈256/w⌉ − 1` point additions.
+//! Two kinds of base never change over a process lifetime, and both get a
+//! table:
+//!
+//! * the group generator `g` — every Feldman commitment the protocols
+//!   compute or verify is `g^s` ([`GroupElement::commit`]), served by the
+//!   process-wide [`generator_table`];
+//! * every signer's public key in the static PKI — each Schnorr check
+//!   raises one of `n` directory keys to the challenge, so `dkg-crypto`'s
+//!   `KeyDirectory` holds one [`FixedBaseTable`] per registered key.
+//!
+//! A windowed table trades a one-time precomputation for removing all
+//! doublings from every subsequent multiplication: with window width `w`,
+//! the table stores `d · 2^{wi} · B` for every window `i` and digit
+//! `d ∈ [1, 2^w)`, and a scalar multiplication becomes at most `⌈256/w⌉`
+//! point additions.
+//!
+//! ## Storage
+//!
+//! Entries are **affine**, normalised about a thousand at a time when the
+//! table is built (one field inversion per batch through
+//! [`ProjectivePoint::batch_to_affine`]) and kept without an identity flag:
+//! 64 bytes each instead of a Jacobian point's 96. A walk accumulates them
+//! into one Jacobian point with the mixed addition (`ProjectivePoint +=
+//! GroupElement`, 7M + 4S instead of 11M + 5S). [`FixedBaseTable::mul_onto`]
+//! continues an accumulator the caller already holds, so a product of
+//! powers of several fixed bases is one chain of additions.
 //!
 //! ## Window width
 //!
@@ -18,16 +37,17 @@
 //! (pinned to the model by a unit test); [`FixedBaseTable::with_budget`]
 //! builds a table sized for an expected multiplication count.
 //!
-//! [`generator_table`] exposes a process-wide table for `g`, built lazily on
-//! first use and sized for a long-lived process
-//! ([`GENERATOR_EXPECTED_MULS`] multiplications → a 10-bit window);
-//! [`GroupElement::commit`] routes through it, so the whole workspace
-//! (commitment generation, `verify-poly` / `verify-point`, the batch engine
-//! in `dkg-poly`) inherits the speedup transparently.
+//! [`generator_table`] is built lazily on first use and sized for a
+//! long-lived process ([`GENERATOR_EXPECTED_MULS`] multiplications → a
+//! 10-bit window, 26 598 entries ≈ 1.6 MiB); [`GroupElement::commit`] routes
+//! through it, so the whole workspace (commitment generation, `verify-poly`
+//! / `verify-point`, the batch engine in `dkg-poly`) inherits the speedup
+//! transparently. A 4-bit per-key table is 960 entries = 60 KiB and costs
+//! 960 group operations to build (≈ 0.8 ms).
 
 use std::sync::OnceLock;
 
-use crate::curve::{GroupElement, ProjectivePoint};
+use crate::curve::{GroupElement, PackedPoint, ProjectivePoint};
 use crate::field::{PrimeField, Scalar};
 
 /// Default window width (bits per digit) when no multiplication budget is
@@ -38,10 +58,16 @@ pub const DEFAULT_WINDOW: usize = 8;
 /// for. A DKG node computes and verifies commitments for the whole of every
 /// session it joins — thousands of fixed-base multiplications over a
 /// process lifetime — which lands the cost model on a 10-bit window
-/// (~26.6k one-time additions, ~2.5 MiB, 26 additions per multiplication).
+/// (~26.6k one-time additions, ~1.6 MiB, 26 additions per multiplication).
 pub const GENERATOR_EXPECTED_MULS: usize = 4096;
 
 const SCALAR_BITS: usize = 256;
+
+/// A table under construction is normalised to affine whenever this many
+/// Jacobian multiples have piled up (checked after each window): a whole
+/// 4-bit table pays one field inversion, not one per window, and a wide
+/// table's scratch space stays near 200 KiB instead of half again its size.
+const NORMALISE_BATCH: usize = 1024;
 
 /// Expected-multiplication-count crossovers for [`table_window`]: entry
 /// `(m, w)` means "from `m` expected multiplications (inclusive) the best
@@ -87,11 +113,23 @@ pub fn table_window(expected_muls: usize) -> usize {
 }
 
 /// A windowed precomputation table for multiples of one fixed base point.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct FixedBaseTable {
     window: usize,
-    /// `tables[i][d - 1] = d · 2^{w·i} · B` for digit `d ∈ [1, 2^w)`.
-    tables: Vec<Vec<ProjectivePoint>>,
+    /// Window `i` occupies `entries[i·(2^w − 1)..][..2^w − 1]`, and its
+    /// entry `d − 1` is `d · 2^{w·i} · B` for digit `d ∈ [1, 2^w)`.
+    entries: Vec<PackedPoint>,
+}
+
+// A derived Debug would print every entry: 60 KiB for a 4-bit table, 1.6 MiB
+// for the generator's.
+impl std::fmt::Debug for FixedBaseTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FixedBaseTable")
+            .field("window", &self.window)
+            .field("entries", &self.entries.len())
+            .finish()
+    }
 }
 
 impl FixedBaseTable {
@@ -101,10 +139,10 @@ impl FixedBaseTable {
         let window = window.clamp(1, 16);
         let digits_per_window = (1usize << window) - 1;
         let num_windows = SCALAR_BITS.div_ceil(window);
-        let mut tables = Vec::with_capacity(num_windows);
+        let mut entries = Vec::with_capacity(num_windows * digits_per_window);
+        let mut multiples = Vec::new();
         let mut window_base = ProjectivePoint::from(*base);
-        for _ in 0..num_windows {
-            let mut multiples = Vec::with_capacity(digits_per_window);
+        for w in 1..=num_windows {
             let mut acc = window_base;
             for _ in 0..digits_per_window {
                 multiples.push(acc);
@@ -112,9 +150,13 @@ impl FixedBaseTable {
             }
             // `acc` is now 2^w · window_base: the next window's base.
             window_base = acc;
-            tables.push(multiples);
+            if multiples.len() >= NORMALISE_BATCH || w == num_windows {
+                let affine = ProjectivePoint::batch_to_affine(&multiples);
+                entries.extend(affine.into_iter().map(PackedPoint::from));
+                multiples.clear();
+            }
         }
-        FixedBaseTable { window, tables }
+        FixedBaseTable { window, entries }
     }
 
     /// Precomputes a table for `base` with the window width the cost model
@@ -139,15 +181,22 @@ impl FixedBaseTable {
     /// and amortise the per-point field inversion through
     /// [`ProjectivePoint::batch_to_affine`].
     pub fn mul_projective(&self, k: &Scalar) -> ProjectivePoint {
-        let bytes = k.to_be_bytes();
         let mut acc = ProjectivePoint::identity();
-        for (w, multiples) in self.tables.iter().enumerate() {
+        self.mul_onto(&mut acc, k);
+        acc
+    }
+
+    /// Adds `k · B` to `acc`: one mixed addition per non-zero digit of `k`,
+    /// no doublings.
+    pub fn mul_onto(&self, acc: &mut ProjectivePoint, k: &Scalar) {
+        let bytes = k.to_be_bytes();
+        let digits_per_window = (1usize << self.window) - 1;
+        for (w, multiples) in self.entries.chunks(digits_per_window).enumerate() {
             let digit = extract_window(&bytes, w, self.window);
             if let Some(point) = digit.checked_sub(1).and_then(|d| multiples.get(d)) {
-                acc += *point;
+                *acc += GroupElement::from(*point);
             }
         }
-        acc
     }
 
     /// Computes `k · B` for every scalar in `ks` with a *single* field
@@ -216,13 +265,46 @@ mod tests {
 
     #[test]
     fn works_for_non_generator_bases_and_narrow_windows() {
+        // Widths 3, 5, 6, 7, 9, 10 do not divide 256: their top window is
+        // short.
         let mut rng = StdRng::seed_from_u64(7);
         let base = GroupElement::random(&mut rng);
-        for window in [1usize, 3, 5] {
+        let edge = [Scalar::zero(), Scalar::one(), -Scalar::one()];
+        for window in 1..=10usize {
             let table = FixedBaseTable::new(&base, window);
-            let k = Scalar::random(&mut rng);
-            assert_eq!(table.mul(&k), base.mul(&k), "window {window}");
+            assert_eq!(table.window(), window);
+            for k in edge.into_iter().chain([Scalar::random(&mut rng)]) {
+                assert_eq!(table.mul(&k), base.mul(&k), "window {window}");
+            }
         }
+        let identity = FixedBaseTable::new(&GroupElement::identity(), 4);
+        assert!(identity.mul(&Scalar::random(&mut rng)).is_identity());
+    }
+
+    #[test]
+    fn mul_onto_continues_an_accumulator() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let base = GroupElement::random(&mut rng);
+        let table = FixedBaseTable::new(&base, 4);
+        let (a, b) = (Scalar::random(&mut rng), Scalar::random(&mut rng));
+        let mut acc = generator_table().mul_projective(&a);
+        let ((), walk) = ops::measure(|| table.mul_onto(&mut acc, &b));
+        assert_eq!(acc.to_affine(), GroupElement::commit(&a) + base.mul(&b));
+        assert_eq!(walk.doubles, 0);
+        assert!(walk.adds <= 64);
+        // Cancelling the accumulator exactly lands on the identity.
+        table.mul_onto(&mut acc, &-b);
+        generator_table().mul_onto(&mut acc, &-a);
+        assert!(acc.is_identity());
+    }
+
+    #[test]
+    fn debug_output_does_not_list_entries() {
+        let table = FixedBaseTable::new(&GroupElement::generator(), 4);
+        assert_eq!(
+            format!("{table:?}"),
+            "FixedBaseTable { window: 4, entries: 960 }"
+        );
     }
 
     #[test]

@@ -144,7 +144,7 @@ fn window_sum(points: &[GroupElement], digits: &[[u8; 32]], w: usize, c: usize) 
     for (point, bytes) in points.iter().zip(digits) {
         let digit = extract_window(bytes, w, c);
         if let Some(slot) = digit.checked_sub(1).and_then(|d| buckets.get_mut(d)) {
-            *slot += ProjectivePoint::from(*point);
+            *slot += *point;
         }
     }
     let mut running = ProjectivePoint::identity();

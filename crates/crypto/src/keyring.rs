@@ -8,8 +8,10 @@
 //! rotation (§5.1) is modelled by [`KeyDirectory::rotate`].
 
 use crate::schnorr::{PublicKey, Signature, SigningKey};
+use dkg_arith::FixedBaseTable;
 use rand::Rng;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Identifier of a protocol node. The paper indexes nodes `P_1 … P_n`;
 /// we use the same 1-based convention, which also serves as the polynomial
@@ -36,10 +38,49 @@ impl std::fmt::Display for KeyringError {
 
 impl std::error::Error for KeyringError {}
 
+/// Window width of a directory key's table: 64 windows × 15 digits = 960
+/// affine entries (60 KiB) and 960 group operations to build, for at most 64
+/// additions per check. A process verifies thousands of signatures against
+/// each of its `n` keys, but it also holds `n` tables, so the width stays
+/// below the cost model's pick for that budget: 5 bits would be 1 612
+/// entries to save 12 of the 64 additions.
+const KEY_TABLE_WINDOW: usize = 4;
+
+/// A registered key with the fixed-base table of its point.
+#[derive(Clone)]
+struct Entry {
+    key: PublicKey,
+    table: Arc<FixedBaseTable>,
+}
+
+impl Entry {
+    fn new(key: PublicKey) -> Self {
+        let table = Arc::new(FixedBaseTable::new(&key.point(), KEY_TABLE_WINDOW));
+        Entry { key, table }
+    }
+}
+
 /// Public directory of verification keys for all system nodes.
-#[derive(Clone, Debug, Default)]
+///
+/// The keys never change between [`Self::register`] / [`Self::rotate`]
+/// calls, so each carries a precomputed table and [`Self::verify`] raises
+/// it to the challenge with additions only. Tables are built when the key
+/// enters the directory — never on first use, so what an operation costs
+/// does not depend on who verified first — and clones of a directory share
+/// them.
+#[derive(Clone, Default)]
 pub struct KeyDirectory {
-    keys: BTreeMap<NodeId, PublicKey>,
+    keys: BTreeMap<NodeId, Entry>,
+}
+
+// Node ids and key bytes only: a derived Debug would print every table,
+// 60 KiB per key, into any failure message that formats a directory holder.
+impl std::fmt::Debug for KeyDirectory {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map()
+            .entries(self.keys.iter().map(|(node, entry)| (node, entry.key)))
+            .finish()
+    }
 }
 
 impl KeyDirectory {
@@ -50,7 +91,7 @@ impl KeyDirectory {
 
     /// Registers (or replaces) the key for a node.
     pub fn register(&mut self, node: NodeId, key: PublicKey) {
-        self.keys.insert(node, key);
+        self.keys.insert(node, Entry::new(key));
     }
 
     /// Removes a node (used by the node-removal group modification, §6.3).
@@ -61,30 +102,37 @@ impl KeyDirectory {
     /// Replaces the key of an existing node, modelling the certificate
     /// revocation + re-issuance a recovering node performs at reboot (§5.1).
     pub fn rotate(&mut self, node: NodeId, key: PublicKey) -> Result<(), KeyringError> {
-        if !self.keys.contains_key(&node) {
-            return Err(KeyringError::UnknownNode(node));
-        }
-        self.keys.insert(node, key);
+        let entry = self
+            .keys
+            .get_mut(&node)
+            .ok_or(KeyringError::UnknownNode(node))?;
+        *entry = Entry::new(key);
         Ok(())
+    }
+
+    fn entry(&self, node: NodeId) -> Result<&Entry, KeyringError> {
+        self.keys.get(&node).ok_or(KeyringError::UnknownNode(node))
     }
 
     /// Looks up the key of a node.
     pub fn public_key(&self, node: NodeId) -> Result<PublicKey, KeyringError> {
-        self.keys
-            .get(&node)
-            .copied()
-            .ok_or(KeyringError::UnknownNode(node))
+        self.entry(node).map(|entry| entry.key)
     }
 
-    /// Verifies a signature attributed to `node`.
+    /// Verifies a signature attributed to `node`: [`PublicKey::verify`]'s
+    /// predicate with the key's power taken from its table.
     pub fn verify(
         &self,
         node: NodeId,
         message: &[u8],
         signature: &Signature,
     ) -> Result<(), KeyringError> {
-        let key = self.public_key(node)?;
-        key.verify(message, signature)
+        let entry = self.entry(node)?;
+        entry
+            .key
+            .verify_with(message, signature, |acc, challenge| {
+                entry.table.mul_onto(acc, &-*challenge);
+            })
             .map_err(|_| KeyringError::BadSignature(node))
     }
 
@@ -124,8 +172,134 @@ pub fn generate_keyring<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schnorr::schnorr_challenge;
+    use dkg_arith::{ops, GroupElement, PrimeField, Scalar};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The textbook predicate `g^s == R · pk^c`, all in affine arithmetic.
+    fn reference_verify(key: &PublicKey, message: &[u8], signature: &Signature) -> bool {
+        let c = schnorr_challenge(&signature.nonce_commitment(), key, message);
+        GroupElement::commit(&signature.response())
+            == signature.nonce_commitment() + key.point().mul(&c)
+    }
+
+    #[test]
+    fn table_backed_verify_is_the_reference_predicate() {
+        let mut rng = StdRng::seed_from_u64(16);
+        let (secrets, directory) = generate_keyring(&mut rng, 3);
+        let sk = secrets[&1];
+        let pk = sk.public_key();
+        let (msg, other): (&[u8], &[u8]) = (b"msg", b"other");
+        let honest = sk.sign(&mut rng, msg);
+        let (r, s) = (honest.nonce_commitment(), honest.response());
+        // R = identity with s = c·x satisfies the equation under both.
+        let c = schnorr_challenge(&GroupElement::identity(), &pk, msg);
+        let nonceless = Signature::from_parts(GroupElement::identity(), c * sk.secret());
+        let mut cases = vec![
+            (1, msg, honest, true),
+            (1, msg, Signature::from_parts(r, s + Scalar::one()), false),
+            (1, msg, Signature::from_parts(r + pk.point(), s), false),
+            (1, msg, Signature::from_parts(-r, s), false),
+            (2, msg, honest, false),
+            (1, other, honest, false),
+            (1, msg, nonceless, true),
+            // The accumulator lands on the identity but R does not.
+            (
+                1,
+                msg,
+                Signature::from_parts(r, schnorr_challenge(&r, &pk, msg) * sk.secret()),
+                false,
+            ),
+            (1, msg, Signature::from_parts(r, Scalar::zero()), false),
+            (
+                1,
+                msg,
+                Signature::from_parts(GroupElement::identity(), Scalar::zero()),
+                false,
+            ),
+        ];
+        for _ in 0..8 {
+            let garbage =
+                Signature::from_parts(GroupElement::random(&mut rng), Scalar::random(&mut rng));
+            cases.push((3, msg, garbage, false));
+        }
+        for (i, (node, message, signature, expected)) in cases.into_iter().enumerate() {
+            let key = directory.public_key(node).unwrap();
+            assert_eq!(
+                reference_verify(&key, message, &signature),
+                expected,
+                "case {i}"
+            );
+            assert_eq!(
+                directory.verify(node, message, &signature).is_ok(),
+                expected,
+                "case {i}"
+            );
+            assert_eq!(
+                key.verify(message, &signature).is_ok(),
+                expected,
+                "case {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn one_verify_is_two_table_walks() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let (secrets, directory) = generate_keyring(&mut rng, 2);
+        for node in [1, 2] {
+            let sig = secrets[&node].sign(&mut rng, b"walk");
+            let (verdict, spent) = ops::measure(|| directory.verify(node, b"walk", &sig));
+            assert!(verdict.is_ok());
+            assert_eq!(spent.doubles, 0);
+            assert!(spent.adds <= 91, "{spent:?}");
+        }
+    }
+
+    #[test]
+    fn tables_are_built_eagerly_shared_by_clones_and_dropped_with_the_key() {
+        let mut rng = StdRng::seed_from_u64(18);
+        let key = SigningKey::generate(&mut rng).public_key();
+        let mut directory = KeyDirectory::new();
+        let ((), build) = ops::measure(|| directory.register(1, key));
+        assert_eq!(build.total(), 960);
+        directory.register(2, SigningKey::generate(&mut rng).public_key());
+
+        let copy = directory.clone();
+        for node in [1, 2] {
+            assert!(Arc::ptr_eq(
+                &directory.keys[&node].table,
+                &copy.keys[&node].table
+            ));
+        }
+
+        let old_table = Arc::clone(&directory.keys[&1].table);
+        assert_eq!(Arc::strong_count(&old_table), 3);
+        directory
+            .rotate(1, SigningKey::generate(&mut rng).public_key())
+            .unwrap();
+        assert!(!Arc::ptr_eq(&directory.keys[&1].table, &old_table));
+        // The clone still verifies under the key it was cloned with.
+        assert!(Arc::ptr_eq(&copy.keys[&1].table, &old_table));
+        assert_eq!(Arc::strong_count(&old_table), 2);
+
+        let removed = Arc::clone(&directory.keys[&2].table);
+        directory.remove(2);
+        drop(copy);
+        assert_eq!(Arc::strong_count(&removed), 1);
+        assert_eq!(Arc::strong_count(&old_table), 1);
+    }
+
+    #[test]
+    fn debug_prints_ids_and_keys_not_tables() {
+        let mut rng = StdRng::seed_from_u64(19);
+        let (_, directory) = generate_keyring(&mut rng, 3);
+        let text = format!("{directory:?}");
+        assert!(text.starts_with("{1: PublicKey"), "{text}");
+        assert!(text.len() < 3 * 400, "{} bytes", text.len());
+        assert!(!text.contains("FixedBaseTable"));
+    }
 
     #[test]
     fn generate_and_verify() {

@@ -10,7 +10,7 @@
 //! message.
 
 use crate::sha256::sha256_parts;
-use dkg_arith::{GroupElement, PrimeField, Scalar};
+use dkg_arith::{generator_table, GroupElement, PrimeField, ProjectivePoint, Scalar};
 use rand::Rng;
 
 /// A Schnorr signing key (the discrete log of the corresponding
@@ -125,11 +125,26 @@ impl PublicKey {
 
     /// Verifies `signature` over `message`.
     pub fn verify(&self, message: &[u8], signature: &Signature) -> Result<(), SignatureError> {
+        self.verify_with(message, signature, |acc, challenge| {
+            *acc += -self.point.mul_projective(challenge);
+        })
+    }
+
+    /// The one verification predicate, `g^s · pk^(−c) == R` — the textbook
+    /// `g^s == R · pk^c` rearranged so that the left side accumulates in a
+    /// single Jacobian point and is compared with the affine `R` without a
+    /// field inversion. `add_key_power(acc, c)` must add `pk^(−c)` to `acc`:
+    /// a ladder here, a table walk in [`crate::KeyDirectory::verify`].
+    pub(crate) fn verify_with(
+        &self,
+        message: &[u8],
+        signature: &Signature,
+        add_key_power: impl FnOnce(&mut ProjectivePoint, &Scalar),
+    ) -> Result<(), SignatureError> {
         let challenge = challenge(&signature.nonce_commitment, self, message);
-        // g^s == R · pk^c
-        let lhs = GroupElement::commit(&signature.response);
-        let rhs = signature.nonce_commitment + self.point.mul(&challenge);
-        if lhs == rhs {
+        let mut acc = generator_table().mul_projective(&signature.response);
+        add_key_power(&mut acc, &challenge);
+        if acc.eq_affine(&signature.nonce_commitment) {
             Ok(())
         } else {
             Err(SignatureError::Invalid)

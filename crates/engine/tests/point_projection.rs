@@ -72,6 +72,12 @@ fn seed_7_dkg(mode: CommitmentMode) -> Run {
 /// the byte transcript that must not have moved with it. The matrices here
 /// are 3 × 3 (t = 2), so the whole-run ratio is 0.42–0.44; it falls as t
 /// grows (0.34 on the n = 13, t = 4 benchmark workloads).
+///
+/// The totals were re-pinned when the key directory got a fixed-base table
+/// per signer (Full 181 812 → 66 588, Digest 191 508 → 76 284): a
+/// directory Schnorr check is two table walks, ≤ 91 additions, where the
+/// `pk^c` ladder made it ≈ 358 operations. The set-up's n × 960 table-building operations happen before
+/// the measured region; verdicts, and so the transcripts, are the same.
 #[test]
 fn seed_7_dkg_projects_once_per_digest_at_a_fraction_of_the_group_ops() {
     // (mode, group ops before projection, after, transcript digest before
@@ -80,13 +86,13 @@ fn seed_7_dkg_projects_once_per_digest_at_a_fraction_of_the_group_ops() {
         (
             CommitmentMode::Full,
             430_736u64,
-            181_812u64,
+            66_588u64,
             "25c5928abb7c5e1c3972dbccc2c4af06518402c2989ef2965de89adf73ca8c4c",
         ),
         (
             CommitmentMode::Digest,
             436_773,
-            191_508,
+            76_284,
             "760c1fc1d555f287750526b28f168ba1854d47b47cbb6aad269c46f63b201ddd",
         ),
     ];

@@ -835,20 +835,32 @@ impl VssNode {
         if !verified {
             return;
         }
+        // Extended variant: a `ready` counts only with its witness (§2.3,
+        // unauthenticated messages are discarded). Tallying one whose
+        // signature is missing or bad would let this node complete with
+        // fewer than n − t − f witnesses, and a leader's `ReadyProofs` built
+        // from them is rejected by everyone.
+        let witness = match &self.signing {
+            Some(signing) if is_ready => {
+                let payload = ReadyWitness::payload(&self.session, &digest);
+                let verifies =
+                    |s: &dkg_crypto::Signature| signing.directory.verify(from, &payload, s).is_ok();
+                let Some(signature) = signature.filter(verifies) else {
+                    return;
+                };
+                Some(ReadyWitness {
+                    node: from,
+                    signature,
+                })
+            }
+            _ => None,
+        };
         {
             let tally = self.tallies.get_mut(&digest).expect("tally exists");
             tally.points.insert(from, point);
             if is_ready {
                 tally.ready_verified.insert(from);
-                if let (Some(sig), Some(signing)) = (signature, &self.signing) {
-                    let payload = ReadyWitness::payload(&self.session, &digest);
-                    if signing.directory.verify(from, &payload, &sig).is_ok() {
-                        tally.witnesses.push(ReadyWitness {
-                            node: from,
-                            signature: sig,
-                        });
-                    }
-                }
+                tally.witnesses.extend(witness);
             } else {
                 tally.echo_verified.insert(from);
             }
@@ -1538,6 +1550,91 @@ mod tests {
             .iter()
             .take(cfg.t + 1)
             .map(|(&i, node)| (i, node.share().unwrap()))
+            .collect();
+        assert_eq!(interpolate_secret(&shares), Some(secret));
+    }
+
+    /// Extended variant: `t` senders whose `ready` carries a correct point
+    /// but no usable signature are not tallied, so every honest node still
+    /// completes on n − t − f *witnessed* readies.
+    #[test]
+    fn unsigned_readies_are_dropped_not_tallied() {
+        let n = 7;
+        let cfg = config(n, 0, CommitmentMode::Full);
+        let session = SessionId::new(1, 0);
+        let mut rng = StdRng::seed_from_u64(16);
+        let (keys, directory) = dkg_crypto::generate_keyring(&mut rng, n);
+        let directory = Arc::new(directory);
+        let mut nodes: BTreeMap<NodeId, VssNode> = (1..=n as u64)
+            .map(|i| {
+                let signing = SigningContext {
+                    key: keys[&i],
+                    directory: Arc::clone(&directory),
+                };
+                let node = VssNode::new(i, cfg.clone(), session, 800 + i, Some(signing));
+                (i, node)
+            })
+            .collect();
+        let byzantine = [6u64, 7];
+        assert_eq!(byzantine.len(), cfg.t);
+        let is_bad_ready = |from: &NodeId, message: &VssMessage| {
+            byzantine.contains(from) && matches!(message, VssMessage::Ready { .. })
+        };
+
+        let mut queue: Vec<(NodeId, NodeId, VssMessage)> = Vec::new();
+        let mut proofs: BTreeMap<NodeId, Vec<ReadyWitness>> = BTreeMap::new();
+        let secret = Scalar::from_u64(99);
+        let mut from = 1u64;
+        let mut actions = nodes
+            .get_mut(&from)
+            .unwrap()
+            .handle_input(VssInput::Share { secret });
+        loop {
+            for action in actions {
+                match action {
+                    VssAction::Send { to, mut message } => {
+                        if let VssMessage::Ready { signature, .. } = &mut message {
+                            if from == 6 {
+                                *signature = None;
+                            } else if from == 7 {
+                                *signature = Some(keys[&7].sign(&mut rng, b"not the payload"));
+                            }
+                        }
+                        queue.push((from, to, message));
+                    }
+                    VssAction::Output(VssOutput::Shared { ready_proof, .. }) => {
+                        proofs.insert(from, ready_proof);
+                    }
+                    VssAction::Output(_) => {}
+                }
+            }
+            // The bad readies overtake everything else in flight.
+            let next = queue
+                .iter()
+                .position(|(from, _, message)| is_bad_ready(from, message))
+                .or(queue.len().checked_sub(1));
+            let Some(next) = next else {
+                break;
+            };
+            let (sender, to, message) = queue.remove(next);
+            from = to;
+            actions = nodes.get_mut(&to).unwrap().handle_message(sender, message);
+        }
+
+        let commitment = CommitmentRef::full(nodes[&1].commitment().unwrap().clone());
+        let payload = ReadyWitness::payload(&session, &commitment.digest());
+        for honest in 1..=5u64 {
+            let proof = &proofs[&honest];
+            assert_eq!(proof.len(), cfg.completion_threshold(), "node {honest}");
+            for witness in proof {
+                assert!(!byzantine.contains(&witness.node));
+                assert!(directory
+                    .verify(witness.node, &payload, &witness.signature)
+                    .is_ok());
+            }
+        }
+        let shares: Vec<(u64, Scalar)> = (1..=3u64)
+            .map(|i| (i, nodes[&i].share().unwrap()))
             .collect();
         assert_eq!(interpolate_secret(&shares), Some(secret));
     }

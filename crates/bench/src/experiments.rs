@@ -13,7 +13,7 @@ use dkg_sim::{
     CrashSchedule, DelayModel, Metrics, MutingAdversary, NetworkConfig, Simulation,
     StallingAdversary,
 };
-use dkg_vss::{CommitmentMode, SessionId, StandaloneVss, VssConfig, VssInput, VssNode, VssOutput};
+use dkg_vss::{CommitmentMode, SessionId, VssConfig, VssInput, VssNode, VssOutput};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -48,13 +48,13 @@ pub fn run_vss(
         seed,
     );
     for i in 1..=n as u64 {
-        sim.add_node(StandaloneVss::new(VssNode::new(
+        sim.add_node(VssNode::new(
             i,
             cfg.clone(),
             session,
             seed.wrapping_mul(131).wrapping_add(i),
             None,
-        )));
+        ));
     }
     if let Some(schedule) = &crashes {
         sim.apply_crash_schedule(schedule);

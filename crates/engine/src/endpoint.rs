@@ -1,15 +1,20 @@
 //! The sans-I/O protocol endpoint.
 //!
-//! [`Endpoint`] multiplexes many concurrent DKG and standalone-VSS sessions
-//! — keyed by `(SessionId, τ)` — behind a quinn-style poll API. It performs
-//! **no I/O and keeps no clock**: the caller feeds it received datagrams and
-//! the current time (`handle_datagram`, `handle_timeout`) and drains what
-//! the endpoint wants to do (`poll_transmit`, `poll_event`,
-//! `poll_timeout`). This makes the same protocol state machines runnable
-//! over UDP, TCP, TLS, an async reactor or the deterministic test network in
-//! [`crate::net`], without the state machines (which still speak the pure
-//! [`dkg_sim::Protocol`] action interface internally) knowing anything about
-//! transports.
+//! [`Endpoint`] multiplexes many concurrent sessions — DKG runs, standalone
+//! HybridVSS sharings, threshold-signing services and §6 group-modification
+//! agreements, each under its [`SessionKey`] — behind a quinn-style poll
+//! API. It performs **no I/O and keeps no clock**: the caller feeds it
+//! received datagrams and the current time (`handle_datagram`,
+//! `handle_timeout`) and drains what the endpoint wants to do
+//! (`poll_transmit`, `poll_event`, `poll_timeout`). This makes the same
+//! protocol state machines runnable over UDP, TCP, TLS, an async reactor or
+//! the deterministic test network in [`crate::net`], without the state
+//! machines knowing anything about transports.
+//!
+//! Every hosted machine is a [`dkg_sim::Protocol`] behind the crate-private
+//! `Hosted` contract (`session.rs`), so the endpoint itself is generic
+//! routing, persistence and statistics: one datagram path, one
+//! operator-input path and one run loop, whichever kind of session.
 //!
 //! Untrusted input is handled totally: every malformed, wrong-version,
 //! oversized, unknown-session or mis-routed datagram is refused with a typed
@@ -19,25 +24,22 @@
 //! caller drains `poll_transmit`, so a slow transport applies backpressure
 //! to the protocol instead of growing memory without limit.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use dkg_core::group::{GroupModInput, GroupModMessage, GroupModNode, GroupModOutput};
-use dkg_core::{DkgInput, DkgMessage, DkgNode, DkgOutput, DkgResult};
+use dkg_core::group::{GroupModInput, GroupModNode};
+use dkg_core::{DkgInput, DkgNode, DkgResult};
 use dkg_crypto::NodeId;
 use dkg_poly::{CryptoJob, CryptoVerdict};
 use dkg_sim::{Action, ActionSink, Protocol, TimerId, WireSize};
 use dkg_store::{StoreError, StoreHandle, WalRecord};
-use dkg_tss::{SignSession, TssInput, TssMessage, TssOutput};
-use dkg_vss::{SessionId, VssInput, VssMessage, VssNode, VssOutput};
-use dkg_wire::{
-    decode_datagram_versioned, encode_datagram_versioned, Header, ProtocolId, WireDecode,
-    WireError, VERSION,
-};
+use dkg_tss::{SignSession, TssInput};
+use dkg_vss::{SessionId, VssInput, VssNode};
+use dkg_wire::{decode_datagram_versioned, encode_datagram_versioned, Header, WireError, VERSION};
 
-use crate::persist::{
-    EndpointSnapshot, PersistStats, RestoreError, SessionSnapshot, SessionStateSnapshot,
-};
+use crate::persist::{EndpointSnapshot, PersistStats, RestoreError, SessionSnapshot};
+use crate::session::{dispatch, Hosted, Machine, Named, Sink};
+pub use crate::session::{Event, SessionKey};
 
 /// Milliseconds on the caller's clock. The endpoint only compares and adds
 /// these values; the epoch is the caller's business.
@@ -97,97 +99,6 @@ impl Default for EndpointConfig {
     }
 }
 
-/// Identifies one session multiplexed on an endpoint: a DKG run (keyed by
-/// its phase counter `τ`) or a standalone HybridVSS sharing (keyed by its
-/// `(dealer, τ)` session id).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub enum SessionKey {
-    /// A standalone HybridVSS session.
-    Vss {
-        /// The `(dealer, τ)` session identifier.
-        session: SessionId,
-    },
-    /// A DKG session (with its `n` embedded VSS instances).
-    Dkg {
-        /// The phase counter `τ`.
-        tau: u64,
-    },
-    /// A threshold-signing session serving requests with a DKG'd key.
-    Sign {
-        /// The signing-session identifier.
-        sid: u64,
-    },
-    /// A §6 group-modification agreement (membership change broadcast).
-    Mod {
-        /// The agreement era: which configuration epoch the proposals
-        /// modify. Routing-only, like `τ` for a DKG session.
-        era: u64,
-    },
-}
-
-impl SessionKey {
-    /// The wire protocol tag for this session's datagrams.
-    pub fn protocol(&self) -> ProtocolId {
-        match self {
-            SessionKey::Vss { .. } => ProtocolId::Vss,
-            SessionKey::Dkg { .. } => ProtocolId::Dkg,
-            SessionKey::Sign { .. } => ProtocolId::Tss,
-            SessionKey::Mod { .. } => ProtocolId::Mod,
-        }
-    }
-
-    /// The 16-byte routing channel carried in the datagram header.
-    pub fn channel(&self) -> [u8; 16] {
-        match self {
-            SessionKey::Vss { session } => session.to_bytes(),
-            SessionKey::Dkg { tau }
-            | SessionKey::Sign { sid: tau }
-            | SessionKey::Mod { era: tau } => {
-                let mut out = [0u8; 16];
-                out[..8].copy_from_slice(&tau.to_be_bytes());
-                out
-            }
-        }
-    }
-
-    /// Reconstructs the key from a datagram header. Rejects DKG and
-    /// signing channels with non-zero reserved bytes so every session has
-    /// exactly one header encoding.
-    pub fn from_header(header: &Header) -> Result<Self, WireError> {
-        let hi = u64::from_be_bytes(header.channel[..8].try_into().expect("8 bytes"));
-        let lo = u64::from_be_bytes(header.channel[8..].try_into().expect("8 bytes"));
-        match header.protocol {
-            ProtocolId::Vss => Ok(SessionKey::Vss {
-                session: SessionId::new(hi, lo),
-            }),
-            ProtocolId::Dkg => {
-                if lo != 0 {
-                    return Err(WireError::InvalidValue {
-                        context: "non-zero reserved bytes in dkg channel",
-                    });
-                }
-                Ok(SessionKey::Dkg { tau: hi })
-            }
-            ProtocolId::Tss => {
-                if lo != 0 {
-                    return Err(WireError::InvalidValue {
-                        context: "non-zero reserved bytes in tss channel",
-                    });
-                }
-                Ok(SessionKey::Sign { sid: hi })
-            }
-            ProtocolId::Mod => {
-                if lo != 0 {
-                    return Err(WireError::InvalidValue {
-                        context: "non-zero reserved bytes in group-mod channel",
-                    });
-                }
-                Ok(SessionKey::Mod { era: hi })
-            }
-        }
-    }
-}
-
 /// A typed refusal of an input datagram or operator call. Rejections are
 /// the endpoint's answer to everything that used to be a panic or a silent
 /// drop: the caller learns exactly why a datagram went nowhere.
@@ -232,7 +143,8 @@ pub enum Reject {
     /// write-ahead log, so it was refused *before* mutating state — the
     /// protocol treats it as a lost message (which these asynchronous
     /// protocols tolerate), keeping the persisted log a faithful prefix of
-    /// the in-memory state.
+    /// the in-memory state. Adding or evicting a session is refused the
+    /// same way when the snapshot recording it cannot be written.
     PersistFailed(StoreError),
 }
 
@@ -281,39 +193,6 @@ pub struct Transmit {
     pub payload: Vec<u8>,
 }
 
-/// A protocol-level event surfaced to the application.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Event {
-    /// A DKG session produced an operator output.
-    Dkg {
-        /// The session's phase counter.
-        tau: u64,
-        /// The output (`Completed`, `Reconstructed`, `LeaderChanged`).
-        output: DkgOutput,
-    },
-    /// A standalone VSS session produced an operator output.
-    Vss {
-        /// The session id.
-        session: SessionId,
-        /// The output (`Shared`, `Reconstructed`).
-        output: VssOutput,
-    },
-    /// A signing session produced an operator output.
-    Tss {
-        /// The signing-session id.
-        sid: u64,
-        /// The output (`Signed`, `Exhausted`).
-        output: TssOutput,
-    },
-    /// A group-modification agreement produced an operator output.
-    Mod {
-        /// The agreement era.
-        era: u64,
-        /// The output (`Accepted`).
-        output: GroupModOutput,
-    },
-}
-
 /// Per-session traffic and lifecycle counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SessionStats {
@@ -354,30 +233,21 @@ pub struct JobTicket {
     pub job: CryptoJob,
 }
 
-enum SessionState {
-    Dkg(Box<DkgNode>),
-    Vss(Box<VssNode>),
-    Sign(Box<SignSession>),
-    Mod(Box<GroupModNode>),
+/// One hosted session: the machine plus the endpoint's books on it.
+struct Session {
+    machine: Machine,
+    books: Books,
 }
 
-struct Session {
-    state: SessionState,
+#[derive(Default)]
+struct Books {
     timers: BTreeMap<TimerId, WallClock>,
     stats: SessionStats,
 }
 
 impl Session {
     fn is_complete(&self) -> bool {
-        match &self.state {
-            SessionState::Dkg(node) => node.is_complete(),
-            SessionState::Vss(node) => node.is_complete(),
-            // A signing service never finishes: it keeps answering
-            // requests until evicted. The group-modification agreement is
-            // the same shape — it keeps accepting proposals until the
-            // phase change that applies them evicts it.
-            SessionState::Sign(_) | SessionState::Mod(_) => false,
-        }
+        dispatch!(&self.machine, slot => Hosted::is_complete(&*slot.node))
     }
 }
 
@@ -391,7 +261,117 @@ pub struct EndpointStats {
     pub evicted: u64,
 }
 
-/// A sans-I/O endpoint multiplexing DKG/VSS sessions for one node.
+/// The part of the endpoint a session's step writes to — the queues and the
+/// write-ahead log — kept apart from the session table so a step can borrow
+/// both at once.
+#[derive(Default)]
+struct Host {
+    config: EndpointConfig,
+    outbox: VecDeque<Transmit>,
+    events: VecDeque<Event>,
+    /// Sessions that queued jobs since the last [`Endpoint::poll_jobs`], so
+    /// polling costs O(sessions with work), not O(hosted sessions).
+    jobs_ready: BTreeSet<SessionKey>,
+    /// Persistence counters.
+    persist: PersistStats,
+    /// `true` while [`Endpoint::restore`] replays the write-ahead log:
+    /// replayed inputs must not be appended again, and compaction is
+    /// deferred until the replay finishes.
+    replaying: bool,
+}
+
+impl Host {
+    /// Runs one handler of a hosted machine and carries out what it asked
+    /// for: sends are encoded into the outbox, outputs become events,
+    /// timers are armed and cancelled, completion and queued crypto jobs
+    /// are noted. Every input to every kind of session ends here.
+    fn run<M: Hosted>(
+        &mut self,
+        slot: &mut Named<M>,
+        books: &mut Books,
+        now: WallClock,
+        handler: impl FnOnce(&mut M, &mut Sink<M>),
+    ) {
+        let Books { timers, stats } = books;
+        let key = slot.key();
+        let mut sink = ActionSink::new();
+        handler(&mut *slot.node, &mut sink);
+        for action in sink.into_actions() {
+            match action {
+                Action::Send { to, message } => {
+                    let kind = message.kind();
+                    let header = Header {
+                        protocol: key.protocol(),
+                        channel: key.channel(),
+                    };
+                    let payload =
+                        encode_datagram_versioned(self.config.wire_version, header, &message);
+                    stats.datagrams_out += 1;
+                    stats.bytes_out += payload.len() as u64;
+                    self.outbox.push_back(Transmit {
+                        to,
+                        session: key,
+                        kind,
+                        payload,
+                    });
+                }
+                Action::Output(output) => {
+                    stats.events += 1;
+                    self.events.push_back(M::event(slot.name, output));
+                }
+                Action::SetTimer { id, delay } => {
+                    timers.insert(id, now.saturating_add(delay));
+                }
+                Action::CancelTimer { id } => {
+                    timers.remove(&id);
+                }
+            }
+        }
+        if stats.completed_at.is_none() && Hosted::is_complete(&*slot.node) {
+            stats.completed_at = Some(now);
+        }
+        if Hosted::has_queued_jobs(&*slot.node) {
+            self.jobs_ready.insert(key);
+        }
+    }
+
+    /// Records an accepted input in the WAL (write-ahead: the caller only
+    /// mutates state on `Ok`), counting the frame against the session it
+    /// belongs to, if any. During a restore's replay the same call
+    /// re-counts the frame instead of re-appending it, so the statistics
+    /// of a restored endpoint match an uninterrupted one exactly.
+    fn persist_input(
+        &mut self,
+        session: Option<&mut SessionStats>,
+        record: &WalRecord,
+    ) -> Result<(), Reject> {
+        if self.replaying {
+            self.persist.wal_replayed += 1;
+        } else {
+            let Some(store) = &self.config.store else {
+                return Ok(());
+            };
+            if let Err(err) = store.append(record) {
+                self.persist.persist_errors += 1;
+                return Err(Reject::PersistFailed(err));
+            }
+            self.persist.wal_appended += 1;
+        }
+        if let Some(stats) = session {
+            stats.wal_frames += 1;
+        }
+        Ok(())
+    }
+
+    /// Whether inputs need a [`WalRecord`] at all — callers skip even
+    /// *building* the record (a datagram copy) on the hot path of a
+    /// store-less endpoint.
+    fn persistence_active(&self) -> bool {
+        self.replaying || self.config.store.is_some()
+    }
+}
+
+/// A sans-I/O endpoint multiplexing protocol sessions for one node.
 ///
 /// See the [module docs](self) for the interaction contract. Typical loop:
 ///
@@ -408,24 +388,13 @@ pub struct EndpointStats {
 /// ```
 pub struct Endpoint {
     id: NodeId,
-    config: EndpointConfig,
+    host: Host,
     sessions: BTreeMap<SessionKey, Session>,
-    outbox: VecDeque<Transmit>,
-    events: VecDeque<Event>,
     stats: EndpointStats,
     next_job: u64,
     /// Routes an endpoint-level job id to the session that prepared it and
     /// the session's own (inner) job id.
     job_routes: BTreeMap<u64, (SessionKey, u64)>,
-    /// Sessions that queued jobs since the last [`Endpoint::poll_jobs`], so
-    /// polling costs O(sessions with work), not O(hosted sessions).
-    jobs_ready: std::collections::BTreeSet<SessionKey>,
-    /// Persistence counters.
-    persist: PersistStats,
-    /// `true` while [`Endpoint::restore`] replays the write-ahead log:
-    /// replayed inputs must not be appended again, and compaction is
-    /// deferred until the replay finishes.
-    replaying: bool,
 }
 
 impl Endpoint {
@@ -433,16 +402,14 @@ impl Endpoint {
     pub fn new(id: NodeId, config: EndpointConfig) -> Self {
         Endpoint {
             id,
-            config,
+            host: Host {
+                config,
+                ..Host::default()
+            },
             sessions: BTreeMap::new(),
-            outbox: VecDeque::new(),
-            events: VecDeque::new(),
             stats: EndpointStats::default(),
             next_job: 0,
             job_routes: BTreeMap::new(),
-            jobs_ready: std::collections::BTreeSet::new(),
-            persist: PersistStats::default(),
-            replaying: false,
         }
     }
 
@@ -454,7 +421,7 @@ impl Endpoint {
     /// The endpoint's configuration (incl. its store handle, which a
     /// network driver needs to rebuild the endpoint after a crash).
     pub fn config(&self) -> &EndpointConfig {
-        &self.config
+        &self.host.config
     }
 
     /// Aggregate endpoint counters.
@@ -464,16 +431,14 @@ impl Endpoint {
 
     /// Persistence counters.
     pub fn persist_stats(&self) -> PersistStats {
-        self.persist
+        self.host.persist
     }
 
     /// Bytes currently held by the configured store (snapshot + WAL), or 0
     /// without a store.
     pub fn stored_bytes(&self) -> u64 {
-        self.config
-            .store
-            .as_ref()
-            .map_or(0, StoreHandle::stored_bytes)
+        let store = self.host.config.store.as_ref();
+        store.map_or(0, StoreHandle::stored_bytes)
     }
 
     /// Keys of all hosted sessions, in order.
@@ -483,7 +448,7 @@ impl Endpoint {
 
     /// Per-session counters.
     pub fn session_stats(&self, key: SessionKey) -> Option<SessionStats> {
-        self.sessions.get(&key).map(|s| s.stats)
+        self.sessions.get(&key).map(|s| s.books.stats)
     }
 
     /// Whether the given session's protocol has completed.
@@ -493,34 +458,27 @@ impl Endpoint {
 
     /// Read access to a hosted DKG state machine.
     pub fn dkg_session(&self, tau: u64) -> Option<&DkgNode> {
-        match &self.sessions.get(&SessionKey::Dkg { tau })?.state {
-            SessionState::Dkg(node) => Some(node),
-            _ => None,
-        }
+        self.hosted(tau)
     }
 
     /// Read access to a hosted VSS state machine.
     pub fn vss_session(&self, session: SessionId) -> Option<&VssNode> {
-        match &self.sessions.get(&SessionKey::Vss { session })?.state {
-            SessionState::Vss(node) => Some(node),
-            _ => None,
-        }
+        self.hosted(session)
     }
 
     /// Read access to a hosted signing session.
     pub fn sign_session(&self, sid: u64) -> Option<&SignSession> {
-        match &self.sessions.get(&SessionKey::Sign { sid })?.state {
-            SessionState::Sign(session) => Some(session),
-            _ => None,
-        }
+        self.hosted(sid)
     }
 
     /// Read access to a hosted group-modification agreement.
     pub fn mod_session(&self, era: u64) -> Option<&GroupModNode> {
-        match &self.sessions.get(&SessionKey::Mod { era })?.state {
-            SessionState::Mod(node) => Some(node),
-            _ => None,
-        }
+        self.hosted(era)
+    }
+
+    fn hosted<M: Hosted>(&self, name: M::Name) -> Option<&M> {
+        let slot = self.sessions.get(&M::key(name))?.machine.hosted::<M>()?;
+        Some(&slot.node)
     }
 
     /// The completed result of a DKG session, if any.
@@ -537,30 +495,14 @@ impl Endpoint {
     /// [`Reject::PersistFailed`]`(`[`StoreError::SnapshotUnavailable`]`)` —
     /// drain jobs and retry.
     pub fn add_dkg_session(&mut self, node: DkgNode) -> Result<SessionKey, Reject> {
-        if node.id() != self.id {
-            return Err(Reject::WrongNode {
-                endpoint: self.id,
-                node: node.id(),
-            });
-        }
-        let key = SessionKey::Dkg { tau: node.tau() };
-        self.insert_session(key, SessionState::Dkg(Box::new(node)))
+        self.add_session(Machine::Dkg(Named::new(node.tau(), node)))
     }
 
     /// Adds a standalone VSS session (keyed by its `(dealer, τ)`).
     ///
     /// Same store-quiescence requirement as [`Endpoint::add_dkg_session`].
     pub fn add_vss_session(&mut self, node: VssNode) -> Result<SessionKey, Reject> {
-        if node.id() != self.id {
-            return Err(Reject::WrongNode {
-                endpoint: self.id,
-                node: node.id(),
-            });
-        }
-        let key = SessionKey::Vss {
-            session: node.session(),
-        };
-        self.insert_session(key, SessionState::Vss(Box::new(node)))
+        self.add_session(Machine::Vss(Named::new(node.session(), node)))
     }
 
     /// Adds a threshold-signing session (keyed by its `sid`) — typically
@@ -569,14 +511,7 @@ impl Endpoint {
     ///
     /// Same store-quiescence requirement as [`Endpoint::add_dkg_session`].
     pub fn add_sign_session(&mut self, session: SignSession) -> Result<SessionKey, Reject> {
-        if session.id() != self.id {
-            return Err(Reject::WrongNode {
-                endpoint: self.id,
-                node: session.id(),
-            });
-        }
-        let key = SessionKey::Sign { sid: session.sid() };
-        self.insert_session(key, SessionState::Sign(Box::new(session)))
+        self.add_session(Machine::Sign(Named::new(session.sid(), session)))
     }
 
     /// Adds a group-modification agreement session under the given era.
@@ -585,79 +520,95 @@ impl Endpoint {
     ///
     /// Same store-quiescence requirement as [`Endpoint::add_dkg_session`].
     pub fn add_mod_session(&mut self, era: u64, node: GroupModNode) -> Result<SessionKey, Reject> {
-        if node.id() != self.id {
-            return Err(Reject::WrongNode {
-                endpoint: self.id,
-                node: node.id(),
-            });
-        }
-        let key = SessionKey::Mod { era };
-        self.insert_session(key, SessionState::Mod(Box::new(node)))
+        self.add_session(Machine::Mod(Named::new(era, node)))
     }
 
-    fn insert_session(
-        &mut self,
-        key: SessionKey,
-        mut state: SessionState,
-    ) -> Result<SessionKey, Reject> {
-        if self.sessions.contains_key(&key) {
-            return Err(Reject::DuplicateSession(key));
-        }
+    fn add_session(&mut self, machine: Machine) -> Result<SessionKey, Reject> {
+        self.insert_session(machine, Books::default())
+    }
+
+    fn insert_session(&mut self, mut machine: Machine, books: Books) -> Result<SessionKey, Reject> {
         // The endpoint owns the inline/deferred decision for everything it
         // hosts.
-        match &mut state {
-            SessionState::Dkg(node) => node.set_deferred_crypto(self.config.defer_crypto),
-            SessionState::Vss(node) => node.set_deferred_crypto(self.config.defer_crypto),
-            SessionState::Sign(session) => session.set_deferred_crypto(self.config.defer_crypto),
-            // The agreement broadcast does no expensive crypto: nothing to
-            // defer.
-            SessionState::Mod(_) => {}
+        let deferred = self.host.config.defer_crypto;
+        let (node, key) = dispatch!(&mut machine, slot => {
+            Hosted::set_deferred_crypto(&mut *slot.node, deferred);
+            (slot.node.id(), slot.key())
+        });
+        if node != self.id {
+            let endpoint = self.id;
+            return Err(Reject::WrongNode { endpoint, node });
         }
-        self.sessions.insert(
-            key,
-            Session {
-                state,
-                timers: BTreeMap::new(),
-                stats: SessionStats::default(),
-            },
-        );
+        let Entry::Vacant(vacancy) = self.sessions.entry(key) else {
+            return Err(Reject::DuplicateSession(key));
+        };
+        vacancy.insert(Session { machine, books });
         // Session membership must be durable before the session can log
         // anything: a WAL record for a session the snapshot does not know
         // would be unreplayable. Adding a session therefore writes a fresh
         // snapshot (which also compacts the log); if that fails, the
         // addition is rolled back and refused.
-        if !self.replaying {
-            if let Some(store) = self.config.store.clone() {
-                if let Err(err) = self.install_snapshot_now(&store) {
-                    self.sessions.remove(&key);
-                    self.persist.persist_errors += 1;
-                    return Err(Reject::PersistFailed(err));
-                }
-            }
+        if let Err(reject) = self.persist_membership() {
+            self.sessions.remove(&key);
+            return Err(reject);
         }
         Ok(key)
     }
 
+    /// Makes the session table as it now stands durable; on `Err` the caller
+    /// takes its change back.
+    fn persist_membership(&mut self) -> Result<(), Reject> {
+        self.write_snapshot().map(drop).map_err(|err| {
+            self.host.persist.persist_errors += 1;
+            Reject::PersistFailed(err)
+        })
+    }
+
     /// Removes a session, returning its final counters.
-    pub fn evict(&mut self, key: SessionKey) -> Option<SessionStats> {
-        let session = self.sessions.remove(&key)?;
-        self.stats.evicted += 1;
-        Some(session.stats)
+    ///
+    /// Like adding one, eviction is durable or refused: with a configured
+    /// store it writes a fresh snapshot, so a later [`Endpoint::restore`]
+    /// does not resurrect the session; if that fails (crypto jobs in
+    /// flight, store error) the session stays and the call returns
+    /// [`Reject::PersistFailed`].
+    pub fn evict(&mut self, key: SessionKey) -> Result<SessionStats, Reject> {
+        match self.evict_all(vec![key])?.pop() {
+            Some((_, stats)) => Ok(stats),
+            None => Err(Reject::UnknownSession(key)),
+        }
     }
 
     /// Removes every completed session, returning their keys and counters.
     /// Queued transmits and events of evicted sessions survive (they are
-    /// already encoded / surfaced).
-    pub fn evict_completed(&mut self) -> Vec<(SessionKey, SessionStats)> {
-        let done: Vec<SessionKey> = self
-            .sessions
-            .iter()
-            .filter(|(_, s)| s.is_complete())
-            .map(|(&k, _)| k)
+    /// already encoded / surfaced). Durable or refused as a whole, like
+    /// [`Endpoint::evict`].
+    pub fn evict_completed(&mut self) -> Result<Vec<(SessionKey, SessionStats)>, Reject> {
+        let done = self.sessions.iter().filter(|(_, s)| s.is_complete());
+        let done = done.map(|(&key, _)| key).collect();
+        self.evict_all(done)
+    }
+
+    fn evict_all(
+        &mut self,
+        keys: Vec<SessionKey>,
+    ) -> Result<Vec<(SessionKey, SessionStats)>, Reject> {
+        let removed: Vec<(SessionKey, Session)> = keys
+            .into_iter()
+            .filter_map(|key| Some((key, self.sessions.remove(&key)?)))
             .collect();
-        done.into_iter()
-            .filter_map(|key| self.evict(key).map(|stats| (key, stats)))
-            .collect()
+        if removed.is_empty() {
+            return Ok(Vec::new());
+        }
+        self.stats.evicted += removed.len() as u64;
+        if let Err(reject) = self.persist_membership() {
+            self.stats.evicted -= removed.len() as u64;
+            self.sessions.extend(removed);
+            return Err(reject);
+        }
+        Ok(removed
+            .into_iter()
+            .map(|(k, s)| (k, s.books.stats))
+            .collect())
     }
 
     /// Number of hosted sessions.
@@ -665,12 +616,16 @@ impl Endpoint {
         self.sessions.len()
     }
 
+    /// Counts a refusal that never reached a session.
+    fn refuse(&mut self, reject: Reject) -> Reject {
+        self.stats.rejected += 1;
+        reject
+    }
+
     fn check_backpressure(&mut self) -> Result<(), Reject> {
-        if self.outbox.len() >= self.config.outbox_capacity {
-            self.stats.rejected += 1;
-            return Err(Reject::Backpressure {
-                capacity: self.config.outbox_capacity,
-            });
+        let capacity = self.host.config.outbox_capacity;
+        if self.host.outbox.len() >= capacity {
+            return Err(self.refuse(Reject::Backpressure { capacity }));
         }
         Ok(())
     }
@@ -678,42 +633,6 @@ impl Endpoint {
     // ------------------------------------------------------------------
     // Persistence (write-ahead log + snapshots)
     // ------------------------------------------------------------------
-
-    /// Records an accepted input in the WAL (write-ahead: the caller only
-    /// mutates state on `Ok`). During a restore's replay the same call
-    /// re-counts the frame instead of re-appending it, so the statistics
-    /// of a restored endpoint match an uninterrupted one exactly.
-    fn persist_input(
-        &mut self,
-        session: Option<SessionKey>,
-        record: &WalRecord,
-    ) -> Result<(), Reject> {
-        if self.replaying {
-            self.persist.wal_replayed += 1;
-        } else {
-            let Some(store) = self.config.store.clone() else {
-                return Ok(());
-            };
-            if let Err(err) = store.append(record) {
-                self.persist.persist_errors += 1;
-                return Err(Reject::PersistFailed(err));
-            }
-            self.persist.wal_appended += 1;
-        }
-        if let Some(key) = session {
-            if let Some(session) = self.sessions.get_mut(&key) {
-                session.stats.wal_frames += 1;
-            }
-        }
-        Ok(())
-    }
-
-    /// Whether inputs need a [`WalRecord`] at all — callers skip even
-    /// *building* the record (a datagram copy) on the hot path of a
-    /// store-less endpoint.
-    fn persistence_active(&self) -> bool {
-        self.replaying || self.config.store.is_some()
-    }
 
     /// Captures the endpoint's complete state as a versioned
     /// [`EndpointSnapshot`], or `None` while crypto jobs are queued or in
@@ -725,47 +644,34 @@ impl Endpoint {
         }
         let mut sessions = Vec::with_capacity(self.sessions.len());
         for (&key, session) in &self.sessions {
-            let state = match &session.state {
-                SessionState::Dkg(node) => SessionStateSnapshot::Dkg(Box::new(node.snapshot()?)),
-                SessionState::Vss(node) => SessionStateSnapshot::Vss {
-                    snapshot: Box::new(node.snapshot()?),
-                    directory: node.signing_directory().map(|directory| {
-                        directory
-                            .nodes()
-                            .into_iter()
-                            .map(|id| {
-                                let key = directory.public_key(id).expect("listed node has a key");
-                                (id, key.point())
-                            })
-                            .collect()
-                    }),
-                },
-                SessionState::Sign(session) => {
-                    SessionStateSnapshot::Sign(Box::new(session.snapshot()?))
-                }
-                SessionState::Mod(node) => SessionStateSnapshot::Mod(Box::new(node.snapshot())),
-            };
             sessions.push(SessionSnapshot {
                 key,
-                stats: session.stats,
-                timers: session.timers.iter().map(|(&t, &d)| (t, d)).collect(),
-                state,
+                stats: session.books.stats,
+                timers: session.books.timers.iter().map(|(&t, &d)| (t, d)).collect(),
+                state: dispatch!(&session.machine, slot => Hosted::snapshot(&*slot.node))?,
             });
         }
         Some(EndpointSnapshot {
             id: self.id,
             stats: self.stats,
-            persist: self.persist,
+            persist: self.host.persist,
             sessions,
         })
     }
 
-    /// Encodes and installs a snapshot into `store`, truncating its WAL.
-    fn install_snapshot_now(&mut self, store: &StoreHandle) -> Result<(), StoreError> {
+    /// Installs a fresh snapshot into the configured store, truncating its
+    /// WAL. `Ok(false)` without a store, and during a replay.
+    fn write_snapshot(&mut self) -> Result<bool, StoreError> {
+        let Some(store) = &self.host.config.store else {
+            return Ok(false);
+        };
+        if self.host.replaying {
+            return Ok(false);
+        }
         let snapshot = self.snapshot().ok_or(StoreError::SnapshotUnavailable)?;
         store.install_snapshot(&snapshot.to_bytes())?;
-        self.persist.snapshots_written += 1;
-        Ok(())
+        self.host.persist.snapshots_written += 1;
+        Ok(true)
     }
 
     /// Compacts the write-ahead log into a fresh snapshot when it grew past
@@ -775,21 +681,19 @@ impl Endpoint {
     /// returns whether a snapshot was written. Failures are counted in
     /// [`PersistStats::persist_errors`] and retried at the next call.
     pub fn maybe_compact(&mut self) -> bool {
-        let Some(store) = self.config.store.clone() else {
-            return false;
-        };
-        if self.replaying
-            || store.wal_bytes() < self.config.wal_compact_bytes
-            || !self.outbox.is_empty()
-            || !self.events.is_empty()
+        let Host { config, .. } = &self.host;
+        let due = |store: &StoreHandle| store.wal_bytes() >= config.wal_compact_bytes;
+        if !config.store.as_ref().is_some_and(due)
+            || !self.host.outbox.is_empty()
+            || !self.host.events.is_empty()
         {
             return false;
         }
-        match self.install_snapshot_now(&store) {
-            Ok(()) => true,
+        match self.write_snapshot() {
+            Ok(written) => written,
             Err(StoreError::SnapshotUnavailable) => false,
             Err(_) => {
-                self.persist.persist_errors += 1;
+                self.host.persist.persist_errors += 1;
                 false
             }
         }
@@ -810,97 +714,46 @@ impl Endpoint {
         let image = EndpointSnapshot::from_bytes(&bytes)?;
 
         let mut endpoint = Endpoint::new(image.id, config);
-        endpoint.replaying = true;
+        endpoint.host.replaying = true;
         endpoint.stats = image.stats;
-        endpoint.persist = image.persist;
+        endpoint.host.persist = image.persist;
         for session in image.sessions {
-            let state = match session.state {
-                SessionStateSnapshot::Dkg(snapshot) => {
-                    let node = DkgNode::restore(*snapshot)?;
-                    if node.id() != image.id {
-                        return Err(dkg_vss::SnapshotError::ForeignNode { node: node.id() }.into());
-                    }
-                    SessionState::Dkg(Box::new(node))
-                }
-                SessionStateSnapshot::Vss {
-                    snapshot,
-                    directory,
-                } => {
-                    let directory = directory.map(|entries| {
-                        let mut dir = dkg_crypto::KeyDirectory::new();
-                        for (id, point) in entries {
-                            let key = dkg_crypto::PublicKey::from_bytes(&point.to_bytes())
-                                .ok_or(dkg_vss::SnapshotError::InvalidDirectoryKey { node: id })?;
-                            dir.register(id, key);
-                        }
-                        Ok::<_, RestoreError>(Arc::new(dir))
-                    });
-                    let directory = match directory {
-                        Some(result) => Some(result?),
-                        None => None,
-                    };
-                    let node = VssNode::restore(*snapshot, directory)?;
-                    if node.id() != image.id {
-                        return Err(dkg_vss::SnapshotError::ForeignNode { node: node.id() }.into());
-                    }
-                    SessionState::Vss(Box::new(node))
-                }
-                SessionStateSnapshot::Sign(snapshot) => {
-                    let session = SignSession::restore(*snapshot)?;
-                    if session.id() != image.id {
-                        return Err(
-                            dkg_tss::SnapshotError::ForeignNode { node: session.id() }.into()
-                        );
-                    }
-                    SessionState::Sign(Box::new(session))
-                }
-                SessionStateSnapshot::Mod(snapshot) => {
-                    let node = GroupModNode::restore(*snapshot);
-                    if node.id() != image.id {
-                        return Err(dkg_vss::SnapshotError::ForeignNode { node: node.id() }.into());
-                    }
-                    SessionState::Mod(Box::new(node))
-                }
+            let machine = Machine::restore(session.key, session.state, image.id)?;
+            let books = Books {
+                timers: session.timers.into_iter().collect(),
+                stats: session.stats,
             };
-            endpoint.insert_session(session.key, state).map_err(|_| {
+            endpoint.insert_session(machine, books).map_err(|_| {
                 StoreError::Corrupt(WireError::InvalidValue {
                     context: "duplicate session in snapshot",
                 })
             })?;
-            let hosted = endpoint
-                .sessions
-                .get_mut(&session.key)
-                .expect("just inserted");
-            hosted.stats = session.stats;
-            hosted.timers = session.timers.into_iter().collect();
         }
 
-        for record in &stored.wal {
+        for record in stored.wal {
             let at = record.at();
             match record {
                 WalRecord::Datagram { at, from, bytes } => {
-                    let _ = endpoint.handle_datagram(*from, bytes, *at);
+                    let _ = endpoint.handle_datagram(from, &bytes, at);
                 }
                 WalRecord::DkgOperator { at, tau, input } => {
-                    let _ = endpoint.handle_dkg_input(*tau, input.clone(), *at);
+                    let _ = endpoint.handle_dkg_input(tau, input, at);
                 }
                 WalRecord::VssOperator { at, session, input } => {
-                    let _ = endpoint.handle_vss_input(*session, input.clone(), *at);
+                    let _ = endpoint.handle_vss_input(session, input, at);
                 }
                 WalRecord::TssOperator { at, sid, input } => {
-                    let _ = endpoint.handle_tss_input(*sid, input.clone(), *at);
+                    let _ = endpoint.handle_tss_input(sid, input, at);
                 }
                 WalRecord::ModOperator { at, era, input } => {
-                    let _ = endpoint.handle_mod_input(*era, *input, *at);
+                    let _ = endpoint.handle_mod_input(era, input, at);
                 }
-                WalRecord::Timeout { at } => endpoint.handle_timeout(*at),
+                WalRecord::Timeout { at } => endpoint.handle_timeout(at),
             }
             endpoint.quiesce_discard(at);
         }
-        endpoint.outbox.clear();
-        endpoint.events.clear();
-        endpoint.replaying = false;
-        endpoint.persist.recoveries += 1;
+        endpoint.host.replaying = false;
+        endpoint.host.persist.recoveries += 1;
         Ok(endpoint)
     }
 
@@ -910,8 +763,8 @@ impl Endpoint {
     /// re-emits.
     fn quiesce_discard(&mut self, now: WallClock) {
         loop {
-            self.outbox.clear();
-            self.events.clear();
+            self.host.outbox.clear();
+            self.host.events.clear();
             let tickets = self.poll_jobs();
             if tickets.is_empty() {
                 break;
@@ -923,7 +776,7 @@ impl Endpoint {
                 while let Err(Reject::Backpressure { .. }) =
                     self.complete_job(ticket.id, verdict.clone(), now)
                 {
-                    self.outbox.clear();
+                    self.host.outbox.clear();
                 }
             }
         }
@@ -937,22 +790,7 @@ impl Endpoint {
         input: DkgInput,
         now: WallClock,
     ) -> Result<(), Reject> {
-        self.check_backpressure()?;
-        let key = SessionKey::Dkg { tau };
-        if !self.sessions.contains_key(&key) {
-            self.stats.rejected += 1;
-            return Err(Reject::UnknownSession(key));
-        }
-        self.persist_input(
-            Some(key),
-            &WalRecord::DkgOperator {
-                at: now,
-                tau,
-                input: input.clone(),
-            },
-        )?;
-        self.run_dkg(key, now, |node, sink| node.on_operator(input, sink));
-        Ok(())
+        self.handle_input::<DkgNode>(tau, input, now)
     }
 
     /// Feeds an operator input to a VSS session (share, reconstruct,
@@ -963,22 +801,7 @@ impl Endpoint {
         input: VssInput,
         now: WallClock,
     ) -> Result<(), Reject> {
-        self.check_backpressure()?;
-        let key = SessionKey::Vss { session };
-        if !self.sessions.contains_key(&key) {
-            self.stats.rejected += 1;
-            return Err(Reject::UnknownSession(key));
-        }
-        self.persist_input(
-            Some(key),
-            &WalRecord::VssOperator {
-                at: now,
-                session,
-                input: input.clone(),
-            },
-        )?;
-        self.run_vss(key, now, |node| node.handle_input(input));
-        Ok(())
+        self.handle_input::<VssNode>(session, input, now)
     }
 
     /// Feeds an operator input to a signing session (sign, recover).
@@ -988,22 +811,7 @@ impl Endpoint {
         input: TssInput,
         now: WallClock,
     ) -> Result<(), Reject> {
-        self.check_backpressure()?;
-        let key = SessionKey::Sign { sid };
-        if !self.sessions.contains_key(&key) {
-            self.stats.rejected += 1;
-            return Err(Reject::UnknownSession(key));
-        }
-        self.persist_input(
-            Some(key),
-            &WalRecord::TssOperator {
-                at: now,
-                sid,
-                input: input.clone(),
-            },
-        )?;
-        self.run_sign(key, now, |session, sink| session.on_operator(input, sink));
-        Ok(())
+        self.handle_input::<SignSession>(sid, input, now)
     }
 
     /// Feeds an operator input to a group-modification agreement (propose).
@@ -1013,44 +821,40 @@ impl Endpoint {
         input: GroupModInput,
         now: WallClock,
     ) -> Result<(), Reject> {
+        self.handle_input::<GroupModNode>(era, input, now)
+    }
+
+    fn handle_input<M: Hosted>(
+        &mut self,
+        name: M::Name,
+        input: M::Operator,
+        now: WallClock,
+    ) -> Result<(), Reject> {
         self.check_backpressure()?;
-        let key = SessionKey::Mod { era };
-        if !self.sessions.contains_key(&key) {
-            self.stats.rejected += 1;
-            return Err(Reject::UnknownSession(key));
-        }
-        self.persist_input(
-            Some(key),
-            &WalRecord::ModOperator {
-                at: now,
-                era,
-                input,
-            },
-        )?;
-        self.run_mod(key, now, |node, sink| node.on_operator(input, sink));
+        let key = M::key(name);
+        let hosted = self
+            .sessions
+            .get_mut(&key)
+            .and_then(|session| Some((session.machine.hosted_mut::<M>()?, &mut session.books)));
+        let Some((slot, books)) = hosted else {
+            return Err(self.refuse(Reject::UnknownSession(key)));
+        };
+        let record = M::wal_record(name, now, input.clone());
+        self.host.persist_input(Some(&mut books.stats), &record)?;
+        let handler = |node: &mut M, sink: &mut Sink<M>| node.on_operator(input, sink);
+        self.host.run(slot, books, now, handler);
         Ok(())
     }
 
     /// Runs the crash-recovery procedure of every hosted session (§5.3):
-    /// called by the application after rebooting from stable storage.
+    /// called by the application after rebooting from stable storage. (A
+    /// machine without one — the agreement broadcast, whose whole state
+    /// rides the snapshot + WAL replay — does nothing.)
     pub fn recover_all(&mut self, now: WallClock) {
-        for key in self.session_keys() {
-            match key {
-                SessionKey::Dkg { .. } => {
-                    self.run_dkg(key, now, |node, sink| node.on_recover(sink))
-                }
-                SessionKey::Vss { .. } => self.run_vss(key, now, |node| {
-                    let mut actions = Vec::new();
-                    node.recover(&mut actions);
-                    actions
-                }),
-                SessionKey::Sign { .. } => {
-                    self.run_sign(key, now, |session, sink| session.on_recover(sink))
-                }
-                // The agreement broadcast has no §5.3 recovery procedure:
-                // its whole state rides the snapshot + WAL replay.
-                SessionKey::Mod { .. } => {}
-            }
+        for Session { machine, books } in self.sessions.values_mut() {
+            dispatch!(machine, slot => {
+                self.host.run(slot, books, now, |node, sink| node.on_recover(sink))
+            });
         }
     }
 
@@ -1064,154 +868,33 @@ impl Endpoint {
         now: WallClock,
     ) -> Result<SessionKey, Reject> {
         self.check_backpressure()?;
-        if datagram.len() > self.config.max_datagram_len {
-            self.stats.rejected += 1;
-            return Err(Reject::OversizedDatagram {
-                len: datagram.len(),
-                max: self.config.max_datagram_len,
-            });
+        let (len, max) = (datagram.len(), self.host.config.max_datagram_len);
+        if len > max {
+            return Err(self.refuse(Reject::OversizedDatagram { len, max }));
         }
         let (_version, header, payload) =
-            decode_datagram_versioned(datagram, self.config.max_wire_version).map_err(|e| {
-                self.stats.rejected += 1;
-                Reject::Malformed(e)
-            })?;
-        let key = SessionKey::from_header(&header).map_err(|e| {
-            self.stats.rejected += 1;
-            Reject::Malformed(e)
-        })?;
-        let Some(session) = self.sessions.get_mut(&key) else {
-            self.stats.rejected += 1;
-            return Err(Reject::UnknownSession(key));
+            decode_datagram_versioned(datagram, self.host.config.max_wire_version)
+                .map_err(|e| self.refuse(Reject::Malformed(e)))?;
+        let key =
+            SessionKey::from_header(&header).map_err(|e| self.refuse(Reject::Malformed(e)))?;
+        let Some(Session { machine, books }) = self.sessions.get_mut(&key) else {
+            return Err(self.refuse(Reject::UnknownSession(key)));
         };
-
-        match (&mut session.state, key) {
-            (SessionState::Dkg(node), SessionKey::Dkg { tau }) => {
-                // Inline commitments resolve against what this session
-                // already holds, so each matrix is decompressed once per
-                // session; anything else decodes context-free.
-                let known = |session, digest: &_| node.known_commitment(session, digest);
-                let message = match DkgMessage::decode_known(payload, &known) {
-                    Ok(message) => message,
-                    Err(e) => {
-                        session.stats.rejected += 1;
-                        return Err(Reject::Malformed(e));
-                    }
-                };
-                let message_tau = match &message {
-                    DkgMessage::Vss(m) => m.session().tau,
-                    DkgMessage::Send { tau, .. }
-                    | DkgMessage::Echo { tau, .. }
-                    | DkgMessage::Ready { tau, .. }
-                    | DkgMessage::LeadCh { tau, .. } => *tau,
-                };
-                if message_tau != tau {
-                    session.stats.rejected += 1;
-                    return Err(Reject::SessionMismatch { header: key });
-                }
-                if self.persistence_active() {
-                    self.persist_input(
-                        Some(key),
-                        &WalRecord::Datagram {
-                            at: now,
-                            from,
-                            bytes: datagram.to_vec(),
-                        },
-                    )?;
-                }
-                let session = self.sessions.get_mut(&key).expect("checked above");
-                session.stats.datagrams_in += 1;
-                session.stats.bytes_in += datagram.len() as u64;
-                self.run_dkg(key, now, |node, sink| node.on_message(from, message, sink));
+        dispatch!(machine, slot => {
+            let message = slot
+                .decode(payload)
+                .inspect_err(|_| books.stats.rejected += 1)?;
+            if self.host.persistence_active() {
+                let bytes = datagram.to_vec();
+                let record = WalRecord::Datagram { at: now, from, bytes };
+                self.host.persist_input(Some(&mut books.stats), &record)?;
             }
-            (SessionState::Vss(node), SessionKey::Vss { session: sid }) => {
-                let known = |session, digest: &_| node.known_commitment(session, digest);
-                let message = match VssMessage::decode_known(payload, &known) {
-                    Ok(message) => message,
-                    Err(e) => {
-                        session.stats.rejected += 1;
-                        return Err(Reject::Malformed(e));
-                    }
-                };
-                if message.session() != sid {
-                    session.stats.rejected += 1;
-                    return Err(Reject::SessionMismatch { header: key });
-                }
-                if self.persistence_active() {
-                    self.persist_input(
-                        Some(key),
-                        &WalRecord::Datagram {
-                            at: now,
-                            from,
-                            bytes: datagram.to_vec(),
-                        },
-                    )?;
-                }
-                let session = self.sessions.get_mut(&key).expect("checked above");
-                session.stats.datagrams_in += 1;
-                session.stats.bytes_in += datagram.len() as u64;
-                self.run_vss(key, now, |node| node.handle_message(from, message));
-            }
-            (SessionState::Sign(_), SessionKey::Sign { sid }) => {
-                let message = match TssMessage::decode(payload) {
-                    Ok(message) => message,
-                    Err(e) => {
-                        session.stats.rejected += 1;
-                        return Err(Reject::Malformed(e));
-                    }
-                };
-                if message.sid() != sid {
-                    session.stats.rejected += 1;
-                    return Err(Reject::SessionMismatch { header: key });
-                }
-                if self.persistence_active() {
-                    self.persist_input(
-                        Some(key),
-                        &WalRecord::Datagram {
-                            at: now,
-                            from,
-                            bytes: datagram.to_vec(),
-                        },
-                    )?;
-                }
-                let session = self.sessions.get_mut(&key).expect("checked above");
-                session.stats.datagrams_in += 1;
-                session.stats.bytes_in += datagram.len() as u64;
-                self.run_sign(key, now, |session, sink| {
-                    session.on_message(from, message, sink)
-                });
-            }
-            (SessionState::Mod(_), SessionKey::Mod { .. }) => {
-                let message = match GroupModMessage::decode(payload) {
-                    Ok(message) => message,
-                    Err(e) => {
-                        session.stats.rejected += 1;
-                        return Err(Reject::Malformed(e));
-                    }
-                };
-                // Group-mod payloads carry no era of their own (the change
-                // set is era-independent), so routing is by header alone —
-                // there is no embedded field to cross-check for splicing.
-                if self.persistence_active() {
-                    self.persist_input(
-                        Some(key),
-                        &WalRecord::Datagram {
-                            at: now,
-                            from,
-                            bytes: datagram.to_vec(),
-                        },
-                    )?;
-                }
-                let session = self.sessions.get_mut(&key).expect("checked above");
-                session.stats.datagrams_in += 1;
-                session.stats.bytes_in += datagram.len() as u64;
-                self.run_mod(key, now, |node, sink| node.on_message(from, message, sink));
-            }
-            // `from_header` pairs protocols and key variants 1:1, and
-            // sessions are inserted under their own key, so a hosted session
-            // always matches its key's variant.
-            _ => unreachable!("session key variant matches session state"),
-        }
+            books.stats.datagrams_in += 1;
+            books.stats.bytes_in += len as u64;
+            self.host.run(slot, books, now, |node, sink| {
+                node.on_message(from, message, sink)
+            });
+        });
         Ok(key)
     }
 
@@ -1228,6 +911,7 @@ impl Endpoint {
             .iter()
             .flat_map(|(&key, session)| {
                 session
+                    .books
                     .timers
                     .iter()
                     .filter(move |(_, &deadline)| deadline <= now)
@@ -1237,37 +921,24 @@ impl Endpoint {
         if due.is_empty() {
             return;
         }
-        if self
-            .persist_input(None, &WalRecord::Timeout { at: now })
-            .is_err()
-        {
+        let record = WalRecord::Timeout { at: now };
+        if self.host.persist_input(None, &record).is_err() {
             return;
         }
         for (key, timer) in due {
-            if let Some(session) = self.sessions.get_mut(&key) {
-                // An earlier firing in this same batch may have cancelled the
-                // timer or re-armed it to a *future* deadline; in either case
-                // it is no longer due and must survive untouched.
-                match session.timers.get(&timer) {
-                    Some(&deadline) if deadline <= now => {
-                        session.timers.remove(&timer);
-                    }
-                    _ => continue,
-                }
-                match key {
-                    SessionKey::Dkg { .. } => {
-                        self.run_dkg(key, now, |node, sink| node.on_timer(timer, sink))
-                    }
-                    // VSS state machines register no timers today; guard for
-                    // future protocols.
-                    SessionKey::Vss { .. } => {}
-                    SessionKey::Sign { .. } => {
-                        self.run_sign(key, now, |session, sink| session.on_timer(timer, sink))
-                    }
-                    // The agreement broadcast registers no timers either.
-                    SessionKey::Mod { .. } => {}
-                }
+            let Some(Session { machine, books }) = self.sessions.get_mut(&key) else {
+                continue;
+            };
+            // An earlier firing in this same batch may have cancelled the
+            // timer or re-armed it to a *future* deadline; in either case
+            // it is no longer due and must survive untouched.
+            if books.timers.get(&timer).is_none_or(|&due| due > now) {
+                continue;
             }
+            books.timers.remove(&timer);
+            dispatch!(machine, slot => {
+                self.host.run(slot, books, now, |node, sink| node.on_timer(timer, sink))
+            });
         }
     }
 
@@ -1275,7 +946,7 @@ impl Endpoint {
     pub fn poll_timeout(&self) -> Option<WallClock> {
         self.sessions
             .values()
-            .flat_map(|s| s.timers.values().copied())
+            .flat_map(|s| s.books.timers.values().copied())
             .min()
     }
 
@@ -1293,26 +964,16 @@ impl Endpoint {
     /// events from different sessions before polling.
     pub fn poll_jobs(&mut self) -> Vec<JobTicket> {
         let mut out = Vec::new();
-        let keys: Vec<SessionKey> = std::mem::take(&mut self.jobs_ready).into_iter().collect();
-        for key in keys {
+        for key in std::mem::take(&mut self.host.jobs_ready) {
             let Some(session) = self.sessions.get_mut(&key) else {
                 continue;
             };
-            loop {
-                let polled = match &mut session.state {
-                    SessionState::Dkg(node) => node.poll_job(),
-                    SessionState::Vss(node) => node.poll_job(),
-                    SessionState::Sign(session) => session.poll_job(),
-                    // The agreement broadcast is hash-free bookkeeping; it
-                    // never prepares crypto jobs.
-                    SessionState::Mod(_) => None,
-                };
-                let Some((inner, job)) = polled else {
-                    break;
-                };
+            while let Some((inner, job)) =
+                dispatch!(&mut session.machine, slot => Hosted::poll_job(&mut *slot.node))
+            {
                 let id = self.next_job;
                 self.next_job += 1;
-                session.stats.jobs += 1;
+                session.books.stats.jobs += 1;
                 self.job_routes.insert(id, (key, inner));
                 out.push(JobTicket {
                     id,
@@ -1339,261 +1000,41 @@ impl Endpoint {
         now: WallClock,
     ) -> Result<SessionKey, Reject> {
         self.check_backpressure()?;
-        let Some(&(key, inner)) = self.job_routes.get(&id) else {
+        let Some((key, inner)) = self.job_routes.remove(&id) else {
             return Err(Reject::UnknownJob(id));
         };
-        self.job_routes.remove(&id);
-        if !self.sessions.contains_key(&key) {
+        let Some(Session { machine, books }) = self.sessions.get_mut(&key) else {
             // The session was evicted while the job was in flight.
             return Err(Reject::UnknownSession(key));
-        }
-        match key {
-            SessionKey::Dkg { .. } => self.run_dkg(key, now, |node, sink| {
-                node.complete_job(inner, verdict, sink)
-            }),
-            SessionKey::Vss { .. } => {
-                self.run_vss(key, now, |node| node.complete_job(inner, verdict))
-            }
-            SessionKey::Sign { .. } => self.run_sign(key, now, |session, sink| {
-                session.complete_job(inner, &verdict, sink)
-            }),
-            // Unreachable in practice: Mod sessions never hand out jobs, so
-            // no ticket can route back to one.
-            SessionKey::Mod { .. } => {}
-        }
+        };
+        dispatch!(machine, slot => {
+            self.host.run(slot, books, now, |node, sink| {
+                Hosted::complete_job(node, inner, verdict, sink)
+            })
+        });
         Ok(key)
     }
 
     /// Takes the next encoded datagram to send, if any.
     pub fn poll_transmit(&mut self) -> Option<Transmit> {
-        self.outbox.pop_front()
+        self.host.outbox.pop_front()
     }
 
     /// Takes up to `max` queued transmits at once. Real-socket drivers
     /// prefer this over repeated [`Endpoint::poll_transmit`] calls: one
     /// drain per service pass instead of one `VecDeque` pop per datagram.
     pub fn poll_transmit_batch(&mut self, max: usize) -> Vec<Transmit> {
-        let take = max.min(self.outbox.len());
-        self.outbox.drain(..take).collect()
+        let take = max.min(self.host.outbox.len());
+        self.host.outbox.drain(..take).collect()
     }
 
     /// Takes the next application event, if any.
     pub fn poll_event(&mut self) -> Option<Event> {
-        self.events.pop_front()
+        self.host.events.pop_front()
     }
 
     /// Queued (undelivered) transmits.
     pub fn outbox_len(&self) -> usize {
-        self.outbox.len()
-    }
-
-    fn run_dkg<F>(&mut self, key: SessionKey, now: WallClock, f: F)
-    where
-        F: FnOnce(&mut DkgNode, &mut ActionSink<DkgMessage, DkgOutput>),
-    {
-        let session = self.sessions.get_mut(&key).expect("caller checked");
-        let SessionState::Dkg(node) = &mut session.state else {
-            unreachable!("dkg key hosts a dkg session");
-        };
-        let mut sink = ActionSink::new();
-        f(node, &mut sink);
-        let complete = node.is_complete();
-        let tau = node.tau();
-        for action in sink.into_actions() {
-            match action {
-                Action::Send { to, message } => {
-                    let kind = message.kind();
-                    let payload = encode_datagram_versioned(
-                        self.config.wire_version,
-                        Header {
-                            protocol: key.protocol(),
-                            channel: key.channel(),
-                        },
-                        &message,
-                    );
-                    session.stats.datagrams_out += 1;
-                    session.stats.bytes_out += payload.len() as u64;
-                    self.outbox.push_back(Transmit {
-                        to,
-                        session: key,
-                        kind,
-                        payload,
-                    });
-                }
-                Action::Output(output) => {
-                    session.stats.events += 1;
-                    self.events.push_back(Event::Dkg { tau, output });
-                }
-                Action::SetTimer { id, delay } => {
-                    session.timers.insert(id, now.saturating_add(delay));
-                }
-                Action::CancelTimer { id } => {
-                    session.timers.remove(&id);
-                }
-            }
-        }
-        if complete && session.stats.completed_at.is_none() {
-            session.stats.completed_at = Some(now);
-        }
-        let SessionState::Dkg(node) = &session.state else {
-            unreachable!("dkg key hosts a dkg session");
-        };
-        if node.has_queued_jobs() {
-            self.jobs_ready.insert(key);
-        }
-    }
-
-    fn run_vss<F>(&mut self, key: SessionKey, now: WallClock, f: F)
-    where
-        F: FnOnce(&mut VssNode) -> Vec<dkg_vss::VssAction>,
-    {
-        let session = self.sessions.get_mut(&key).expect("caller checked");
-        let SessionState::Vss(node) = &mut session.state else {
-            unreachable!("vss key hosts a vss session");
-        };
-        let actions = f(node);
-        let complete = node.is_complete();
-        let sid = node.session();
-        for action in actions {
-            match action {
-                dkg_vss::VssAction::Send { to, message } => {
-                    let kind = message.kind();
-                    let payload = encode_datagram_versioned(
-                        self.config.wire_version,
-                        Header {
-                            protocol: key.protocol(),
-                            channel: key.channel(),
-                        },
-                        &message,
-                    );
-                    session.stats.datagrams_out += 1;
-                    session.stats.bytes_out += payload.len() as u64;
-                    self.outbox.push_back(Transmit {
-                        to,
-                        session: key,
-                        kind,
-                        payload,
-                    });
-                }
-                dkg_vss::VssAction::Output(output) => {
-                    session.stats.events += 1;
-                    self.events.push_back(Event::Vss {
-                        session: sid,
-                        output,
-                    });
-                }
-            }
-        }
-        if complete && session.stats.completed_at.is_none() {
-            session.stats.completed_at = Some(now);
-        }
-        let SessionState::Vss(node) = &session.state else {
-            unreachable!("vss key hosts a vss session");
-        };
-        if node.has_queued_jobs() {
-            self.jobs_ready.insert(key);
-        }
-    }
-
-    fn run_sign<F>(&mut self, key: SessionKey, now: WallClock, f: F)
-    where
-        F: FnOnce(&mut SignSession, &mut ActionSink<TssMessage, TssOutput>),
-    {
-        let session = self.sessions.get_mut(&key).expect("caller checked");
-        let SessionState::Sign(machine) = &mut session.state else {
-            unreachable!("sign key hosts a signing session");
-        };
-        let mut sink = ActionSink::new();
-        f(machine, &mut sink);
-        let sid = machine.sid();
-        for action in sink.into_actions() {
-            match action {
-                Action::Send { to, message } => {
-                    let kind = message.kind();
-                    let payload = encode_datagram_versioned(
-                        self.config.wire_version,
-                        Header {
-                            protocol: key.protocol(),
-                            channel: key.channel(),
-                        },
-                        &message,
-                    );
-                    session.stats.datagrams_out += 1;
-                    session.stats.bytes_out += payload.len() as u64;
-                    self.outbox.push_back(Transmit {
-                        to,
-                        session: key,
-                        kind,
-                        payload,
-                    });
-                }
-                Action::Output(output) => {
-                    session.stats.events += 1;
-                    self.events.push_back(Event::Tss { sid, output });
-                }
-                Action::SetTimer { id, delay } => {
-                    session.timers.insert(id, now.saturating_add(delay));
-                }
-                Action::CancelTimer { id } => {
-                    session.timers.remove(&id);
-                }
-            }
-        }
-        let SessionState::Sign(machine) = &session.state else {
-            unreachable!("sign key hosts a signing session");
-        };
-        if machine.has_queued_jobs() {
-            self.jobs_ready.insert(key);
-        }
-    }
-
-    fn run_mod<F>(&mut self, key: SessionKey, now: WallClock, f: F)
-    where
-        F: FnOnce(&mut GroupModNode, &mut ActionSink<GroupModMessage, GroupModOutput>),
-    {
-        let session = self.sessions.get_mut(&key).expect("caller checked");
-        let SessionState::Mod(node) = &mut session.state else {
-            unreachable!("mod key hosts a group-mod session");
-        };
-        let SessionKey::Mod { era } = key else {
-            unreachable!("mod key hosts a group-mod session");
-        };
-        let mut sink = ActionSink::new();
-        f(node, &mut sink);
-        for action in sink.into_actions() {
-            match action {
-                Action::Send { to, message } => {
-                    let kind = message.kind();
-                    let payload = encode_datagram_versioned(
-                        self.config.wire_version,
-                        Header {
-                            protocol: key.protocol(),
-                            channel: key.channel(),
-                        },
-                        &message,
-                    );
-                    session.stats.datagrams_out += 1;
-                    session.stats.bytes_out += payload.len() as u64;
-                    self.outbox.push_back(Transmit {
-                        to,
-                        session: key,
-                        kind,
-                        payload,
-                    });
-                }
-                Action::Output(output) => {
-                    session.stats.events += 1;
-                    self.events.push_back(Event::Mod { era, output });
-                }
-                Action::SetTimer { id, delay } => {
-                    session.timers.insert(id, now.saturating_add(delay));
-                }
-                Action::CancelTimer { id } => {
-                    session.timers.remove(&id);
-                }
-            }
-        }
-        // No completed_at: like signing, the agreement stays open for late
-        // deltas. No jobs_ready tail: GroupModNode prepares no crypto jobs.
+        self.host.outbox.len()
     }
 }

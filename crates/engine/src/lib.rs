@@ -3,9 +3,9 @@
 //! The sans-I/O protocol engine for the hybrid DKG reproduction of
 //! *Distributed Key Generation for the Internet* (Kate & Goldberg,
 //! ICDCS 2009): a poll-based [`Endpoint`] that multiplexes many concurrent
-//! DKG, HybridVSS and threshold-signing sessions — keyed by
-//! `(SessionId, τ)` / signing-session id — over real encoded byte
-//! datagrams. A completed DKG's key material feeds straight into a hosted
+//! DKG, HybridVSS, threshold-signing and group-modification sessions —
+//! each under its [`SessionKey`] — over real encoded byte datagrams. A
+//! completed DKG's key material feeds straight into a hosted
 //! [`dkg_tss::SignSession`] ([`Endpoint::add_sign_session`]), so the same
 //! endpoint that generated the key serves signing requests with it.
 //!
@@ -30,8 +30,10 @@
 //! where the O(n²) group operations actually run.
 //!
 //! * [`endpoint`] — [`Endpoint`], [`SessionKey`], [`Transmit`], [`Event`],
-//!   [`Reject`], per-session [`SessionStats`], completion-based eviction,
-//!   the crypto-job interface ([`JobTicket`]).
+//!   [`Reject`], per-session [`SessionStats`], durable eviction, the
+//!   crypto-job interface ([`JobTicket`]). What a state machine must
+//!   provide to be hosted is the crate-private `Hosted` trait
+//!   (`session.rs`); the endpoint is generic over it.
 //! * [`executor`] — [`executor::Executor`], [`executor::InlineExecutor`],
 //!   [`executor::ThreadPoolExecutor`] (`DKG_WORKERS`, bounded queue).
 //! * [`net`] — [`EndpointNet`], a deterministic datagram network for tests
@@ -70,6 +72,7 @@ pub mod executor;
 pub mod net;
 pub mod persist;
 pub mod runner;
+mod session;
 
 pub use endpoint::{
     Endpoint, EndpointConfig, EndpointStats, Event, JobTicket, Reject, SessionKey, SessionStats,

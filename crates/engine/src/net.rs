@@ -46,29 +46,17 @@ enum NetEvent {
     CorruptStart {
         node: NodeId,
     },
-    DkgInput {
+    /// An operator input: the typed `Endpoint::handle_*_input` call it
+    /// stands for, bound to its session and input at scheduling time.
+    Input {
         node: NodeId,
-        tau: u64,
-        input: DkgInput,
-    },
-    VssInput {
-        node: NodeId,
-        session: SessionId,
-        input: VssInput,
-    },
-    TssInput {
-        node: NodeId,
-        sid: u64,
-        input: TssInput,
-    },
-    ModInput {
-        node: NodeId,
-        era: u64,
-        input: GroupModInput,
+        apply: OperatorInput,
     },
     Crash(NodeId),
     Recover(NodeId),
 }
+
+type OperatorInput = Box<dyn FnOnce(&mut Endpoint, WallClock) -> Result<(), Reject>>;
 
 struct Scheduled {
     time: WallClock,
@@ -449,7 +437,8 @@ impl EndpointNet {
 
     /// Schedules a DKG operator input.
     pub fn schedule_dkg_input(&mut self, node: NodeId, tau: u64, input: DkgInput, at: WallClock) {
-        self.push(at, NetEvent::DkgInput { node, tau, input });
+        let apply = Box::new(move |e: &mut Endpoint, now| e.handle_dkg_input(tau, input, now));
+        self.push(at, NetEvent::Input { node, apply });
     }
 
     /// Schedules a VSS operator input.
@@ -460,19 +449,14 @@ impl EndpointNet {
         input: VssInput,
         at: WallClock,
     ) {
-        self.push(
-            at,
-            NetEvent::VssInput {
-                node,
-                session,
-                input,
-            },
-        );
+        let apply = Box::new(move |e: &mut Endpoint, now| e.handle_vss_input(session, input, now));
+        self.push(at, NetEvent::Input { node, apply });
     }
 
     /// Schedules a signing-session operator input.
     pub fn schedule_tss_input(&mut self, node: NodeId, sid: u64, input: TssInput, at: WallClock) {
-        self.push(at, NetEvent::TssInput { node, sid, input });
+        let apply = Box::new(move |e: &mut Endpoint, now| e.handle_tss_input(sid, input, now));
+        self.push(at, NetEvent::Input { node, apply });
     }
 
     /// Schedules a §6 group-modification operator input.
@@ -483,7 +467,8 @@ impl EndpointNet {
         input: GroupModInput,
         at: WallClock,
     ) {
-        self.push(at, NetEvent::ModInput { node, era, input });
+        let apply = Box::new(move |e: &mut Endpoint, now| e.handle_mod_input(era, input, now));
+        self.push(at, NetEvent::Input { node, apply });
     }
 
     /// Schedules a crash: at `at`, the node's in-memory endpoint is
@@ -539,6 +524,7 @@ impl EndpointNet {
         self.processed += 1;
         debug_assert!(scheduled.time >= self.now, "time must be monotone");
         self.now = scheduled.time;
+        let now = self.now;
         match scheduled.event {
             NetEvent::Deliver {
                 from,
@@ -546,7 +532,6 @@ impl EndpointNet {
                 bytes,
                 origin,
             } => {
-                let now = self.now;
                 if let Some(corrupt) = self.corrupt.get_mut(&to) {
                     // An adversary-controlled node receives its traffic
                     // like any other node; what it does with it is the
@@ -557,13 +542,7 @@ impl EndpointNet {
                 } else if let Some(endpoint) = self.endpoints.get_mut(&to) {
                     match endpoint.handle_datagram(from, &bytes, now) {
                         Ok(_) => self.metrics.record_delivery(),
-                        Err(reject) => self.rejections.push(RejectRecord {
-                            time: now,
-                            node: to,
-                            from,
-                            origin,
-                            reject,
-                        }),
+                        Err(reject) => self.refused(to, from, origin, reject),
                     }
                     self.drain(to);
                 } else {
@@ -574,13 +553,8 @@ impl EndpointNet {
             }
             NetEvent::Wake { node } => {
                 self.scheduled_wake.remove(&node);
-                let now = self.now;
-                if self.corrupt.contains_key(&node) {
-                    let sends = self
-                        .corrupt
-                        .get_mut(&node)
-                        .expect("checked above")
-                        .on_wake(now);
+                if let Some(corrupt) = self.corrupt.get_mut(&node) {
+                    let sends = corrupt.on_wake(now);
                     self.emit_corrupt(node, sends);
                 } else if let Some(endpoint) = self.endpoints.get_mut(&node) {
                     endpoint.handle_timeout(now);
@@ -588,72 +562,15 @@ impl EndpointNet {
                 }
             }
             NetEvent::CorruptStart { node } => {
-                let now = self.now;
                 if let Some(corrupt) = self.corrupt.get_mut(&node) {
                     let sends = corrupt.on_start(now);
                     self.emit_corrupt(node, sends);
                 }
             }
-            NetEvent::DkgInput { node, tau, input } => {
-                let now = self.now;
+            NetEvent::Input { node, apply } => {
                 if let Some(endpoint) = self.endpoints.get_mut(&node) {
-                    if let Err(reject) = endpoint.handle_dkg_input(tau, input, now) {
-                        self.rejections.push(RejectRecord {
-                            time: now,
-                            node,
-                            from: node,
-                            origin: DatagramOrigin::Honest,
-                            reject,
-                        });
-                    }
-                    self.drain(node);
-                }
-            }
-            NetEvent::VssInput {
-                node,
-                session,
-                input,
-            } => {
-                let now = self.now;
-                if let Some(endpoint) = self.endpoints.get_mut(&node) {
-                    if let Err(reject) = endpoint.handle_vss_input(session, input, now) {
-                        self.rejections.push(RejectRecord {
-                            time: now,
-                            node,
-                            from: node,
-                            origin: DatagramOrigin::Honest,
-                            reject,
-                        });
-                    }
-                    self.drain(node);
-                }
-            }
-            NetEvent::TssInput { node, sid, input } => {
-                let now = self.now;
-                if let Some(endpoint) = self.endpoints.get_mut(&node) {
-                    if let Err(reject) = endpoint.handle_tss_input(sid, input, now) {
-                        self.rejections.push(RejectRecord {
-                            time: now,
-                            node,
-                            from: node,
-                            origin: DatagramOrigin::Honest,
-                            reject,
-                        });
-                    }
-                    self.drain(node);
-                }
-            }
-            NetEvent::ModInput { node, era, input } => {
-                let now = self.now;
-                if let Some(endpoint) = self.endpoints.get_mut(&node) {
-                    if let Err(reject) = endpoint.handle_mod_input(era, input, now) {
-                        self.rejections.push(RejectRecord {
-                            time: now,
-                            node,
-                            from: node,
-                            origin: DatagramOrigin::Honest,
-                            reject,
-                        });
+                    if let Err(reject) = apply(endpoint, now) {
+                        self.refused(node, node, DatagramOrigin::Honest, reject);
                     }
                     self.drain(node);
                 }
@@ -669,7 +586,6 @@ impl EndpointNet {
             }
             NetEvent::Recover(node) => {
                 if let Some(config) = self.crashed.remove(&node) {
-                    let now = self.now;
                     let endpoint = if config.store.is_some() {
                         // Rebuild from stable storage: snapshot + WAL
                         // replay reconstructs the pre-crash state exactly.
@@ -762,13 +678,7 @@ impl EndpointNet {
                         // into the network, then retry the verdict.
                         Err(Reject::Backpressure { .. }) => self.pump_io(node),
                         Err(reject) => {
-                            self.rejections.push(RejectRecord {
-                                time: now,
-                                node,
-                                from: node,
-                                origin: DatagramOrigin::Honest,
-                                reject,
-                            });
+                            self.refused(node, node, DatagramOrigin::Honest, reject);
                             break;
                         }
                         Ok(_) => break,
@@ -781,129 +691,111 @@ impl EndpointNet {
         if let Some(endpoint) = self.endpoints.get_mut(&node) {
             endpoint.maybe_compact();
         }
-        if let Some(deadline) = self.endpoints[&node].poll_timeout() {
-            let wake_at = deadline.max(now);
-            let already = self.scheduled_wake.get(&node).copied();
-            if already.is_none_or(|t| wake_at < t) {
-                self.scheduled_wake.insert(node, wake_at);
-                self.push(wake_at, NetEvent::Wake { node });
-            }
+        let deadline = self.endpoints.get(&node).and_then(Endpoint::poll_timeout);
+        self.wake_by(node, deadline);
+    }
+
+    /// Keeps `node`'s wake-up scheduled no later than `deadline`.
+    fn wake_by(&mut self, node: NodeId, deadline: Option<WallClock>) {
+        let Some(deadline) = deadline else {
+            return;
+        };
+        let wake_at = deadline.max(self.now);
+        if self.scheduled_wake.get(&node).is_none_or(|&t| wake_at < t) {
+            self.scheduled_wake.insert(node, wake_at);
+            self.push(wake_at, NetEvent::Wake { node });
         }
     }
 
-    /// Moves pending transmits into the network (folding each into the
-    /// byte transcript) and surfaces application events.
+    fn refused(&mut self, node: NodeId, from: NodeId, origin: DatagramOrigin, reject: Reject) {
+        self.rejections.push(RejectRecord {
+            time: self.now,
+            node,
+            from,
+            origin,
+            reject,
+        });
+    }
+
+    /// Moves pending transmits into the network and surfaces application
+    /// events.
     fn pump_io(&mut self, node: NodeId) {
-        let now = self.now;
-        loop {
-            let Some(endpoint) = self.endpoints.get_mut(&node) else {
-                return;
-            };
-            let Some(transmit) = endpoint.poll_transmit() else {
-                break;
-            };
-            self.metrics
-                .record_send(node, transmit.kind, transmit.payload.len());
-            if let Some(transcript) = &mut self.transcript {
-                let mut chained = Vec::with_capacity(32 + 16 + transmit.payload.len());
-                chained.extend_from_slice(&transcript[..]);
-                chained.extend_from_slice(&node.to_be_bytes());
-                chained.extend_from_slice(&transmit.to.to_be_bytes());
-                chained.extend_from_slice(&transmit.payload);
-                *transcript = sha256(&chained);
-            }
-            if self.muted.contains(&node) {
-                continue;
-            }
-            let delay = if transmit.to == node {
-                0
-            } else {
-                match self.chaos.fate(node, transmit.to, now, &mut self.rng) {
-                    LinkFate::Deliver(delay) => delay,
-                    LinkFate::Severed => {
-                        self.severed += 1;
-                        continue;
-                    }
-                }
-            };
-            self.push(
-                now.saturating_add(delay),
-                NetEvent::Deliver {
-                    from: node,
-                    to: transmit.to,
-                    bytes: transmit.payload,
-                    origin: DatagramOrigin::Honest,
-                },
-            );
-        }
-        let endpoint = self.endpoints.get_mut(&node).expect("endpoint exists");
+        let Some(endpoint) = self.endpoints.get_mut(&node) else {
+            return;
+        };
+        let transmits = endpoint.poll_transmit_batch(usize::MAX);
         while let Some(event) = endpoint.poll_event() {
             self.events.push(EventRecord {
-                time: now,
+                time: self.now,
                 node,
                 event,
             });
         }
+        for transmit in transmits {
+            let (to, bytes) = (transmit.to, transmit.payload);
+            self.carry(node, transmit.kind, node, to, bytes, DatagramOrigin::Honest);
+        }
     }
 
-    /// Carries an adversary-controlled node's emissions into the network —
-    /// the corrupted counterpart of [`EndpointNet::pump_io`] (metrics,
-    /// transcript folding, muting, chaos link fates all apply; `node` is
-    /// the controlling node, [`CorruptSend::from`] the claimed sender) —
-    /// and keeps the node's wake-up scheduled.
+    /// Carries an adversary-controlled node's emissions into the network and
+    /// keeps the node's wake-up scheduled.
     fn emit_corrupt(&mut self, node: NodeId, sends: Vec<CorruptSend>) {
-        let now = self.now;
-        for send in sends {
-            // Traffic accounting charges the *controlling* node, not the
-            // claimed sender — a spoofing adversary must not inflate an
-            // honest node's byte tally in the complexity metrics.
-            self.metrics
-                .record_send(node, "adversary", send.bytes.len());
-            if let Some(transcript) = &mut self.transcript {
-                let mut chained = Vec::with_capacity(32 + 16 + send.bytes.len());
-                chained.extend_from_slice(&transcript[..]);
-                chained.extend_from_slice(&send.from.to_be_bytes());
-                chained.extend_from_slice(&send.to.to_be_bytes());
-                chained.extend_from_slice(&send.bytes);
-                *transcript = sha256(&chained);
-            }
+        for CorruptSend { from, to, bytes } in sends {
             if let Some(frames) = &mut self.adversary_frames {
-                frames.push((send.from, send.to, send.bytes.clone()));
+                frames.push((from, to, bytes.clone()));
             }
-            if self.muted.contains(&node) {
-                continue;
-            }
-            // Link characteristics (delay, partitions) follow the wire the
-            // frame physically leaves on — the corrupted node's — not the
-            // spoofed identity.
-            let delay = if send.to == node {
-                0
-            } else {
-                match self.chaos.fate(node, send.to, now, &mut self.rng) {
-                    LinkFate::Deliver(delay) => delay,
-                    LinkFate::Severed => {
-                        self.severed += 1;
-                        continue;
-                    }
+            let origin = DatagramOrigin::Adversary;
+            self.carry(node, "adversary", from, to, bytes, origin);
+        }
+        let deadline = self.corrupt.get(&node).and_then(|c| c.poll_wake());
+        self.wake_by(node, deadline);
+    }
+
+    /// Puts one frame on the wire. `node` is the node it physically leaves:
+    /// traffic accounting charges it, and muting and link characteristics
+    /// (delay, partitions) are its own. `from` is the sender the receiver is
+    /// told, which differs from `node` only when an adversary spoofs — a
+    /// spoofing adversary must not inflate an honest node's byte tally in
+    /// the complexity metrics, nor borrow its links.
+    fn carry(
+        &mut self,
+        node: NodeId,
+        kind: &'static str,
+        from: NodeId,
+        to: NodeId,
+        bytes: Vec<u8>,
+        origin: DatagramOrigin,
+    ) {
+        let now = self.now;
+        self.metrics.record_send(node, kind, bytes.len());
+        if let Some(transcript) = &mut self.transcript {
+            let mut chained = Vec::with_capacity(32 + 16 + bytes.len());
+            chained.extend_from_slice(&transcript[..]);
+            chained.extend_from_slice(&from.to_be_bytes());
+            chained.extend_from_slice(&to.to_be_bytes());
+            chained.extend_from_slice(&bytes);
+            *transcript = sha256(&chained);
+        }
+        if self.muted.contains(&node) {
+            return;
+        }
+        let delay = if to == node {
+            0
+        } else {
+            match self.chaos.fate(node, to, now, &mut self.rng) {
+                LinkFate::Deliver(delay) => delay,
+                LinkFate::Severed => {
+                    self.severed += 1;
+                    return;
                 }
-            };
-            self.push(
-                now.saturating_add(delay),
-                NetEvent::Deliver {
-                    from: send.from,
-                    to: send.to,
-                    bytes: send.bytes,
-                    origin: DatagramOrigin::Adversary,
-                },
-            );
-        }
-        if let Some(deadline) = self.corrupt.get(&node).and_then(|c| c.poll_wake()) {
-            let wake_at = deadline.max(now);
-            let already = self.scheduled_wake.get(&node).copied();
-            if already.is_none_or(|t| wake_at < t) {
-                self.scheduled_wake.insert(node, wake_at);
-                self.push(wake_at, NetEvent::Wake { node });
             }
-        }
+        };
+        let deliver = NetEvent::Deliver {
+            from,
+            to,
+            bytes,
+            origin,
+        };
+        self.push(now.saturating_add(delay), deliver);
     }
 }

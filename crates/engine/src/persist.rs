@@ -2,8 +2,9 @@
 //! restore error type.
 //!
 //! An [`EndpointSnapshot`] is the stable image of everything an
-//! [`crate::Endpoint`] hosts: per-session state-machine snapshots
-//! ([`DkgSnapshot`] / [`VssSnapshot`]), per-session counters and armed
+//! [`crate::Endpoint`] hosts: one [`SessionStateSnapshot`] per session
+//! ([`DkgSnapshot`], [`VssSnapshot`] plus its signing directory,
+//! [`SignSnapshot`], [`GroupModSnapshot`]), per-session counters and armed
 //! timers, and the endpoint's aggregate statistics. The envelope starts
 //! with a version byte ([`SNAPSHOT_VERSION`]); decoders reject anything
 //! else, so incompatible future formats are safe to deploy incrementally —
@@ -11,8 +12,10 @@
 //! guard network input (curve points, canonical scalars, strict tags).
 //!
 //! The snapshot is the *compaction* artefact: installing one into a
-//! [`dkg_store::Store`] truncates the endpoint's write-ahead log. Restore
-//! is snapshot-then-replay — see [`crate::Endpoint::restore`].
+//! [`dkg_store::Store`] truncates the endpoint's write-ahead log. One is
+//! written whenever the session table changes (a session added or evicted)
+//! and when the log outgrows its threshold. Restore is snapshot-then-replay
+//! — see [`crate::Endpoint::restore`].
 
 use dkg_arith::GroupElement;
 use dkg_core::group::GroupModSnapshot;
@@ -35,7 +38,7 @@ pub struct PersistStats {
     pub wal_appended: u64,
     /// WAL frames replayed during restores.
     pub wal_replayed: u64,
-    /// Snapshots written (session additions + compactions).
+    /// Snapshots written (session additions, evictions, compactions).
     pub snapshots_written: u64,
     /// Times this endpoint's state was rebuilt from its store.
     pub recoveries: u64,

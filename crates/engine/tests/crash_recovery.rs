@@ -397,6 +397,208 @@ fn restore_reproduces_the_live_endpoint() {
     assert_eq!(restored.persist_stats().recoveries, 1);
 }
 
+/// The same equivalence with one session of every kind mid-run on the
+/// endpoint: a second DKG, a standalone VSS sharing, signing requests on the
+/// first DKG's key and a group-modification agreement. The restored
+/// endpoint re-snapshots every session to the live endpoint's bytes.
+#[test]
+fn restore_reproduces_an_endpoint_hosting_every_kind() {
+    use dkg_arith::{PrimeField, Scalar};
+    use dkg_core::group::{GroupChange, GroupModInput, GroupModNode, ParameterAdjustment};
+    use dkg_engine::runner::attach_sign_sessions;
+    use dkg_tss::TssInput;
+    use dkg_vss::{SessionId, VssInput, VssNode};
+    use dkg_wire::WireEncode;
+
+    let n = 4;
+    let setup = SystemSetup::generate(n, 0, 1606);
+    let nodes = setup.config.vss.nodes.clone();
+    let (mut net, stores) = build_persistent_net(&setup, Crypto::Direct, u64::MAX);
+    for &node in &nodes {
+        net.schedule_dkg_input(node, 0, DkgInput::Start, 0);
+    }
+    net.run();
+    assert_eq!(
+        attach_sign_sessions(&mut net, 0, 1, 5_000, setup.seed),
+        nodes
+    );
+
+    let sharing = SessionId::new(1, 7);
+    for &node in &nodes {
+        let endpoint = net.endpoint_mut(node).expect("endpoint is live");
+        let vss = VssNode::new(node, setup.config.vss.clone(), sharing, 70 + node, None);
+        endpoint.add_dkg_session(setup.build_node(node, 1)).unwrap();
+        endpoint.add_vss_session(vss).unwrap();
+        let agreement = GroupModNode::new(node, setup.config.clone());
+        endpoint.add_mod_session(0, agreement).unwrap();
+    }
+    let start = net.now() + 1;
+    let change = GroupChange::AddNode {
+        node: 9,
+        adjustment: ParameterAdjustment::None,
+    };
+    let secret = Scalar::from_u64(77);
+    for &node in &nodes {
+        net.schedule_dkg_input(node, 1, DkgInput::Start, start);
+        let message = format!("request {node}").into_bytes();
+        net.schedule_tss_input(node, 1, TssInput::Sign { req: node, message }, start);
+    }
+    net.schedule_vss_input(1, sharing, VssInput::Share { secret }, start);
+    net.schedule_mod_input(2, 0, GroupModInput::Propose(change), start);
+    net.run_until(start + 60);
+
+    let live = net.endpoint(3).expect("endpoint 3 exists");
+    assert_eq!(live.session_count(), 5);
+    assert!(!live.is_complete(SessionKey::Dkg { tau: 1 }), "mid-run");
+    let live_image = live.snapshot().expect("quiescent");
+    for session in &live_image.sessions {
+        assert!(
+            session.stats.datagrams_in > 0,
+            "{:?} is under way",
+            session.key
+        );
+    }
+    let restored = Endpoint::restore(EndpointConfig {
+        store: Some(stores[&3].clone()),
+        ..EndpointConfig::default()
+    })
+    .expect("restore succeeds");
+    assert!(restored.persist_stats().wal_replayed > 0);
+    let restored_image = restored.snapshot().expect("quiescent");
+    assert_eq!(restored_image.stats, live_image.stats);
+    assert_eq!(
+        restored_image.sessions.encode(),
+        live_image.sessions.encode()
+    );
+
+    // And the restored node finishes what the live one would have.
+    net.schedule_crash(3, net.now());
+    net.schedule_recover(3, net.now());
+    net.run();
+    assert!(net.recovery_failures().is_empty());
+    assert_eq!(collect_outcomes(&net, 1).len(), n);
+    let endpoint = net.endpoint(3).expect("endpoint 3 recovered");
+    assert!(endpoint.is_complete(SessionKey::Vss { session: sharing }));
+    assert_eq!(endpoint.mod_session(0).unwrap().accepted(), [change]);
+    for &node in &nodes {
+        assert!(endpoint.sign_session(1).unwrap().result(node).is_some());
+    }
+}
+
+/// Eviction is as durable as addition: an evicted session stays evicted
+/// across a crash, instead of coming back with the last snapshot.
+#[test]
+fn evicted_session_stays_evicted_after_a_crash() {
+    let n = 4;
+    let setup = SystemSetup::generate(n, 0, 2718);
+    let nodes = setup.config.vss.nodes.clone();
+    let (mut net, _stores) = build_persistent_net(&setup, Crypto::Direct, u64::MAX);
+    for &node in &nodes {
+        let endpoint = net.endpoint_mut(node).expect("endpoint is live");
+        endpoint.add_dkg_session(setup.build_node(node, 1)).unwrap();
+        net.schedule_dkg_input(node, 0, DkgInput::Start, 0);
+        net.schedule_dkg_input(node, 1, DkgInput::Start, 0);
+    }
+    net.run();
+
+    let (kept, gone) = (SessionKey::Dkg { tau: 0 }, SessionKey::Dkg { tau: 1 });
+    let endpoint = net.endpoint_mut(2).expect("endpoint 2 exists");
+    assert!(endpoint.is_complete(kept) && endpoint.is_complete(gone));
+    let snapshots = endpoint.persist_stats().snapshots_written;
+    let stats = endpoint.evict(gone).expect("quiescent endpoint evicts");
+    assert!(stats.completed_at.is_some());
+    assert_eq!(endpoint.persist_stats().snapshots_written, snapshots + 1);
+    assert_eq!(endpoint.evict(gone), Err(Reject::UnknownSession(gone)));
+
+    net.schedule_crash(2, net.now() + 1);
+    net.schedule_recover(2, net.now() + 2);
+    net.run();
+    assert!(net.recovery_failures().is_empty());
+    let endpoint = net.endpoint_mut(2).expect("endpoint 2 recovered");
+    assert_eq!(endpoint.session_keys(), [kept]);
+    assert_eq!(endpoint.stats().evicted, 1);
+    // A straggler for the evicted session finds nothing to route to.
+    let header = dkg_wire::Header {
+        protocol: gone.protocol(),
+        channel: gone.channel(),
+    };
+    let straggler = dkg_wire::encode_datagram(header, &0u64);
+    assert_eq!(
+        endpoint.handle_datagram(3, &straggler, 9_999),
+        Err(Reject::UnknownSession(gone))
+    );
+
+    // Durable or refused: with crypto jobs in flight no snapshot can be
+    // taken, so the eviction is refused and the session stays.
+    let store = StoreHandle::in_memory();
+    let mut deferred = Endpoint::new(
+        1,
+        EndpointConfig {
+            defer_crypto: true,
+            store: Some(store),
+            ..EndpointConfig::default()
+        },
+    );
+    deferred.add_dkg_session(setup.build_node(1, 0)).unwrap();
+    deferred.handle_dkg_input(0, DkgInput::Start, 0).unwrap();
+    while let Some(transmit) = deferred.poll_transmit() {
+        if transmit.to == 1 {
+            deferred.handle_datagram(1, &transmit.payload, 0).unwrap();
+        }
+    }
+    assert!(!deferred.poll_jobs().is_empty(), "a job is in flight");
+    assert_eq!(
+        deferred.evict(kept),
+        Err(Reject::PersistFailed(
+            dkg_store::StoreError::SnapshotUnavailable
+        ))
+    );
+    assert_eq!(deferred.session_keys(), [kept]);
+    assert_eq!(deferred.stats().evicted, 0);
+    assert_eq!(deferred.persist_stats().persist_errors, 1);
+}
+
+/// A snapshot whose session state sits under another session's key, or
+/// speaks for another node than the envelope, is refused with a typed
+/// error — the state is never filed where datagrams would mis-route to it.
+#[test]
+fn inconsistent_snapshot_fails_restore_typed() {
+    use dkg_engine::RestoreError;
+    use dkg_store::StoreError;
+
+    let setup = SystemSetup::generate(4, 0, 909);
+    let mut endpoint = Endpoint::new(1, EndpointConfig::default());
+    endpoint.add_dkg_session(setup.build_node(1, 0)).unwrap();
+    let image = endpoint.snapshot().expect("quiescent");
+    let restore = |image: &EndpointSnapshot| {
+        let store = StoreHandle::in_memory();
+        store.install_snapshot(&image.to_bytes()).unwrap();
+        Endpoint::restore(EndpointConfig {
+            store: Some(store),
+            ..EndpointConfig::default()
+        })
+        .map(|endpoint| endpoint.session_keys())
+    };
+    assert_eq!(restore(&image), Ok(vec![SessionKey::Dkg { tau: 0 }]));
+
+    for key in [SessionKey::Dkg { tau: 5 }, SessionKey::Mod { era: 0 }] {
+        let mut misfiled = image.clone();
+        misfiled.sessions[0].key = key;
+        assert!(matches!(
+            restore(&misfiled),
+            Err(RestoreError::Store(StoreError::Corrupt(_)))
+        ));
+    }
+    let mut foreign = image.clone();
+    foreign.id = 2;
+    assert_eq!(
+        restore(&foreign),
+        Err(RestoreError::Snapshot(
+            dkg_vss::SnapshotError::ForeignNode { node: 1 }
+        ))
+    );
+}
+
 /// Every inline commitment matrix a restored full-mode node holds: for each
 /// dealer, the handles in its commitment store and in its recovery outbox
 /// `B` (up to `2n` echo/ready messages per dealer).

@@ -1,0 +1,195 @@
+//! Golden transcripts: what "byte-identical" means **across commits**.
+//!
+//! The executor-determinism and crash-recovery suites compare runs *within*
+//! one build (pool vs inline, restored vs uninterrupted). Nothing there
+//! notices a refactor that changes every executor's bytes the same way.
+//! This file pins the bytes themselves: the wire transcript of an n = 7 DKG
+//! (full and digest commitments), a standalone HybridVSS sharing, a signing
+//! burst on the DKG'd key and the fleet determinism plan, plus the snapshot
+//! and the store contents (snapshot + WAL) of every endpoint after a
+//! store-backed DKG.
+//!
+//! A constant here changes only when a PR changes the wire format, the
+//! snapshot/WAL format, a protocol's message order or the seeded
+//! randomness — and then the PR says so. A refactor leaves the file
+//! untouched.
+
+use dkg_arith::{PrimeField, Scalar};
+use dkg_core::{DkgConfig, DkgInput};
+use dkg_crypto::sha256::{hex, sha256};
+use dkg_engine::runner::{
+    attach_sign_sessions, build_dkg_net, collect_outcomes, collect_signatures, SystemSetup,
+};
+use dkg_engine::{Endpoint, EndpointConfig, EndpointNet};
+use dkg_sim::DelayModel;
+use dkg_store::StoreHandle;
+use dkg_tss::TssInput;
+use dkg_vss::{CommitmentMode, SessionId, VssConfig, VssInput, VssNode};
+use dkg_wire::WireEncode;
+
+const N: usize = 7;
+const DELAY: DelayModel = DelayModel::Uniform { min: 5, max: 40 };
+
+const DKG_FULL: &str = "d7c120c267ca4177a164300ac160cad8a849dada72c7109d9c7754cdb05ca070";
+const DKG_DIGEST: &str = "14b16437b12a103467748d2051d1503b528b77c0f3732805cad17d0436b035d0";
+const VSS: &str = "de0db7cd0fbc8bdcc33e2d53e9ab19c25a3218ea572745b53301fda9d4127d03";
+const SIGNING_BURST: &str = "349c6f2990acf7aea55875d8edd5bb286f47c157093a5e38b1c6b27829a5bd01";
+const FLEET_DETERMINISM: &str = "aee70bd2b3287dc7e73ce2cc3924d4f856cfb0d9c8f382743b5d8f9a4684129f";
+/// SHA-256 of `snapshot().to_bytes()` of endpoints 1..=7 after a
+/// store-backed DKG.
+const SNAPSHOTS: [&str; N] = [
+    "f632647dd6d67cea668514c18102e59983fa58415843d76b8178280b64ec893c",
+    "9edbc7cbc537278e077ec8cd856e42bf31a7a484df5118ca360ef6c88ebfe9e9",
+    "ed5d48df5100ee324f0ead65b7f7f34c34530cbb68608a7656150c1a28dc4198",
+    "4f4f88460cd1535ff211627a8821cba8871f481025ba41a1ddedd2a1ceddd422",
+    "d02ee5c676e708dfed1c552da8c9b8936170f59cf27b3bfc2cd56e429051c141",
+    "338b70932d920399c08dcb91375a66bc56c14c90dbf920eff695a367e701cc8a",
+    "0f36a7d59ae543c31f76245aa122421104ccc8c155d8097c264b487a1bec42c2",
+];
+/// SHA-256 of what each endpoint's store holds after the same run: the
+/// installed snapshot, then every WAL record re-encoded, in order.
+const STORES: [&str; N] = [
+    "95b5be523e0d895d844a9519e1a682b1cd027e98ba759ff15787366448cbdbb7",
+    "8b3c412eb603bc046cda5d9a9be13f43a921d5881a277b8ad44ac5974f15e43b",
+    "e030ef581e8ecddebaba0df3979c45838c5be4b7b95c5f9e6cb636c8d7673405",
+    "c7b4692f1ce27f3d4ced707d7f799a07f3b6a3b757bb94b4cc1e9901c5383cf5",
+    "1d641c77a831e1d60e8d088aa10e8019cdec4722b6a5af5fb3c6ec8e3ab4f63b",
+    "e2a3c721ef31aabf6cc3da394540f373fb2ded40d9ca07c3edc6f077aae66e61",
+    "0808dffce2b936153b4ea7c1c178235ff92e8f5952280435b109d92b82385f70",
+];
+
+fn setup(mode: CommitmentMode, seed: u64) -> SystemSetup {
+    let mut config = DkgConfig::standard(N, 0).expect("standard parameters");
+    config.vss.mode = mode;
+    SystemSetup::with_config(config, seed)
+}
+
+/// Runs DKG session 0 to completion on `net` and returns the transcript.
+fn run_dkg(setup: &SystemSetup, net: &mut EndpointNet) -> String {
+    for &node in &setup.config.vss.nodes {
+        net.schedule_dkg_input(node, 0, DkgInput::Start, 0);
+    }
+    net.run();
+    assert_eq!(collect_outcomes(net, 0).len(), N, "every node completes");
+    assert!(net.rejections().is_empty());
+    hex(&net.transcript_digest().expect("transcript recorded"))
+}
+
+fn dkg_transcript(mode: CommitmentMode) -> String {
+    let setup = setup(mode, 2009);
+    let mut net = build_dkg_net(&setup, 0, DELAY);
+    net.record_transcript();
+    run_dkg(&setup, &mut net)
+}
+
+#[test]
+fn dkg_n7_full_transcript() {
+    assert_eq!(dkg_transcript(CommitmentMode::Full), DKG_FULL);
+}
+
+#[test]
+fn dkg_n7_digest_transcript() {
+    assert_eq!(dkg_transcript(CommitmentMode::Digest), DKG_DIGEST);
+}
+
+#[test]
+fn standalone_vss_n7_transcript() {
+    let config = VssConfig::standard_with_mode(N, 0, CommitmentMode::Full).expect("valid");
+    let session = SessionId::new(1, 0);
+    let mut net = EndpointNet::new(DELAY, 61);
+    net.record_transcript();
+    for node in 1..=N as u64 {
+        let mut endpoint = Endpoint::new(node, EndpointConfig::default());
+        endpoint
+            .add_vss_session(VssNode::new(
+                node,
+                config.clone(),
+                session,
+                6100 + node,
+                None,
+            ))
+            .expect("fresh endpoint has no session");
+        net.add_endpoint(endpoint);
+    }
+    let secret = Scalar::from_u64(1909);
+    net.schedule_vss_input(1, session, VssInput::Share { secret }, 0);
+    net.run();
+    for node in 1..=N as u64 {
+        let hosted = net.endpoint(node).and_then(|e| e.vss_session(session));
+        assert!(hosted.is_some_and(VssNode::is_complete), "node {node}");
+    }
+    assert_eq!(hex(&net.transcript_digest().expect("recorded")), VSS);
+}
+
+#[test]
+fn signing_burst_n7_transcript() {
+    let setup = setup(CommitmentMode::Full, 1789);
+    let mut net = build_dkg_net(&setup, 0, DELAY);
+    net.record_transcript();
+    run_dkg(&setup, &mut net);
+    let signers = attach_sign_sessions(&mut net, 0, 1, 5_000, setup.seed);
+    let start = net.now() + 10;
+    for req in 1..=8u64 {
+        let input = TssInput::Sign {
+            req,
+            message: format!("golden request {req}").into_bytes(),
+        };
+        // Two requests per instant, coordinators round-robin.
+        let coordinator = signers[(req - 1) as usize % signers.len()];
+        net.schedule_tss_input(coordinator, 1, input, start + req / 2);
+    }
+    net.run();
+    assert_eq!(collect_signatures(&net, 1).len(), 8, "every request signed");
+    assert_eq!(
+        hex(&net.transcript_digest().expect("recorded")),
+        SIGNING_BURST
+    );
+}
+
+#[test]
+fn fleet_determinism_plan_transcript() {
+    use dkg_fleet::{run_fleet, FleetOptions, FleetPlan};
+    let report = run_fleet(&FleetPlan::determinism(0xE9_0C4), &FleetOptions::default());
+    assert_eq!(hex(&report.transcript_digest), FLEET_DETERMINISM);
+}
+
+#[test]
+fn store_backed_dkg_snapshots_and_stores() {
+    let setup = setup(CommitmentMode::Full, 404);
+    let mut net = EndpointNet::new(DELAY, setup.seed);
+    let mut stores = Vec::new();
+    for &node in &setup.config.vss.nodes {
+        let store = StoreHandle::in_memory();
+        stores.push(store.clone());
+        let config = EndpointConfig {
+            store: Some(store),
+            // Never compact: the store ends the run holding the snapshot of
+            // the session's addition and every input since.
+            wal_compact_bytes: u64::MAX,
+            ..EndpointConfig::default()
+        };
+        let mut endpoint = Endpoint::new(node, config);
+        endpoint
+            .add_dkg_session(setup.build_node(node, 0))
+            .expect("fresh endpoint has no session");
+        net.add_endpoint(endpoint);
+    }
+    net.record_transcript();
+    run_dkg(&setup, &mut net);
+
+    let mut snapshots = Vec::new();
+    let mut held = Vec::new();
+    for (&node, store) in setup.config.vss.nodes.iter().zip(&stores) {
+        let snapshot = net.endpoint(node).and_then(Endpoint::snapshot);
+        snapshots.push(hex(&sha256(&snapshot.expect("quiescent").to_bytes())));
+        let state = store.load().expect("mem store loads");
+        assert!(!state.wal.is_empty() && !state.torn_tail);
+        let mut bytes = state.snapshot.expect("snapshot installed");
+        for record in &state.wal {
+            record.encode_to(&mut bytes);
+        }
+        held.push(hex(&sha256(&bytes)));
+    }
+    assert_eq!(snapshots, SNAPSHOTS);
+    assert_eq!(held, STORES);
+}

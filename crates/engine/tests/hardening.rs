@@ -4,11 +4,16 @@
 //! panics — and an ongoing DKG still completes while garbage pours in.
 //! Also covers the bounded-outbox backpressure contract.
 
+use dkg_arith::{PrimeField, Scalar};
+use dkg_core::group::{GroupChange, GroupModInput, GroupModNode, ParameterAdjustment};
 use dkg_core::DkgInput;
 use dkg_engine::runner::SystemSetup;
 use dkg_engine::runner::{collect_outcomes, run_key_generation};
 use dkg_engine::{Endpoint, EndpointConfig, Reject, SessionKey};
+use dkg_poly::{CommitmentMatrix, SymmetricBivariate};
 use dkg_sim::DelayModel;
+use dkg_tss::{SignSession, TssConfig, TssInput};
+use dkg_vss::{SessionId, VssInput, VssNode};
 use dkg_wire::WireError;
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -22,12 +27,76 @@ fn cases(default: u32) -> u32 {
         .unwrap_or(default)
 }
 
+/// The node every hand-driven endpoint here speaks for.
+const NODE: u64 = 1;
+
+/// Where [`host_every_kind`] and [`genuine_datagrams`] put the group-mod
+/// session.
+const MOD: usize = 3;
+
+/// Adds one session of each kind the endpoint can host, all named `name`
+/// (DKG `τ`, VSS `(NODE, τ)`, signing `sid`, group-mod `era`), and returns
+/// their keys in that order.
+fn host_every_kind(setup: &SystemSetup, endpoint: &mut Endpoint, name: u64) -> [SessionKey; 4] {
+    let config = &setup.config;
+    let session = SessionId::new(NODE, name);
+    let vss = VssNode::new(NODE, config.vss.clone(), session, name, None);
+    let mut rng = StdRng::seed_from_u64(setup.seed ^ name);
+    let poly = SymmetricBivariate::random_with_secret(&mut rng, config.t(), Scalar::from_u64(5));
+    let matrix = CommitmentMatrix::commit(&poly);
+    let signers = TssConfig::new(config.vss.nodes.clone(), config.t(), 500).unwrap();
+    let share = poly.row(NODE).constant_term();
+    let group_key = matrix.share_commitment(0);
+    let sign = SignSession::new(NODE, name, signers, share, matrix, group_key, name).unwrap();
+    let agreement = GroupModNode::new(NODE, config.clone());
+    [
+        endpoint.add_dkg_session(setup.build_node(NODE, name)),
+        endpoint.add_vss_session(vss),
+        endpoint.add_sign_session(sign),
+        endpoint.add_mod_session(name, agreement),
+    ]
+    .map(|added| added.expect("fresh name on this endpoint"))
+}
+
+/// An endpoint for node 1 of a 4-node system hosting one session of every
+/// kind under the name 0, so hostile bytes reach every decode path.
 fn endpoint_with_dkg(seed: u64) -> (SystemSetup, Endpoint) {
     let setup = SystemSetup::generate(4, 0, seed);
-    let node = 1;
-    let mut endpoint = Endpoint::new(node, EndpointConfig::default());
-    endpoint.add_dkg_session(setup.build_node(node, 0)).unwrap();
+    let mut endpoint = Endpoint::new(NODE, EndpointConfig::default());
+    host_every_kind(&setup, &mut endpoint, 0);
     (setup, endpoint)
+}
+
+/// Starts the session of every kind named `name` and returns one genuine
+/// datagram each emitted, in [`host_every_kind`] order.
+fn genuine_datagrams(endpoint: &mut Endpoint, name: u64) -> [Vec<u8>; 4] {
+    let first_transmit = |endpoint: &mut Endpoint| {
+        let transmit = endpoint.poll_transmit().expect("the input emits sends");
+        while endpoint.poll_transmit().is_some() {}
+        transmit.payload
+    };
+    let secret = Scalar::from_u64(9);
+    let sign = TssInput::Sign {
+        req: 1,
+        message: b"hardening".to_vec(),
+    };
+    let change = GroupChange::AddNode {
+        node: 9,
+        adjustment: ParameterAdjustment::None,
+    };
+    endpoint.handle_dkg_input(name, DkgInput::Start, 0).unwrap();
+    let dkg = first_transmit(endpoint);
+    let session = SessionId::new(NODE, name);
+    endpoint
+        .handle_vss_input(session, VssInput::Share { secret }, 0)
+        .unwrap();
+    let vss = first_transmit(endpoint);
+    endpoint.handle_tss_input(name, sign, 0).unwrap();
+    let tss = first_transmit(endpoint);
+    endpoint
+        .handle_mod_input(name, GroupModInput::Propose(change), 0)
+        .unwrap();
+    [dkg, vss, tss, first_transmit(endpoint)]
 }
 
 proptest! {
@@ -51,23 +120,22 @@ proptest! {
         flip_bit in 0u8..8,
         cut in 0usize..usize::MAX,
     ) {
-        // Capture a genuine datagram by starting the protocol, then mangle it.
+        // Capture a genuine datagram of every kind by starting each
+        // protocol, then mangle it.
         let (_, mut endpoint) = endpoint_with_dkg(seed % 64);
-        endpoint.handle_dkg_input(0, DkgInput::Start, 0).unwrap();
-        let transmit = endpoint.poll_transmit().expect("start emits sends");
-        let bytes = transmit.payload;
+        for bytes in genuine_datagrams(&mut endpoint, 0) {
+            // Truncation.
+            let cut = cut % bytes.len();
+            prop_assert!(endpoint.handle_datagram(2, &bytes[..cut], 1).is_err());
 
-        // Truncation.
-        let cut = cut % bytes.len();
-        prop_assert!(endpoint.handle_datagram(2, &bytes[..cut], 1).is_err());
-
-        // Bit flip: either refused, or (if the flip keeps the frame valid,
-        // e.g. inside an unauthenticated scalar) absorbed by the state
-        // machine without panicking.
-        let mut flipped = bytes.clone();
-        let idx = flip_byte % flipped.len();
-        flipped[idx] ^= 1 << flip_bit;
-        let _ = endpoint.handle_datagram(2, &flipped, 2);
+            // Bit flip: either refused, or (if the flip keeps the frame
+            // valid, e.g. inside an unauthenticated scalar) absorbed by the
+            // state machine without panicking.
+            let mut flipped = bytes.clone();
+            let idx = flip_byte % flipped.len();
+            flipped[idx] ^= 1 << flip_bit;
+            let _ = endpoint.handle_datagram(2, &flipped, 2);
+        }
     }
 }
 
@@ -276,4 +344,50 @@ fn replayed_and_cross_routed_traffic_is_contained() {
             .count(),
         replayed
     );
+
+    // Cross-routing inside one endpoint: a genuine payload of every kind,
+    // spliced under the header of every *other* session it hosts, is
+    // refused with a typed reject that the target session counts. The
+    // endpoint hosts two sessions of each kind, named 0 and 5.
+    let mut endpoint = Endpoint::new(NODE, EndpointConfig::default());
+    let keys = [0, 5].map(|name| host_every_kind(&setup, &mut endpoint, name));
+    let datagrams = [0, 5].map(|name| genuine_datagrams(&mut endpoint, name));
+    let rejected = |endpoint: &Endpoint, key| endpoint.session_stats(key).unwrap().rejected;
+    for (payload_name, payloads) in datagrams.iter().enumerate() {
+        for (payload_kind, payload) in payloads.iter().enumerate() {
+            for (header_name, headers) in datagrams.iter().enumerate() {
+                for (header_kind, header) in headers.iter().enumerate() {
+                    if (payload_name, payload_kind) == (header_name, header_kind) {
+                        continue;
+                    }
+                    // Version byte, then the other session's routing header,
+                    // then this payload's length and bytes.
+                    let mut spliced = payload.clone();
+                    spliced[1..18].copy_from_slice(&header[1..18]);
+                    let target = keys[header_name][header_kind];
+                    let before = rejected(&endpoint, target);
+                    let result = endpoint.handle_datagram(2, &spliced, 1);
+                    if payload_kind == MOD && header_kind == MOD {
+                        // Group-mod payloads carry no era to cross-check:
+                        // another agreement's header is simply another
+                        // agreement's message.
+                        assert_eq!(result, Ok(target));
+                        while endpoint.poll_transmit().is_some() {}
+                        continue;
+                    }
+                    let mismatch = Reject::SessionMismatch { header: target };
+                    assert!(
+                        matches!(&result, Err(Reject::Malformed(_))) || result == Err(mismatch),
+                        "kind {payload_kind} under kind {header_kind}: {result:?}"
+                    );
+                    if payload_kind == header_kind {
+                        // Same codec, other session: caught by the
+                        // payload-vs-header cross-check, not by luck.
+                        assert!(matches!(result, Err(Reject::SessionMismatch { .. })));
+                    }
+                    assert_eq!(rejected(&endpoint, target), before + 1);
+                }
+            }
+        }
+    }
 }

@@ -120,7 +120,9 @@ fn completed_sessions_are_evicted() {
     for &node in &setup.config.vss.nodes {
         let endpoint = net.endpoint_mut(node).unwrap();
         assert_eq!(endpoint.session_count(), SESSIONS as usize);
-        let evicted = endpoint.evict_completed();
+        let evicted = endpoint
+            .evict_completed()
+            .expect("store-less eviction cannot fail");
         assert_eq!(evicted.len(), SESSIONS as usize, "all sessions completed");
         // Eviction reports real traffic and completion times.
         for (key, stats) in &evicted {

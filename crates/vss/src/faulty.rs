@@ -1,15 +1,12 @@
 //! Byzantine dealer behaviours used for fault-injection testing.
 //!
 //! The paper's consistency property (Definition 3.1) must hold even when the
-//! dealer is one of the `t` corrupted nodes. These helpers implement the two
-//! classic dealer attacks so that integration tests and experiment E10 can
-//! check that honest nodes either all agree on the same secret or none
-//! completes:
-//!
-//! * [`EquivocatingDealer`] — deals two *different* polynomials to two halves
-//!   of the system (a split-brain attempt),
-//! * [`SilentDealer`] — sends valid `send` messages to fewer than
-//!   `⌈(n+t+1)/2⌉` nodes and nothing to the rest (a withholding attempt).
+//! dealer is one of the `t` corrupted nodes. [`EquivocatingDealer`] deals two
+//! *different* polynomials to two halves of the system (a split-brain
+//! attempt), so that integration tests and experiment E10 can check that
+//! honest nodes either all agree on the same secret or none completes.
+//! Withholding dealers are covered on real endpoints by `dkg-adversary`'s
+//! `SelectiveSender` and `VoteWithholder`.
 
 use dkg_arith::Scalar;
 use dkg_crypto::NodeId;
@@ -104,83 +101,6 @@ impl Protocol for EquivocatingDealer {
     }
 }
 
-/// A dealer that only sends valid `send` messages to the first `reach` nodes
-/// and withholds the rest.
-#[derive(Debug)]
-pub struct SilentDealer {
-    id: NodeId,
-    config: VssConfig,
-    session: SessionId,
-    rng: StdRng,
-    reach: usize,
-    secret: Scalar,
-}
-
-impl SilentDealer {
-    /// Creates a withholding dealer that reaches only `reach` nodes.
-    pub fn new(
-        id: NodeId,
-        config: VssConfig,
-        session: SessionId,
-        rng_seed: u64,
-        secret: Scalar,
-        reach: usize,
-    ) -> Self {
-        SilentDealer {
-            id,
-            config,
-            session,
-            rng: StdRng::seed_from_u64(rng_seed),
-            reach,
-            secret,
-        }
-    }
-}
-
-impl Protocol for SilentDealer {
-    type Message = VssMessage;
-    type Operator = VssInput;
-    type Output = VssOutput;
-
-    fn id(&self) -> NodeId {
-        self.id
-    }
-
-    fn on_operator(&mut self, input: VssInput, sink: &mut ActionSink<VssMessage, VssOutput>) {
-        let VssInput::Share { .. } = input else {
-            return;
-        };
-        let poly =
-            SymmetricBivariate::random_with_secret(&mut self.rng, self.config.t, self.secret);
-        let commitment = CommitmentMatrix::commit(&poly);
-        for &node in self.config.nodes.clone().iter().take(self.reach) {
-            sink.send(
-                node,
-                VssMessage::Send {
-                    session: self.session,
-                    commitment: commitment.clone(),
-                    row: poly.row(node),
-                },
-            );
-        }
-    }
-
-    fn on_message(
-        &mut self,
-        _from: NodeId,
-        _message: VssMessage,
-        _sink: &mut ActionSink<VssMessage, VssOutput>,
-    ) {
-    }
-
-    fn on_timer(
-        &mut self,
-        _timer: dkg_sim::TimerId,
-        _sink: &mut ActionSink<VssMessage, VssOutput>,
-    ) {
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,19 +125,5 @@ mod tests {
             &mut sink,
         );
         assert_eq!(sink.len(), 7);
-    }
-
-    #[test]
-    fn silent_dealer_reaches_only_a_subset() {
-        let cfg = VssConfig::standard(7, 0).unwrap();
-        let mut dealer = SilentDealer::new(1, cfg, SessionId::new(1, 0), 5, Scalar::from_u64(3), 3);
-        let mut sink = ActionSink::new();
-        dealer.on_operator(
-            VssInput::Share {
-                secret: Scalar::zero(),
-            },
-            &mut sink,
-        );
-        assert_eq!(sink.len(), 3);
     }
 }

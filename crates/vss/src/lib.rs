@@ -10,8 +10,8 @@
 //!
 //! * [`VssNode`] — the sharing (`Sh`), reconstruction (`Rec`) and
 //!   crash-recovery state machine, including the extended signed-`ready`
-//!   variant the DKG protocol builds on,
-//! * [`StandaloneVss`] — an adapter running one instance on the
+//!   variant the DKG protocol builds on; it implements
+//!   [`dkg_sim::Protocol`], so one instance runs directly on the
 //!   [`dkg_sim`] network simulator,
 //! * [`faulty`] — Byzantine dealer behaviours for fault-injection tests,
 //! * configuration ([`VssConfig`]) enforcing the paper's resilience bound
@@ -23,14 +23,14 @@
 //! ```
 //! use dkg_arith::{PrimeField, Scalar};
 //! use dkg_sim::{DelayModel, NetworkConfig, Simulation};
-//! use dkg_vss::{SessionId, StandaloneVss, VssConfig, VssInput, VssNode, VssOutput};
+//! use dkg_vss::{SessionId, VssConfig, VssInput, VssNode, VssOutput};
 //!
 //! // n = 4, t = 1, f = 0; node 1 deals a secret.
 //! let cfg = VssConfig::standard(4, 0).unwrap();
 //! let session = SessionId::new(1, 0);
 //! let mut sim = Simulation::new(NetworkConfig::default(), 1);
 //! for i in 1..=4 {
-//!     sim.add_node(StandaloneVss::new(VssNode::new(i, cfg.clone(), session, i, None)));
+//!     sim.add_node(VssNode::new(i, cfg.clone(), session, i, None));
 //! }
 //! sim.schedule_operator(1, VssInput::Share { secret: Scalar::from_u64(42) }, 0);
 //! sim.run();
@@ -50,7 +50,7 @@ pub mod faulty;
 pub mod messages;
 pub mod node;
 pub mod snapshot;
-pub mod standalone;
+mod standalone;
 pub mod wire;
 
 pub use config::{CommitmentMode, ConfigError, VssConfig};
@@ -59,5 +59,4 @@ pub use messages::{
 };
 pub use node::{SigningContext, VssAction, VssJobId, VssNode};
 pub use snapshot::{PendingPointSnapshot, SnapshotError, TallySnapshot, VssSnapshot};
-pub use standalone::StandaloneVss;
 pub use wire::KnownCommitments;

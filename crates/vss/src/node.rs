@@ -4,8 +4,8 @@
 //! [`VssNode`] is written as a plain state machine returning [`VssAction`]s
 //! so that it can be used in two ways:
 //!
-//! * wrapped in [`crate::StandaloneVss`] and run directly on the simulator
-//!   (one VSS instance per run, as in experiments E1–E3), or
+//! * run directly on the simulator through its [`dkg_sim::Protocol`]
+//!   implementation (one VSS instance per run, as in experiments E1–E3), or
 //! * embedded `n` times inside a DKG node (`dkg-core`), which multiplexes
 //!   the messages of the `n` parallel sharings of §4.
 //!

@@ -1,4 +1,6 @@
-//! Adapter running a single HybridVSS instance directly on the simulator.
+//! A single HybridVSS instance run directly on the simulator:
+//! [`VssNode`] is itself a [`dkg_sim::Protocol`], as used by the VSS-only
+//! experiments (E1–E3) and the integration tests.
 
 use dkg_crypto::NodeId;
 use dkg_sim::{ActionSink, Protocol};
@@ -6,45 +8,26 @@ use dkg_sim::{ActionSink, Protocol};
 use crate::messages::{VssInput, VssMessage, VssOutput};
 use crate::node::{VssAction, VssNode};
 
-/// A [`dkg_sim::Protocol`] wrapper around a single [`VssNode`], used by the
-/// VSS-only experiments (E1–E3) and the integration tests.
-#[derive(Debug)]
-pub struct StandaloneVss {
-    node: VssNode,
-}
-
-impl StandaloneVss {
-    /// Wraps a VSS state machine.
-    pub fn new(node: VssNode) -> Self {
-        StandaloneVss { node }
-    }
-
-    /// Access to the wrapped state machine.
-    pub fn inner(&self) -> &VssNode {
-        &self.node
-    }
-
-    fn forward(actions: Vec<VssAction>, sink: &mut ActionSink<VssMessage, VssOutput>) {
-        for action in actions {
-            match action {
-                VssAction::Send { to, message } => sink.send(to, message),
-                VssAction::Output(output) => sink.output(output),
-            }
+fn forward(actions: Vec<VssAction>, sink: &mut ActionSink<VssMessage, VssOutput>) {
+    for action in actions {
+        match action {
+            VssAction::Send { to, message } => sink.send(to, message),
+            VssAction::Output(output) => sink.output(output),
         }
     }
 }
 
-impl Protocol for StandaloneVss {
+impl Protocol for VssNode {
     type Message = VssMessage;
     type Operator = VssInput;
     type Output = VssOutput;
 
     fn id(&self) -> NodeId {
-        self.node.id()
+        VssNode::id(self)
     }
 
     fn on_operator(&mut self, input: VssInput, sink: &mut ActionSink<VssMessage, VssOutput>) {
-        Self::forward(self.node.handle_input(input), sink);
+        forward(self.handle_input(input), sink);
     }
 
     fn on_message(
@@ -53,7 +36,7 @@ impl Protocol for StandaloneVss {
         message: VssMessage,
         sink: &mut ActionSink<VssMessage, VssOutput>,
     ) {
-        Self::forward(self.node.handle_message(from, message), sink);
+        forward(self.handle_message(from, message), sink);
     }
 
     fn on_timer(
@@ -67,8 +50,8 @@ impl Protocol for StandaloneVss {
 
     fn on_recover(&mut self, sink: &mut ActionSink<VssMessage, VssOutput>) {
         let mut actions = Vec::new();
-        self.node.recover(&mut actions);
-        Self::forward(actions, sink);
+        self.recover(&mut actions);
+        forward(actions, sink);
     }
 }
 
@@ -80,7 +63,7 @@ mod tests {
     use dkg_arith::{PrimeField, Scalar};
     use dkg_sim::{DelayModel, NetworkConfig, Simulation};
 
-    fn build_sim(n: usize, f: usize, mode: CommitmentMode, seed: u64) -> Simulation<StandaloneVss> {
+    fn build_sim(n: usize, f: usize, mode: CommitmentMode, seed: u64) -> Simulation<VssNode> {
         let t = (n - 2 * f - 1) / 3;
         let cfg = VssConfig::new((1..=n as u64).collect(), t, f, 8, mode).unwrap();
         let session = SessionId::new(1, 0);
@@ -92,13 +75,13 @@ mod tests {
             seed,
         );
         for i in 1..=n as u64 {
-            sim.add_node(StandaloneVss::new(VssNode::new(
+            sim.add_node(VssNode::new(
                 i,
                 cfg.clone(),
                 session,
                 seed.wrapping_mul(1000).wrapping_add(i),
                 None,
-            )));
+            ));
         }
         sim
     }

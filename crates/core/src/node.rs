@@ -633,8 +633,9 @@ impl DkgNode {
     }
 
     /// Row projections held across the embedded HybridVSS instances (see
-    /// [`VssNode::projection_count`]): derived state, so a freshly restored
-    /// node reports zero until its instances judge their next points.
+    /// [`VssNode::projection_count`]): derived state, held only for
+    /// matrices whose points had to be judged in the group — zero on the
+    /// honest path, and zero on a freshly restored node.
     pub fn projection_count(&self) -> usize {
         self.vss.values().map(VssNode::projection_count).sum()
     }

@@ -691,9 +691,16 @@ fn restored_full_mode_node_shares_one_matrix_per_dealer() {
 }
 
 /// Row projections are derived state: a snapshot does not carry them, a
-/// node restored from one holds none until its next point, WAL replay
-/// derives them again on the way, and either way the node re-snapshots to
-/// the live node's bytes and finishes the run the uninterrupted node ran.
+/// node restored from one holds none, WAL replay derives them again on the
+/// way, and either way the node re-snapshots to the live node's bytes and
+/// finishes the run the uninterrupted node ran.
+///
+/// Re-staged when a node that holds its row began judging points in the
+/// field: node 3 no longer projects every dealer's matrix, only those whose
+/// echoes outran the dealer's `send` (full-commitment mode, 10–80 ms
+/// links), and by t = 150 every `send` is in — so what a restored node
+/// needs for its next point is the row, which the snapshot carries, and a
+/// node restored from a snapshot never projects again.
 #[test]
 fn restored_node_rederives_its_projections_lazily() {
     use dkg_wire::WireEncode;
@@ -711,8 +718,21 @@ fn restored_node_rederives_its_projections_lazily() {
         let image = endpoint.snapshot().expect("quiescent");
         image.sessions.iter().map(WireEncode::encode).collect()
     };
+    // Sharings under which the node holds its row.
+    let rows = |endpoint: &Endpoint| {
+        let image = endpoint
+            .dkg_session(0)
+            .and_then(|node| node.snapshot())
+            .expect("quiescent dkg session");
+        image
+            .vss
+            .iter()
+            .filter(|(_, vss)| vss.tallies.iter().any(|(_, tally)| tally.row.is_some()))
+            .count()
+    };
 
-    // Mid-run: node 3 has judged points under every dealer's matrix.
+    // Mid-run: node 3 holds its row under every dealer's matrix, and judged
+    // points in the group under the few that reached it by echo first.
     let (mut net, stores) = build_persistent_net(&setup, Crypto::Direct, u64::MAX);
     for &node in &nodes {
         net.schedule_dkg_input(node, 0, DkgInput::Start, 0);
@@ -720,7 +740,9 @@ fn restored_node_rederives_its_projections_lazily() {
     net.run_until(150);
     let live = net.endpoint(3).expect("endpoint 3 exists");
     assert!(!live.is_complete(SessionKey::Dkg { tau: 0 }));
-    assert_eq!(projections(live), n);
+    assert_eq!(rows(live), n);
+    let held = projections(live);
+    assert!(0 < held && held < n, "{held}");
 
     let from_wal = Endpoint::restore(EndpointConfig {
         store: Some(stores[&3].clone()),
@@ -728,7 +750,11 @@ fn restored_node_rederives_its_projections_lazily() {
     })
     .expect("restore from WAL succeeds");
     assert!(from_wal.persist_stats().wal_replayed > 0);
-    assert_eq!(projections(&from_wal), n, "replay judges the same points");
+    assert_eq!(
+        projections(&from_wal),
+        held,
+        "replay judges the same points the same way"
+    );
     assert_eq!(session_bytes(&from_wal), session_bytes(live));
 
     let snapshot_only = StoreHandle::in_memory();
@@ -742,15 +768,16 @@ fn restored_node_rederives_its_projections_lazily() {
     .expect("restore from snapshot succeeds");
     assert_eq!(from_snapshot.persist_stats().wal_replayed, 0);
     assert_eq!(projections(&from_snapshot), 0, "nothing derived yet");
+    assert_eq!(rows(&from_snapshot), n, "the rows came with the snapshot");
     assert_eq!(session_bytes(&from_snapshot), session_bytes(live));
 
     // To the end: node 3 restarted at that point from its whole WAL, or
     // from a store that compacts after every record, ends where the
-    // uninterrupted node ends. Replay projects every matrix again; after a
-    // snapshot restore only the sharings still judging points do.
+    // uninterrupted node ends. Replay projects the same matrices again;
+    // after a snapshot restore every remaining point meets a row.
     let (reference, ref_keys, ref_digest) = run_persistent(&setup, Crypto::Direct, u64::MAX, &[]);
     let reference = reference.endpoint(3).expect("endpoint 3 exists");
-    assert_eq!(projections(reference), n);
+    assert_eq!(projections(reference), held);
     for (wal_compact_bytes, replayed) in [(u64::MAX, true), (1, false)] {
         let (net, keys, digest) =
             run_persistent(&setup, Crypto::Direct, wal_compact_bytes, &[(3, 150)]);
@@ -759,8 +786,7 @@ fn restored_node_rederives_its_projections_lazily() {
         let restored = net.endpoint(3).expect("endpoint 3 recovered");
         assert_eq!(session_bytes(restored), session_bytes(reference));
         let again = projections(restored);
-        assert_eq!(replayed, again == n, "{again}");
-        assert!(again > 0);
+        assert_eq!(again, if replayed { held } else { 0 });
     }
 }
 

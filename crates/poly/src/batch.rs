@@ -1,7 +1,12 @@
 //! Batched commitment verification.
 //!
 //! The hottest check the paper identifies is `verify-point` (Fig. 1),
-//! `g^α = Π_{j,ℓ} (C_{jℓ})^{m^j i^ℓ}`, paid once per `echo` and per `ready`.
+//! `g^α = Π_{j,ℓ} (C_{jℓ})^{m^j i^ℓ}`, due once per `echo` and per `ready`.
+//! A node that already holds its verified row under a symmetric matrix
+//! answers it in the field (`dkg-vss`, `VssNode::submit_points`) and never
+//! comes here; what follows is the group check for every other case — the
+//! points that outrun the dealer's `send`, the node that never gets one, an
+//! asymmetric matrix.
 //! The verifier index `i` is the checking node's own id in every claim it
 //! ever judges, so the node regroups the product once per matrix into the
 //! row projection `R_j = Π_ℓ (C_{jℓ})^{i^ℓ}`

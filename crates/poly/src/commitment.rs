@@ -92,6 +92,21 @@ impl CommitmentMatrix {
         self.entries[0][0]
     }
 
+    /// Whether `C_{jℓ} = C_{ℓj}` for all `j, ℓ` — what an honest dealer's
+    /// matrix always is (it commits to a *symmetric* bivariate polynomial)
+    /// and what an untrusted one has to be shown to be before `verify-poly`
+    /// on row `i` says anything about the *row* projection
+    /// ([`Self::project`]): `verify-poly` binds the row polynomial to the
+    /// column products `Π_j (C_{jℓ})^{i^j}`, which equal the projection's
+    /// `Π_j (C_{ℓj})^{i^j}` exactly when the matrix is symmetric.
+    /// `(t+1)t/2` affine-point comparisons, no group operation.
+    pub fn is_symmetric(&self) -> bool {
+        self.entries
+            .iter()
+            .enumerate()
+            .all(|(j, row)| (0..j).all(|l| row[l] == self.entries[l][j]))
+    }
+
     /// `verify-poly(C, i, a)` from Fig. 1.
     pub fn verify_poly(&self, i: u64, a: &Univariate) -> bool {
         if a.degree() != self.threshold() {

@@ -17,9 +17,13 @@
 //! (batch-verify first, fall back to per-claim checks only when the fold
 //! rejects) lives here once, inside [`CryptoJob::run`].
 //!
-//! An echo/ready point batch ([`CryptoJob::point_batch`]) carries the
-//! `(sender, α)` claims of one session against the verifier's **row
-//! projection** of that session's commitment matrix
+//! An echo/ready point batch ([`CryptoJob::point_batch`]) is the
+//! **fallback** for points a node cannot judge in the field: `dkg-vss`
+//! compares a point with its own verified row (`a(m) == α`, no job at all)
+//! whenever it holds that row under a symmetric matrix, and prepares a
+//! point batch only before the row exists or under an asymmetric matrix. It
+//! carries the `(sender, α)` claims of one session against the verifier's
+//! **row projection** of that session's commitment matrix
 //! ([`CommitmentMatrix::project`]) — `t + 1` points per check instead of
 //! the `(t+1)²` of Fig. 1's `verify-point`, the projection itself being
 //! derived once per matrix by the state machine and shared by every job
@@ -71,7 +75,8 @@ pub enum CryptoJob {
         row: Univariate,
     },
     /// A batch of `verify-point` claims received by one verifier `P_i`
-    /// under one commitment matrix, judged against the matrix's row
+    /// under one commitment matrix while it had no verified row of its own
+    /// to compare them with, judged against the matrix's row
     /// projection for `i`: each `(m, α)` must satisfy
     /// `g^α = Π_j R_j^{m^j}`, which is `verify-point(C, i, m, α)` regrouped.
     /// Verified with one RLC-folded multi-exponentiation; per-claim

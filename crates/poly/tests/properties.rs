@@ -20,6 +20,31 @@ fn honest_claims(f: &SymmetricBivariate, i: u64, n: usize) -> Vec<(u64, Scalar)>
         .collect()
 }
 
+/// Any `(t+1) × (t+1)` coefficients `c_{jℓ}`, committed entry by entry:
+/// the "polynomial" `g(x, y) = Σ c_{jℓ} x^j y^ℓ` is not symmetric.
+fn arbitrary_matrix(rng: &mut StdRng, t: usize) -> (Vec<Vec<Scalar>>, CommitmentMatrix) {
+    let coefficients: Vec<Vec<Scalar>> = (0..=t)
+        .map(|_| (0..=t).map(|_| Scalar::random(rng)).collect())
+        .collect();
+    let entries = coefficients
+        .iter()
+        .map(|row| row.iter().map(GroupElement::commit).collect())
+        .collect();
+    let matrix = CommitmentMatrix::from_entries(entries).expect("square");
+    (coefficients, matrix)
+}
+
+/// `g(x, y)` for the coefficients of [`arbitrary_matrix`].
+fn evaluate_bivariate(coefficients: &[Vec<Scalar>], x: Scalar, y: Scalar) -> Scalar {
+    coefficients.iter().rev().fold(Scalar::zero(), |acc, row| {
+        acc * x
+            + row
+                .iter()
+                .rev()
+                .fold(Scalar::zero(), |inner, &c| inner * y + c)
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -150,21 +175,8 @@ proptest! {
         let secret = Scalar::random(&mut rng);
         let f = SymmetricBivariate::random_with_secret(&mut rng, t, secret);
         let honest = (CommitmentMatrix::commit(&f), f.evaluate(xm, xi));
-        // Any (t+1)×(t+1) coefficients, committed entry by entry: the
-        // "polynomial" Σ c_{jℓ} x^j y^ℓ is not symmetric.
-        let coefficients: Vec<Vec<Scalar>> = (0..=t)
-            .map(|_| (0..=t).map(|_| Scalar::random(&mut rng)).collect())
-            .collect();
-        let entries = coefficients
-            .iter()
-            .map(|row| row.iter().map(GroupElement::commit).collect())
-            .collect();
-        let mut value = Scalar::zero();
-        for row in coefficients.iter().rev() {
-            let inner = row.iter().rev().fold(Scalar::zero(), |acc, &c| acc * xi + c);
-            value = value * xm + inner;
-        }
-        let arbitrary = (CommitmentMatrix::from_entries(entries).expect("square"), value);
+        let (coefficients, matrix) = arbitrary_matrix(&mut rng, t);
+        let arbitrary = (matrix, evaluate_bivariate(&coefficients, xm, xi));
         prop_assert!(arbitrary.0.entry(0, 1) != arbitrary.0.entry(1, 0));
 
         for (c, alpha) in [honest, arbitrary] {
@@ -178,6 +190,78 @@ proptest! {
                 );
             }
         }
+    }
+
+    /// Under a symmetric matrix the field test a node runs once it holds
+    /// its row — `row(i)(m) == α` — is the same predicate as `verify-point`
+    /// and as the projected check, for every verifier, every sender and the
+    /// true evaluation, an off-by-one and a random value.
+    #[test]
+    fn field_check_is_the_group_check_under_a_symmetric_matrix(
+        seed in any::<u64>(), t in 1usize..4
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let secret = Scalar::random(&mut rng);
+        let f = SymmetricBivariate::random_with_secret(&mut rng, t, secret);
+        let c = CommitmentMatrix::commit(&f);
+        prop_assert!(c.is_symmetric());
+        let n = t as u64 + 3;
+        for i in 1..=n {
+            let row = f.row(i);
+            prop_assert!(c.verify_poly(i, &row));
+            let projection = c.project(i);
+            // verify-poly ties the row to the projection entry by entry.
+            prop_assert_eq!(&CommitmentVector::commit(&row), &projection);
+            for m in 1..=n {
+                let alpha = f.evaluate(Scalar::from_u64(m), Scalar::from_u64(i));
+                for candidate in [alpha, alpha + Scalar::one(), Scalar::random(&mut rng)] {
+                    let in_field = row.evaluate_at_index(m) == candidate;
+                    prop_assert_eq!(in_field, candidate == alpha);
+                    prop_assert_eq!(in_field, c.verify_point(i, m, candidate));
+                    prop_assert_eq!(in_field, projection.verify_share(m, candidate));
+                }
+            }
+        }
+    }
+
+    /// What `is_symmetric` gates. A matrix committing to a non-symmetric
+    /// `g(x, y)` still has a row that passes `verify-poly` for verifier `i`
+    /// — `g(i, ·)`, bound to the *column* products — while `verify-point`
+    /// accepts `g(m, i)`. The field test against that row would accept
+    /// `g(i, m)` instead, so it must not be used; `is_symmetric` says so,
+    /// and says so for a single disturbed transposed pair.
+    #[test]
+    fn asymmetric_matrices_are_detected_and_would_mislead_the_field_check(
+        seed in any::<u64>(), t in 1usize..4, i in 1u64..9, m in 1u64..9
+    ) {
+        prop_assume!(i != m);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (xi, xm) = (Scalar::from_u64(i), Scalar::from_u64(m));
+        let (coefficients, c) = arbitrary_matrix(&mut rng, t);
+        let g = |x, y| evaluate_bivariate(&coefficients, x, y);
+        prop_assert!(!c.is_symmetric());
+
+        // a_ℓ = Σ_j c_{jℓ} i^j, the coefficients of g(i, ·).
+        let row = Univariate::from_coefficients(
+            (0..=t)
+                .map(|l| coefficients.iter().rev().fold(Scalar::zero(), |acc, r| acc * xi + r[l]))
+                .collect(),
+        );
+        prop_assert!(c.verify_poly(i, &row));
+        prop_assert_eq!(row.evaluate_at_index(m), g(xi, xm));
+        prop_assume!(g(xi, xm) != g(xm, xi));
+        prop_assert!(c.verify_point(i, m, g(xm, xi)));
+        prop_assert!(!c.verify_point(i, m, row.evaluate_at_index(m)));
+
+        // One transposed pair of an honest matrix disturbed.
+        let secret = Scalar::random(&mut rng);
+        let f = SymmetricBivariate::random_with_secret(&mut rng, t, secret);
+        let honest = CommitmentMatrix::commit(&f);
+        let mut entries = honest.entries().to_vec();
+        entries[t][0] += GroupElement::generator();
+        let disturbed = CommitmentMatrix::from_entries(entries).expect("square");
+        prop_assert!(honest.is_symmetric());
+        prop_assert!(!disturbed.is_symmetric());
     }
 
     /// Batched verification accepts exactly when every per-share

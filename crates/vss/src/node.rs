@@ -12,17 +12,33 @@
 //! ## The crypto-job pipeline
 //!
 //! Every expensive check — `verify-poly` on the dealer's send, the
-//! `verify-point` batches behind echo/ready points, the reconstruction
-//! share batch — is split into a cheap **prepare** stage (bookkeeping plus
-//! an owned [`CryptoJob`]) and an **apply** stage consuming the job's
-//! [`CryptoVerdict`]. By default the node runs its own jobs inline at the
-//! prepare site, which reproduces the fully synchronous behaviour
-//! byte-for-byte. With [`VssNode::set_deferred_crypto`] the jobs are queued
+//! `verify-point` batches behind echo/ready points that arrive before this
+//! node holds its row, the reconstruction share batch — is split into a
+//! cheap **prepare** stage (bookkeeping plus an owned [`CryptoJob`]) and an
+//! **apply** stage consuming the job's [`CryptoVerdict`]. By default the
+//! node runs its own jobs inline at the prepare site, which reproduces the
+//! fully synchronous behaviour byte-for-byte. With
+//! [`VssNode::set_deferred_crypto`] the jobs are queued
 //! instead: the embedding layer drains them with [`VssNode::poll_job`],
 //! executes them wherever it likes (worker pool, another process) and feeds
 //! results back through [`VssNode::complete_job`]. Job results are pure
 //! functions of the job, so the two modes produce identical protocol
 //! transcripts as long as verdicts are applied in job-id order.
+//!
+//! ## Echo/ready points: in the field once the row is held
+//!
+//! The polynomial is symmetric so that the point `f(m, i)` which `P_m`
+//! echoes to `P_i` is also `a_i(m)`, a value of the row `P_i` checked with
+//! `verify-poly` when the dealer's `send` arrived. A node that holds its row
+//! under a symmetric matrix therefore judges a point with one Horner
+//! evaluation in `Z_q` at the prepare site — no job, no group operation —
+//! which on the honest path is every point of a sharing. The point job
+//! against the row projection is the fallback for the cases that have no
+//! row to compare with (see `VssNode::submit_points`, which also carries the
+//! argument that the two tests are the same predicate). One consequence for
+//! placement: the apply stage of a field-judged point, ready-witness
+//! signature check included, runs inside `handle_message` rather than
+//! inside `complete_job`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -91,6 +107,17 @@ struct Tally {
     ready_sent: bool,
 }
 
+impl Tally {
+    /// The senders whose `echo` (resp. `ready`) has been processed.
+    fn seen(&self, is_ready: bool) -> &BTreeSet<NodeId> {
+        if is_ready {
+            &self.ready_from
+        } else {
+            &self.echo_from
+        }
+    }
+}
+
 /// A point received before the commitment it refers to was known
 /// (digest mode only), and the per-point context carried from a point
 /// job's prepare stage to its apply stage.
@@ -140,9 +167,10 @@ pub struct VssNode {
     /// Fully known commitment matrices per digest (shared with the jobs
     /// prepared against them — cloning one is a refcount bump).
     commitments: BTreeMap<Digest, Arc<CommitmentMatrix>>,
-    /// This node's row projection of each known matrix
-    /// ([`CommitmentMatrix::project`] at `self.id`), which every point job
-    /// under that digest is judged against. Derived state: computed on the
+    /// This node's row projection ([`CommitmentMatrix::project`] at
+    /// `self.id`) of each matrix it had to judge points under *in the
+    /// group* — before it held its row, or because the matrix is not
+    /// symmetric; empty on the honest path. Derived state: computed on the
     /// first point job of a digest, never sent, logged or snapshotted, and
     /// derived again on first use after [`VssNode::restore`].
     projections: BTreeMap<Digest, Arc<CommitmentVector>>,
@@ -429,7 +457,9 @@ impl VssNode {
     }
 
     /// How many row projections this node holds: one per digest it has
-    /// prepared a point job under, none right after [`VssNode::restore`].
+    /// prepared a point job under — none when every point found the node's
+    /// row already in place (the honest path), none right after
+    /// [`VssNode::restore`].
     pub fn projection_count(&self) -> usize {
         self.projections.len()
     }
@@ -710,6 +740,15 @@ impl VssNode {
         actions: &mut Vec<VssAction>,
     ) {
         let digest = commitment.digest();
+        // Fig. 1's "first time" is per sender and message type, and an
+        // honest node sends its one echo and its one ready under a single
+        // commitment. A sender that already spent this kind under another
+        // digest is dropped here, before its inline matrix (or anything
+        // derived from it) is stored — otherwise every fresh `C` it invents
+        // would cost this node a matrix, a tally and a projection.
+        if self.spent_under_other_digest(from, is_ready, &digest) {
+            return;
+        }
         // Learn the commitment if it was carried inline.
         if let Some(matrix) = commitment.matrix() {
             if matrix.threshold() == self.config.t {
@@ -723,14 +762,14 @@ impl VssNode {
             // honest node sends one echo and one ready per session and
             // links are authenticated, so each sender gets one pending slot
             // of each kind; whatever else it sends for unknown digests is
-            // dropped, which bounds the buffer by 2n points.
-            let slot_taken = self
-                .pending
-                .values()
-                .flatten()
-                .any(|p| p.from == from && p.is_ready == is_ready);
-            if !slot_taken {
-                self.pending.entry(digest).or_default().push(PendingPoint {
+            // dropped (the guard above covers other digests), which bounds
+            // the buffer by 2n points.
+            let slot = self.pending.entry(digest).or_default();
+            if !slot
+                .iter()
+                .any(|p| p.from == from && p.is_ready == is_ready)
+            {
+                slot.push(PendingPoint {
                     from,
                     point,
                     is_ready,
@@ -746,12 +785,7 @@ impl VssNode {
             return;
         }
         if let Some(tally) = self.tallies.get(&digest) {
-            let seen = if is_ready {
-                &tally.ready_from
-            } else {
-                &tally.echo_from
-            };
-            if seen.contains(&from) {
+            if tally.seen(is_ready).contains(&from) {
                 return;
             }
         }
@@ -767,6 +801,26 @@ impl VssNode {
         );
     }
 
+    /// Whether `from` already has an `echo` (resp. `ready`) processed or
+    /// buffered under a digest other than `digest`. Read off the tallies
+    /// and the pending buffer, i.e. state a snapshot carries, so a restored
+    /// node keeps refusing what the live one refused. (A point whose job is
+    /// still in flight is in neither yet; the drivers settle a datagram's
+    /// jobs before they deliver the next one.)
+    fn spent_under_other_digest(&self, from: NodeId, is_ready: bool, digest: &Digest) -> bool {
+        let processed = self
+            .tallies
+            .iter()
+            .any(|(other, tally)| other != digest && tally.seen(is_ready).contains(&from));
+        processed
+            || self.pending.iter().any(|(other, points)| {
+                other != digest
+                    && points
+                        .iter()
+                        .any(|p| p.from == from && p.is_ready == is_ready)
+            })
+    }
+
     fn flush_pending(&mut self, digest: Digest, actions: &mut Vec<VssAction>) {
         let Some(pending) = self.pending.remove(&digest) else {
             return;
@@ -774,13 +828,37 @@ impl VssNode {
         self.submit_points(digest, pending, actions);
     }
 
-    /// Prepare stage for echo/ready points: the whole batch becomes one
-    /// [`CryptoJob`] against this node's projection of the commitment
-    /// (derived here the first time the digest needs one), folded into a
-    /// single multiexp by the executor. The job attributes blame per point
-    /// when the fold rejects, so only bad tuples are discarded (RLC accepts
-    /// ⇒ every tuple verifies; the fast path never admits a point the slow
-    /// path would reject).
+    /// Prepare stage for echo/ready points, and the one place that decides
+    /// *where* `verify-point` is evaluated.
+    ///
+    /// **Row held, matrix symmetric ⇒ in the field.** Once this node holds
+    /// its row `a` under the digest (`tally.row`: the dealer's row accepted
+    /// by `verify-poly`, or the row interpolated from `t + 1` verified
+    /// points), the point `α` claimed by `P_m` is judged by
+    /// `a(m) == α` — one Horner evaluation in `Z_q`, no group operation, no
+    /// job — and applied right here through [`Self::process_point`]. This is
+    /// the *same predicate* as the group check, not an approximation of it.
+    /// Let `R_j = Π_ℓ (C_{jℓ})^{i^ℓ}` be this node's row projection, so
+    /// that `verify-point(C, i, m, α) ⇔ g^α = Π_j R_j^{m^j}`. For a
+    /// symmetric `C`, `verify-poly(C, i, a)` gives
+    /// `g^{a_ℓ} = Π_j (C_{jℓ})^{i^j} = Π_j (C_{ℓj})^{i^j} = R_ℓ`; an
+    /// interpolated row comes from `t + 1` points that each satisfied
+    /// `g^α = Π_j R_j^{m^j}` at distinct `m`, and the Vandermonde system
+    /// they form is invertible, so again `g^{a_j} = R_j`. Either way
+    /// `Π_j R_j^{m^j} = g^{a(m)}`, and in a group of prime order `q`
+    /// `g^α = g^{a(m)} ⇔ α = a(m)`.
+    ///
+    /// **Otherwise ⇒ in the group**, as one [`CryptoJob`] against this
+    /// node's projection of the commitment (derived here the first time the
+    /// digest needs one): no row yet (an inline matrix that outran the
+    /// `send`, a node that never gets a valid `send`), or an asymmetric
+    /// matrix from a Byzantine dealer — there `verify-poly` bound the row to
+    /// the *column* products, the field test would answer a different
+    /// question, and symmetry is what gates it. The job folds the batch
+    /// into a single multiexp and attributes blame per point when the fold
+    /// rejects, so only bad tuples are discarded (RLC accepts ⇒ every tuple
+    /// verifies; the fast path never admits a point the slow path would
+    /// reject).
     fn submit_points(
         &mut self,
         digest: Digest,
@@ -790,10 +868,22 @@ impl VssNode {
         if entries.is_empty() {
             return;
         }
+        let commitment = &self.commitments[&digest];
+        let row = self.tallies.get(&digest).and_then(|t| t.row.as_ref());
+        if let Some(row) = row.filter(|_| commitment.is_symmetric()) {
+            let verdicts: Vec<bool> = entries
+                .iter()
+                .map(|p| row.evaluate_at_index(p.from) == p.point)
+                .collect();
+            for (entry, valid) in entries.into_iter().zip(verdicts) {
+                self.process_point(digest, entry, valid, actions);
+            }
+            return;
+        }
         let projection = self
             .projections
             .entry(digest)
-            .or_insert_with(|| Arc::new(self.commitments[&digest].project(self.id)));
+            .or_insert_with(|| Arc::new(commitment.project(self.id)));
         let claims = entries.iter().map(|p| (p.from, p.point)).collect();
         let job = CryptoJob::point_batch(Arc::clone(projection), claims);
         self.submit(job, JobCtx::Points { digest, entries }, actions);
@@ -801,7 +891,8 @@ impl VssNode {
 
     /// Apply stage for one echo/ready point: Fig. 1's first-time guard,
     /// tally update and threshold reactions, with the `verify-point` result
-    /// already decided by the point's job.
+    /// already decided — in the field at the prepare site or by the point's
+    /// job (see [`Self::submit_points`]).
     fn process_point(
         &mut self,
         digest: Digest,
@@ -1444,8 +1535,18 @@ mod tests {
         assert_eq!(run(false), run(true));
     }
 
-    /// In deferred mode a corrupted point is still rejected: the verdict's
-    /// per-claim bits drive the same tally outcome as inline verification.
+    fn echo(session: SessionId, commitment: &CommitmentMatrix, point: Scalar) -> VssMessage {
+        VssMessage::Echo {
+            session,
+            commitment: CommitmentRef::full(commitment.clone()),
+            point,
+        }
+    }
+
+    /// A corrupted point is rejected on either path, with the same tally
+    /// outcome. Re-staged when points became field-judged once the row is
+    /// held: after the `send` there is no job to poll any more, so the
+    /// verdict-driven variant is the echo that outruns the `send`.
     #[test]
     fn deferred_mode_rejects_corrupted_points() {
         let cfg = config(4, 0, CommitmentMode::Full);
@@ -1453,48 +1554,182 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(77);
         let poly = SymmetricBivariate::random_with_secret(&mut rng, cfg.t, Scalar::from_u64(5));
         let commitment = CommitmentMatrix::commit(&poly);
-        let mut node = VssNode::new(2, cfg, session, 1, None);
+        let digest = dkg_crypto::sha256(&commitment.to_bytes());
+        let send = VssMessage::Send {
+            session,
+            commitment: commitment.clone(),
+            row: poly.row(2),
+        };
+        let bad = poly.evaluate(Scalar::from_u64(3), Scalar::from_u64(2)) + Scalar::one();
+        let rejected = |node: &VssNode| {
+            let tally = &node.tallies[&digest];
+            tally.echo_from.contains(&3) && !tally.echo_verified.contains(&3)
+        };
+
+        // Row held: the corrupted echo from node 3 is judged in the field,
+        // at the prepare site — rejected with no job queued.
+        let mut node = VssNode::new(2, cfg.clone(), session, 1, None);
         node.set_deferred_crypto(true);
-        // Adopt the dealing.
-        let mut actions = node.handle_message(
-            1,
-            VssMessage::Send {
-                session,
-                commitment: commitment.clone(),
-                row: poly.row(2),
-            },
-        );
+        let mut actions = node.handle_message(1, send.clone());
         while let Some((id, job)) = node.poll_job() {
             actions.extend(node.complete_job(id, job.run()));
         }
         assert!(actions.iter().any(|a| matches!(a, VssAction::Send { .. })));
-        // A corrupted echo point from node 3: job runs, verdict rejects.
-        let bad = poly.evaluate(Scalar::from_u64(3), Scalar::from_u64(2)) + Scalar::one();
-        let _ = node.handle_message(
-            3,
-            VssMessage::Echo {
-                session,
-                commitment: CommitmentRef::full(commitment),
-                point: bad,
-            },
-        );
+        assert!(node
+            .handle_message(3, echo(session, &commitment, bad))
+            .is_empty());
+        assert!(node.poll_job().is_none());
+        assert_eq!(node.projection_count(), 0);
+        assert!(rejected(&node));
+
+        // No row yet: the same echo outruns the `send`, so a point job
+        // runs against the projection and its verdict rejects.
+        let mut node = VssNode::new(2, cfg, session, 1, None);
+        node.set_deferred_crypto(true);
+        let _ = node.handle_message(3, echo(session, &commitment, bad));
         let (id, job) = node.poll_job().expect("point job prepared");
+        assert_eq!(job.kind(), "point-batch");
         let verdict = job.run();
         assert!(!verdict.all_valid());
         assert!(node.complete_job(id, verdict).is_empty());
+        assert_eq!(node.projection_count(), 1);
+        assert!(rejected(&node));
         // A duplicate from the same sender is dropped at the prepare stage:
         // no new crypto job is created for it.
         let _ = node.handle_message(
             3,
             VssMessage::Echo {
                 session,
-                commitment: CommitmentRef::Digest(dkg_crypto::sha256(
-                    &node.commitments.values().next().unwrap().to_bytes(),
-                )),
+                commitment: CommitmentRef::Digest(digest),
                 point: bad,
             },
         );
         assert!(node.poll_job().is_none());
+    }
+
+    /// A Byzantine dealer commits to a *non-symmetric* `g(x, y)` and sends
+    /// node 2 the row `g(2, ·)`, which passes `verify-poly`. The held row
+    /// must not judge points: under this matrix `verify-point` accepts
+    /// `g(m, 2)`, the row evaluates to `g(2, m)`. Symmetry gates the field
+    /// check, so every point goes through a `PointBatch` job and the node
+    /// accepts exactly what `verify_point` accepts.
+    #[test]
+    fn asymmetric_matrix_keeps_points_on_the_group_path() {
+        let cfg = config(4, 0, CommitmentMode::Full);
+        let session = SessionId::new(1, 0);
+        let mut rng = StdRng::seed_from_u64(78);
+        // t = 1: g(x, y) = c00 + c01·y + c10·x + c11·xy with c01 ≠ c10.
+        assert_eq!(cfg.t, 1);
+        let [c00, c01, c10, c11] = [(); 4].map(|_| Scalar::random(&mut rng));
+        let g = |x: u64, y: u64| {
+            let (x, y) = (Scalar::from_u64(x), Scalar::from_u64(y));
+            c00 + c01 * y + c10 * x + c11 * x * y
+        };
+        let commit = dkg_arith::GroupElement::commit;
+        let commitment = CommitmentMatrix::from_entries(vec![
+            vec![commit(&c00), commit(&c01)],
+            vec![commit(&c10), commit(&c11)],
+        ])
+        .expect("square");
+        assert!(!commitment.is_symmetric());
+        let digest = dkg_crypto::sha256(&commitment.to_bytes());
+        // g(2, ·), the row verify-poly accepts for node 2.
+        let two = Scalar::from_u64(2);
+        let row = Univariate::from_coefficients(vec![c00 + c10 * two, c01 + c11 * two]);
+        assert!(commitment.verify_poly(2, &row));
+
+        let mut node = VssNode::new(2, cfg, session, 1, None);
+        node.set_deferred_crypto(true);
+        let send = VssMessage::Send {
+            session,
+            commitment: commitment.clone(),
+            row: row.clone(),
+        };
+        let mut actions = node.handle_message(1, send);
+        while let Some((id, job)) = node.poll_job() {
+            actions.extend(node.complete_job(id, job.run()));
+        }
+        assert!(actions.iter().any(|a| matches!(a, VssAction::Send { .. })));
+        assert!(node.tallies[&digest].row.is_some());
+
+        // Node 3 sends what verify-point accepts, node 4 what the row says.
+        assert_ne!(g(4, 2), g(2, 4));
+        assert_eq!(row.evaluate_at_index(4), g(2, 4));
+        for (from, point) in [(3u64, g(3, 2)), (4, g(2, 4))] {
+            let _ = node.handle_message(from, echo(session, &commitment, point));
+            let (id, job) = node.poll_job().expect("group path: a point job exists");
+            assert_eq!(job.kind(), "point-batch");
+            let verdict = job.run();
+            assert_eq!(verdict.valid, vec![commitment.verify_point(2, from, point)]);
+            let _ = node.complete_job(id, verdict);
+        }
+        assert_eq!(node.projection_count(), 1);
+        let tally = &node.tallies[&digest];
+        assert_eq!(tally.echo_from, BTreeSet::from([3, 4]));
+        assert_eq!(tally.echo_verified, BTreeSet::from([3]));
+    }
+
+    /// The §3 node whose `send` never arrives: points go through the group
+    /// until the echo threshold lets it interpolate its row, through the
+    /// field from then on, and it finishes with the share the dealer meant
+    /// for it.
+    #[test]
+    fn node_without_a_send_switches_to_the_field_once_it_interpolates_its_row() {
+        let n = 7u64;
+        let cfg = config(n as usize, 0, CommitmentMode::Full);
+        let session = SessionId::new(1, 0);
+        let mut rng = StdRng::seed_from_u64(79);
+        let poly = SymmetricBivariate::random_with_secret(&mut rng, cfg.t, Scalar::from_u64(6));
+        let commitment = CommitmentMatrix::commit(&poly);
+        let digest = dkg_crypto::sha256(&commitment.to_bytes());
+        let point = |m: u64| poly.evaluate(Scalar::from_u64(m), Scalar::from_u64(2));
+        let ready = |point: Scalar| VssMessage::Ready {
+            session,
+            commitment: CommitmentRef::full(commitment.clone()),
+            point,
+            signature: None,
+        };
+        let mut node = VssNode::new(2, cfg.clone(), session, 1, None);
+        node.set_deferred_crypto(true);
+
+        let echoers = [1u64, 3, 4, 5, 6];
+        assert_eq!(echoers.len(), cfg.echo_threshold());
+        let mut actions = Vec::new();
+        for m in echoers {
+            assert!(node.tallies.get(&digest).is_none_or(|t| t.row.is_none()));
+            actions = node.handle_message(m, echo(session, &commitment, point(m)));
+            let (id, job) = node.poll_job().expect("no row yet: group path");
+            actions.extend(node.complete_job(id, job.run()));
+        }
+        // The fifth echo crossed the threshold: row interpolated, readies out.
+        assert_eq!(node.tallies[&digest].row, Some(poly.row(2)));
+        assert!(actions.iter().any(|a| matches!(
+            a,
+            VssAction::Send {
+                message: VssMessage::Ready { .. },
+                ..
+            }
+        )));
+        assert_eq!(node.projection_count(), 1);
+
+        // From here on no point prepares a job, good or bad.
+        let _ = node.handle_message(7, echo(session, &commitment, point(7)));
+        let _ = node.handle_message(1, ready(point(1) + Scalar::one()));
+        assert!(node.poll_job().is_none());
+        let tally = &node.tallies[&digest];
+        assert!(tally.echo_verified.contains(&7));
+        assert!(tally.ready_from.contains(&1) && !tally.ready_verified.contains(&1));
+        let mut outputs = Vec::new();
+        for m in [3u64, 4, 5, 6, 7] {
+            outputs.extend(node.handle_message(m, ready(point(m))));
+            assert!(node.poll_job().is_none());
+        }
+        assert_eq!(node.jobs_in_flight(), 0);
+        assert!(matches!(
+            outputs.last(),
+            Some(VssAction::Output(VssOutput::Shared { .. }))
+        ));
+        assert_eq!(node.share(), Some(poly.row(2).constant_term()));
     }
 
     /// One peer repeating `echo`/`ready` for digests the node does not know
@@ -1546,6 +1781,70 @@ mod tests {
         )];
         run_synchronously(&mut nodes, initial);
         assert!(nodes.values().all(|node| node.is_complete()));
+        let shares: Vec<(u64, Scalar)> = nodes
+            .iter()
+            .take(cfg.t + 1)
+            .map(|(&i, node)| (i, node.share().unwrap()))
+            .collect();
+        assert_eq!(interpolate_secret(&shares), Some(secret));
+    }
+
+    /// Full-commitment mode, same attack: one peer sending `echo`/`ready`
+    /// under ever-new inline matrices gets its first of each kind looked at
+    /// and nothing else stored, and the sharing still completes.
+    #[test]
+    fn inline_matrices_are_bounded_per_sender() {
+        let n = 13;
+        let cfg = config(n, 0, CommitmentMode::Full);
+        assert_eq!(cfg.t, 4);
+        let session = SessionId::new(1, 0);
+        let mut nodes: BTreeMap<NodeId, VssNode> = (1..=n as u64)
+            .map(|i| (i, VssNode::new(i, cfg.clone(), session, 900 + i, None)))
+            .collect();
+        let victim = nodes.get_mut(&2).unwrap();
+        let mut rng = StdRng::seed_from_u64(5);
+        let poly = SymmetricBivariate::random_with_secret(&mut rng, cfg.t, Scalar::from_u64(1));
+        let mut entries = CommitmentMatrix::commit(&poly).entries().to_vec();
+        for k in 0..20_000u64 {
+            // A random 5 × 5 matrix, made distinct 20 000 times over.
+            entries[0][0] += dkg_arith::GroupElement::generator();
+            let matrix = CommitmentMatrix::from_entries(entries.clone()).expect("square");
+            let commitment = CommitmentRef::full(matrix);
+            let point = Scalar::from_u64(k);
+            let message = if k % 2 == 0 {
+                VssMessage::Echo {
+                    session,
+                    commitment,
+                    point,
+                }
+            } else {
+                VssMessage::Ready {
+                    session,
+                    commitment,
+                    point,
+                    signature: None,
+                }
+            };
+            assert!(victim.handle_message(3, message).is_empty());
+        }
+        assert_eq!(victim.commitments.len(), 2);
+        assert_eq!(victim.tallies.len(), 2);
+        assert_eq!(victim.projection_count(), 2);
+        let image = victim.snapshot().expect("idle");
+        assert_eq!(image.commitments.len(), 2);
+        assert!(image.pending.is_empty());
+
+        let secret = Scalar::from_u64(4242);
+        let initial = vec![(
+            1u64,
+            nodes
+                .get_mut(&1)
+                .unwrap()
+                .handle_input(VssInput::Share { secret }),
+        )];
+        run_synchronously(&mut nodes, initial);
+        assert!(nodes.values().all(|node| node.is_complete()));
+        assert_eq!(nodes[&2].commitments.len(), 3);
         let shares: Vec<(u64, Scalar)> = nodes
             .iter()
             .take(cfg.t + 1)

@@ -1,26 +1,22 @@
-//! Threshold-signing throughput and the batched-verification dividend.
-//!
-//! The signing service's hot loop is the coordinator's partial-signature
-//! verification: `g^{s_i} = R_i · A_i^{cλ_i}` once per quorum member per
-//! request. This bench measures the service end to end and the batching
-//! win in the paper's own cost unit (group operations):
+//! Threshold-signing throughput and what one request costs.
 //!
 //! * `tss_throughput/burst` — a burst of 8 requests served over a live
 //!   n-node endpoint network (DKG already complete, inline crypto), for
 //!   n ∈ {4, 8, 16}; wall time per burst is the service's latency floor,
 //! * `write_summary` — a (n × workers) matrix of the same burst under
-//!   worker pools, reported as signatures/second, plus the asserted
-//!   criterion: verifying a burst's partials as RLC-folded batches
-//!   ([`CryptoJob::PartialSigBatch`]) must use **measurably fewer group
-//!   operations per signature** than verifying each partial individually
-//!   — both for the per-request batches the sessions submit today and
-//!   for a whole burst folded into one group.
+//!   worker pools, reported as signatures/second, plus the group
+//!   operations of one n = 13, t = 4 request in the paper's own cost unit,
+//!   all nodes together: on the honest path (the coordinator verifies the
+//!   aggregate and nothing else: no crypto job) and with one forged
+//!   partial (the aggregate fails, one [`dkg_poly::CryptoJob`] names the
+//!   forger, the request is signed again without it). Both counts repeat
+//!   exactly and are asserted.
 //!
 //! The machine-readable summary lands in
 //! `target/criterion/tss_throughput/summary.json`; CI uploads it and the
 //! repo pins a copy as `BENCH_tss.json`.
 
-use std::sync::Arc;
+use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -28,9 +24,9 @@ use dkg_arith::{ops, GroupElement, PrimeField, Scalar};
 use dkg_core::DkgInput;
 use dkg_engine::runner::{attach_sign_sessions, build_dkg_net_on, collect_signatures, SystemSetup};
 use dkg_engine::{EndpointNet, Executor, InlineExecutor, ThreadPoolExecutor};
-use dkg_poly::{CommitmentMatrix, CryptoJob, PartialSigClaim, SymmetricBivariate};
-use dkg_sim::DelayModel;
-use dkg_tss::TssInput;
+use dkg_poly::{CommitmentMatrix, SymmetricBivariate};
+use dkg_sim::{Action, ActionSink, DelayModel, Protocol};
+use dkg_tss::{SignSession, TssConfig, TssInput, TssMessage};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -119,28 +115,69 @@ fn best_of(rounds: u32, mut f: impl FnMut()) -> Duration {
         .expect("at least one round")
 }
 
-/// Honest partial-signature claims for one request: any random nonce and
-/// scaled challenge satisfy `g^{s_i} = R_i · A_i^{cλ_i}` when
-/// `s_i = nonce + cλ_i · a_i` with `a_i` the signer's real share.
-fn honest_request(
-    poly: &SymmetricBivariate,
-    signers: &[u64],
-    rng: &mut StdRng,
-) -> Vec<PartialSigClaim> {
-    signers
+/// One n = 13, t = 4 request over bare sessions (deferred crypto) and an
+/// in-order message pump, node 1 coordinating; every partial `forger` sends
+/// is off by one. Returns the group operations of the whole request — all
+/// nodes, jobs included — and the number of crypto jobs it ran.
+fn count_request(forger: Option<u64>) -> (u64, usize) {
+    let (n, t) = (13u64, 4usize);
+    let mut rng = StdRng::seed_from_u64(3);
+    let secret = Scalar::random(&mut rng);
+    let poly = SymmetricBivariate::random_with_secret(&mut rng, t, secret);
+    let matrix = CommitmentMatrix::commit(&poly);
+    let signers: Vec<u64> = (1..=n).collect();
+    let mut sessions: Vec<SignSession> = signers
         .iter()
-        .map(|&i| {
-            let share = poly.row(i).constant_term();
-            let nonce = Scalar::random(rng);
-            let scaled = Scalar::random(rng);
-            PartialSigClaim::new(
-                i,
-                scaled,
-                GroupElement::commit(&nonce),
-                nonce + scaled * share,
-            )
+        .map(|&id| {
+            let config = TssConfig::new(signers.clone(), t, 1_000).expect("valid config");
+            let share = poly.row(id).constant_term();
+            let key = matrix.public_key();
+            let mut session = SignSession::new(id, SID, config, share, matrix.clone(), key, id)
+                .expect("key material of one sharing");
+            session.set_deferred_crypto(true);
+            session
         })
-        .collect()
+        .collect();
+
+    let mut queue: VecDeque<(u64, u64, TssMessage)> = VecDeque::new();
+    let mut absorb = |from: u64, sink: ActionSink<TssMessage, _>| {
+        for action in sink.into_actions() {
+            if let Action::Send { to, message } = action {
+                queue.push_back((from, to, message));
+            }
+        }
+        queue.pop_front()
+    };
+    let mut jobs = 0;
+    let ((), spent) = ops::measure(|| {
+        let mut sink = ActionSink::new();
+        let input = TssInput::Sign {
+            req: 1,
+            message: b"counted".to_vec(),
+        };
+        sessions[0].on_operator(input, &mut sink);
+        let mut next = absorb(1, sink);
+        while let Some((from, to, mut message)) = next {
+            if let TssMessage::PartialSig { response, .. } = &mut message {
+                if Some(from) == forger {
+                    *response += Scalar::one();
+                }
+            }
+            let session = &mut sessions[to as usize - 1];
+            let mut sink = ActionSink::new();
+            session.on_message(from, message, &mut sink);
+            while let Some((id, job)) = session.poll_job() {
+                jobs += 1;
+                session.complete_job(id, &job.run(), &mut sink);
+            }
+            next = absorb(to, sink);
+        }
+    });
+    assert!(
+        sessions.iter().all(|session| session.result(1).is_some()),
+        "the request completes at every node"
+    );
+    (spent.total(), jobs)
 }
 
 /// The asserted acceptance criterion plus the machine-readable summary.
@@ -148,62 +185,19 @@ fn write_summary(_c: &mut Criterion) {
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     let rounds = 3;
 
-    // --- Group-operation criterion -----------------------------------
-    // A burst of 8 requests against one DKG key, quorum t + 1 = 6.
-    let threshold = 5;
-    let mut rng = StdRng::seed_from_u64(3);
-    let secret = Scalar::random(&mut rng);
-    let poly = SymmetricBivariate::random_with_secret(&mut rng, threshold, secret);
-    let matrix = Arc::new(CommitmentMatrix::commit(&poly));
-    let signers: Vec<u64> = (1..=threshold as u64 + 1).collect();
-    let requests: Vec<Vec<PartialSigClaim>> = (0..BURST)
-        .map(|_| honest_request(&poly, &signers, &mut rng))
-        .collect();
-    let quorum = signers.len() as u64;
+    // --- Group operations of one request ------------------------------
     let _ = GroupElement::commit(&Scalar::one()); // warm the fixed-base table
-
-    // Seed path: every partial verified alone.
-    let (ok, per_claim) =
-        ops::measure(|| requests.iter().flatten().all(|claim| claim.verify(&matrix)));
-    assert!(ok);
-
-    // What the sessions submit today: one batch job per request, folded
-    // by the executor ([`CryptoJob::fold`]) into one job of 8 groups.
-    let per_request_jobs: Vec<CryptoJob> = requests
-        .iter()
-        .map(|claims| CryptoJob::partial_sig_batch(matrix.clone(), claims.clone()))
-        .collect();
-    let folded = CryptoJob::fold(per_request_jobs).expect("same-kind jobs fold");
-    let (verdict, per_request) = ops::measure(|| folded.run());
-    assert!(verdict.valid.iter().all(|&v| v));
-
-    // The whole burst as a single RLC fold (one group, one multiexp).
-    let all_claims: Vec<PartialSigClaim> = requests.iter().flatten().copied().collect();
-    let burst_job = CryptoJob::partial_sig_batch(matrix.clone(), all_claims);
-    let (verdict, single_fold) = ops::measure(|| burst_job.run());
-    assert!(verdict.valid.iter().all(|&v| v));
-
+    let (honest_ops, honest_jobs) = count_request(None);
+    let (forged_ops, forged_jobs) = count_request(Some(3));
+    assert_eq!(honest_jobs, 0, "the honest path runs no crypto job");
+    assert_eq!(forged_jobs, 1, "one failed aggregate, one blame job");
     assert!(
-        per_request.total() < per_claim.total(),
-        "per-request batches must use fewer group ops than per-claim \
-         verification (batched {}, individual {})",
-        per_request.total(),
-        per_claim.total()
-    );
-    assert!(
-        single_fold.total() < per_request.total(),
-        "one burst-wide fold must beat per-request folds \
-         ({} vs {})",
-        single_fold.total(),
-        per_request.total()
+        honest_ops <= 8_000,
+        "an honest n = 13 request costs {honest_ops} group operations"
     );
     println!(
-        "group ops per signature (burst {BURST}, quorum {quorum}): per-claim {}, \
-         per-request batches {}, single fold {} ({:.1}x reduction)",
-        per_claim.total() / BURST,
-        per_request.total() / BURST,
-        single_fold.total() / BURST,
-        per_claim.total() as f64 / per_request.total() as f64
+        "group ops per request (n = 13, t = 4, all nodes): honest {honest_ops} \
+         ({honest_jobs} jobs), one forged partial {forged_ops} ({forged_jobs} job, one retry)"
     );
 
     // --- Throughput matrix -------------------------------------------
@@ -244,18 +238,10 @@ fn write_summary(_c: &mut Criterion) {
         "{{\n  \"bench\": \"tss_throughput\",\n  \"cores\": {cores},\n  \
          \"host_note\": \"measured on the dev container; pool lanes cannot show wall-clock \
          speedups below {} cores (recorded, not asserted); CI refreshes this as a bench-smoke \
-         artifact\",\n  \"group_ops_burst\": {{\"burst\": {BURST}, \"quorum\": {quorum}, \
-         \"per_claim\": {}, \"per_request_batches\": {}, \"single_fold\": {}, \
-         \"per_claim_per_sig\": {}, \"per_request_per_sig\": {}, \"single_fold_per_sig\": {}, \
-         \"reduction\": {:.1}}},\n  \"throughput\": [\n    {}\n  ]\n}}\n",
+         artifact\",\n  \"group_ops_request\": {{\"n\": 13, \"t\": 4, \"honest\": {honest_ops}, \
+         \"honest_jobs\": {honest_jobs}, \"one_forged_partial\": {forged_ops}, \
+         \"one_forged_partial_jobs\": {forged_jobs}}},\n  \"throughput\": [\n    {}\n  ]\n}}\n",
         POOL_WORKERS[POOL_WORKERS.len() - 1] + 1,
-        per_claim.total(),
-        per_request.total(),
-        single_fold.total(),
-        per_claim.total() / BURST,
-        per_request.total() / BURST,
-        single_fold.total() / BURST,
-        per_claim.total() as f64 / per_request.total() as f64,
         entries.join(",\n    ")
     );
     let target = std::env::var_os("CARGO_TARGET_DIR")

@@ -7,7 +7,7 @@
 //! each node index to its Schnorr verification key. Proactive certificate
 //! rotation (§5.1) is modelled by [`KeyDirectory::rotate`].
 
-use crate::schnorr::{PublicKey, Signature, SigningKey};
+use crate::schnorr::{PublicKey, Signature, SignatureError, SigningKey};
 use dkg_arith::FixedBaseTable;
 use rand::Rng;
 use std::collections::BTreeMap;
@@ -38,43 +38,67 @@ impl std::fmt::Display for KeyringError {
 
 impl std::error::Error for KeyringError {}
 
-/// Window width of a directory key's table: 64 windows × 15 digits = 960
-/// affine entries (60 KiB) and 960 group operations to build, for at most 64
+/// Window width of a key's table: 64 windows × 15 digits = 960 affine
+/// entries (60 KiB) and 960 group operations to build, for at most 64
 /// additions per check. A process verifies thousands of signatures against
 /// each of its `n` keys, but it also holds `n` tables, so the width stays
 /// below the cost model's pick for that budget: 5 bits would be 1 612
 /// entries to save 12 of the 64 additions.
 const KEY_TABLE_WINDOW: usize = 4;
 
-/// A registered key with the fixed-base table of its point.
+/// A verification key together with the fixed-base table of its point, for
+/// a key that stays fixed while many signatures are checked under it: a
+/// directory entry, or the group key of a signing session.
+/// [`Self::verify`] is [`PublicKey::verify`]'s predicate with the key's
+/// power taken from the table. The table is built in [`Self::new`] (960
+/// group operations) — never on first use, so what a check costs does not
+/// depend on who verified first — and shared by clones.
 #[derive(Clone)]
-struct Entry {
+pub struct TabledKey {
     key: PublicKey,
     table: Arc<FixedBaseTable>,
 }
 
-impl Entry {
-    fn new(key: PublicKey) -> Self {
+// The key bytes only: a derived Debug would print the table, 60 KiB, into
+// any failure message that formats a key holder.
+impl std::fmt::Debug for TabledKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("TabledKey").field(&self.key).finish()
+    }
+}
+
+impl TabledKey {
+    /// Builds the table of `key`'s point.
+    pub fn new(key: PublicKey) -> Self {
         let table = Arc::new(FixedBaseTable::new(&key.point(), KEY_TABLE_WINDOW));
-        Entry { key, table }
+        TabledKey { key, table }
+    }
+
+    /// The key itself.
+    pub fn key(&self) -> PublicKey {
+        self.key
+    }
+
+    /// Verifies `signature` over `message`: a walk of the generator's table
+    /// and a walk of this key's, no doubling and no inversion.
+    pub fn verify(&self, message: &[u8], signature: &Signature) -> Result<(), SignatureError> {
+        self.key.verify_with(message, signature, |acc, challenge| {
+            self.table.mul_onto(acc, &-*challenge);
+        })
     }
 }
 
 /// Public directory of verification keys for all system nodes.
 ///
 /// The keys never change between [`Self::register`] / [`Self::rotate`]
-/// calls, so each carries a precomputed table and [`Self::verify`] raises
-/// it to the challenge with additions only. Tables are built when the key
-/// enters the directory — never on first use, so what an operation costs
-/// does not depend on who verified first — and clones of a directory share
-/// them.
+/// calls, so each is held as a [`TabledKey`], built when the key enters the
+/// directory; clones of a directory share the tables.
 #[derive(Clone, Default)]
 pub struct KeyDirectory {
-    keys: BTreeMap<NodeId, Entry>,
+    keys: BTreeMap<NodeId, TabledKey>,
 }
 
-// Node ids and key bytes only: a derived Debug would print every table,
-// 60 KiB per key, into any failure message that formats a directory holder.
+// Node ids and key bytes only, not the tables.
 impl std::fmt::Debug for KeyDirectory {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_map()
@@ -91,7 +115,7 @@ impl KeyDirectory {
 
     /// Registers (or replaces) the key for a node.
     pub fn register(&mut self, node: NodeId, key: PublicKey) {
-        self.keys.insert(node, Entry::new(key));
+        self.keys.insert(node, TabledKey::new(key));
     }
 
     /// Removes a node (used by the node-removal group modification, §6.3).
@@ -106,11 +130,11 @@ impl KeyDirectory {
             .keys
             .get_mut(&node)
             .ok_or(KeyringError::UnknownNode(node))?;
-        *entry = Entry::new(key);
+        *entry = TabledKey::new(key);
         Ok(())
     }
 
-    fn entry(&self, node: NodeId) -> Result<&Entry, KeyringError> {
+    fn entry(&self, node: NodeId) -> Result<&TabledKey, KeyringError> {
         self.keys.get(&node).ok_or(KeyringError::UnknownNode(node))
     }
 
@@ -119,20 +143,15 @@ impl KeyDirectory {
         self.entry(node).map(|entry| entry.key)
     }
 
-    /// Verifies a signature attributed to `node`: [`PublicKey::verify`]'s
-    /// predicate with the key's power taken from its table.
+    /// Verifies a signature attributed to `node` ([`TabledKey::verify`]).
     pub fn verify(
         &self,
         node: NodeId,
         message: &[u8],
         signature: &Signature,
     ) -> Result<(), KeyringError> {
-        let entry = self.entry(node)?;
-        entry
-            .key
-            .verify_with(message, signature, |acc, challenge| {
-                entry.table.mul_onto(acc, &-*challenge);
-            })
+        self.entry(node)?
+            .verify(message, signature)
             .map_err(|_| KeyringError::BadSignature(node))
     }
 
@@ -232,6 +251,11 @@ mod tests {
                 "case {i}"
             );
             assert_eq!(
+                directory.keys[&node].verify(message, &signature).is_ok(),
+                expected,
+                "case {i}"
+            );
+            assert_eq!(
                 directory.verify(node, message, &signature).is_ok(),
                 expected,
                 "case {i}"
@@ -299,6 +323,9 @@ mod tests {
         assert!(text.starts_with("{1: PublicKey"), "{text}");
         assert!(text.len() < 3 * 400, "{} bytes", text.len());
         assert!(!text.contains("FixedBaseTable"));
+        let entry = format!("{:?}", directory.keys[&1]);
+        assert!(entry.starts_with("TabledKey(PublicKey"), "{entry}");
+        assert!(entry.len() < 400, "{} bytes", entry.len());
     }
 
     #[test]

@@ -21,7 +21,7 @@ pub mod merkle;
 pub mod schnorr;
 pub mod sha256;
 
-pub use keyring::{generate_keyring, KeyDirectory, KeyringError, NodeId};
+pub use keyring::{generate_keyring, KeyDirectory, KeyringError, NodeId, TabledKey};
 pub use merkle::{MerkleProof, MerkleTree};
 pub use schnorr::{schnorr_challenge, PublicKey, Signature, SignatureError, SigningKey};
 pub use sha256::{sha256, sha256_parts, Digest, Sha256};

@@ -134,7 +134,7 @@ impl PublicKey {
     /// `g^s == R · pk^c` rearranged so that the left side accumulates in a
     /// single Jacobian point and is compared with the affine `R` without a
     /// field inversion. `add_key_power(acc, c)` must add `pk^(−c)` to `acc`:
-    /// a ladder here, a table walk in [`crate::KeyDirectory::verify`].
+    /// a ladder here, a table walk in [`crate::TabledKey::verify`].
     pub(crate) fn verify_with(
         &self,
         message: &[u8],

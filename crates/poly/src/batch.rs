@@ -47,6 +47,11 @@
 //! [`crate::CryptoJob::run`] falls back to per-claim verification to
 //! attribute blame. The expected cost stays on the fast path because
 //! failures only occur under active misbehaviour.
+//!
+//! Threshold-Schnorr partial signatures ([`PartialSigClaim`]) have no fold
+//! here: the signing coordinator's batch check *is* the aggregate signature
+//! (`dkg-tss` verifies `(R, Σ s_k)` under the group key), and the claims
+//! are judged one by one only after that failed.
 
 use dkg_arith::{multiexp, GroupElement, PrimeField, Scalar};
 use dkg_crypto::sha256;
@@ -159,59 +164,12 @@ impl PartialSigClaim {
         }
     }
 
-    /// Verifies this claim alone (the attribution path of
-    /// [`crate::CryptoJob::run`]): `g^{s_i} = R_i · A_i^{cλ_i}`.
+    /// Verifies this claim: `g^{s_i} = R_i · A_i^{cλ_i}`.
     pub fn verify(&self, matrix: &CommitmentMatrix) -> bool {
         let lhs = GroupElement::commit(&self.response);
         let rhs = self.nonce + matrix.share_commitment(self.signer) * self.scaled_challenge;
         lhs == rhs
     }
-}
-
-/// Batch-verifies partial signatures against one DKG commitment matrix:
-/// folds every claim's `g^{s_k} = R_k · A_k^{c_kλ_k}` check into a single
-/// multiexp over the matrix's first column and the nonce commitments — so a
-/// burst of signing requests costs one multiexp instead of one per partial.
-pub fn verify_partial_sigs_batch(matrix: &CommitmentMatrix, claims: &[PartialSigClaim]) -> bool {
-    if claims.is_empty() {
-        return true;
-    }
-    let column = matrix.share_polynomial_commitment();
-    let column = column.entries();
-    // Bind the coefficients to everything being verified.
-    let mut transcript = b"dkg-batch-partial-sig-v1".to_vec();
-    for entry in column {
-        transcript.extend_from_slice(&entry.to_bytes());
-    }
-    for claim in claims {
-        transcript.extend_from_slice(&claim.signer.to_be_bytes());
-        transcript.extend_from_slice(&claim.scaled_challenge.to_be_bytes());
-        transcript.extend_from_slice(&claim.nonce.to_bytes());
-        transcript.extend_from_slice(&claim.response.to_be_bytes());
-    }
-    let mut coefficients = CoefficientStream::new(&transcript);
-
-    // Each claim demands R_k^{e_k} · Π_j (C_{j0})^{e_k·cλ_k·k^j} = g^{e_k s_k}
-    // once folded; the column weights accumulate across claims.
-    let mut weights = vec![Scalar::zero(); column.len()];
-    let mut response_fold = Scalar::zero();
-    let mut points = Vec::with_capacity(column.len() + claims.len());
-    let mut scalars = Vec::with_capacity(column.len() + claims.len());
-    for claim in claims {
-        let e = coefficients.next_coefficient();
-        response_fold += e * claim.response;
-        let x = Scalar::from_u64(claim.signer);
-        let mut term = e * claim.scaled_challenge;
-        for w in weights.iter_mut() {
-            *w += term;
-            term *= x;
-        }
-        points.push(claim.nonce);
-        scalars.push(e);
-    }
-    points.extend_from_slice(column);
-    scalars.extend(weights);
-    fold_holds(&points, &scalars, &response_fold)
 }
 
 /// What the coefficients of a column fold are bound to: the domain tag,
@@ -363,8 +321,10 @@ mod tests {
         let (poly, commitment) = setup(3, 10);
         let claims = honest_partial_sigs(&poly, &[1, 3, 4, 6], 20);
         assert!(claims.iter().all(|c| c.verify(&commitment)));
-        assert!(verify_partial_sigs_batch(&commitment, &claims));
-        assert!(verify_partial_sigs_batch(&commitment, &[]));
+        let job = crate::CryptoJob::partial_sig_batch(commitment.clone(), claims);
+        assert_eq!(job.run(), crate::CryptoVerdict::accept_all(4));
+        let empty = crate::CryptoJob::partial_sig_batch(commitment, Vec::new());
+        assert!(empty.run().is_empty());
     }
 
     #[test]
@@ -373,16 +333,15 @@ mod tests {
         for bad in 0..4 {
             let mut claims = honest_partial_sigs(&poly, &[2, 4, 5, 7], 21);
             claims[bad].response += Scalar::one();
-            assert!(!claims[bad].verify(&commitment));
-            assert!(
-                !verify_partial_sigs_batch(&commitment, &claims),
-                "corrupted partial {bad} slipped through"
-            );
+            let verdicts: Vec<bool> = claims.iter().map(|c| c.verify(&commitment)).collect();
+            let expected: Vec<bool> = (0..4).map(|k| k != bad).collect();
+            assert_eq!(verdicts, expected);
         }
         // A tampered nonce commitment is just as fatal as a bad response.
         let mut claims = honest_partial_sigs(&poly, &[2, 4], 22);
         claims[0].nonce += dkg_arith::GroupElement::generator();
-        assert!(!verify_partial_sigs_batch(&commitment, &claims));
+        assert!(!claims[0].verify(&commitment));
+        assert!(claims[1].verify(&commitment));
     }
 
     #[test]

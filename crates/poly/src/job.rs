@@ -30,9 +30,12 @@
 //! prepared against it. Point batches of different sessions are *not*
 //! merged: a cross-session fold would replace every small exponent by a
 //! full-width RLC weight and cost more than running the jobs one by one.
-//! [`CryptoJob::fold`] merges partial-signature batches only, where the
-//! exponents are full-width either way and a signing burst against one key
-//! really does become one multi-exponentiation.
+//!
+//! A partial-signature batch ([`CryptoJob::partial_sig_batch`]) is not
+//! folded at all: `dkg-tss` checks the aggregate signature first and
+//! prepares this job only when that check failed, so a fold over the same
+//! claims is known to reject before it starts — the job exists to name the
+//! culprits and judges each claim on its own.
 
 use std::sync::Arc;
 
@@ -103,16 +106,16 @@ pub enum CryptoJob {
         /// The `(node index, share)` claims.
         shares: Vec<(u64, Scalar)>,
     },
-    /// A batch of threshold-Schnorr partial-signature checks, possibly
-    /// against several DKG commitment matrices (a burst of signing
-    /// requests, or several signing sessions folded by
-    /// [`CryptoJob::fold`]). Each claim must satisfy
-    /// `g^{s_i} = R_i · A_i^{cλ_i}` with `A_i` read off its matrix's first
-    /// column; verified with one RLC-folded multi-exponentiation,
-    /// per-claim attribution only on failure.
+    /// The partial signatures of one threshold-Schnorr request whose
+    /// aggregate did not verify, to find out whose fault that is. Each
+    /// claim must satisfy `g^{s_i} = R_i · A_i^{cλ_i}` with `A_i` read off
+    /// the matrix's first column, and is judged on its own
+    /// ([`PartialSigClaim::verify`]): at least one of them fails.
     PartialSigBatch {
-        /// `(matrix, claims)` groups; claim order is group-major.
-        groups: Vec<(Arc<CommitmentMatrix>, Vec<PartialSigClaim>)>,
+        /// The DKG's combined commitment matrix.
+        matrix: Arc<CommitmentMatrix>,
+        /// One claim per quorum member.
+        claims: Vec<PartialSigClaim>,
     },
     /// A batch of Schnorr signature checks against a key directory
     /// (justification certificates, vote signatures, ready witnesses).
@@ -156,24 +159,6 @@ impl CryptoVerdict {
     pub fn is_empty(&self) -> bool {
         self.valid.is_empty()
     }
-
-    /// Splits the verdict into consecutive chunks of the given claim
-    /// counts — the inverse of [`CryptoJob::fold`]. Returns `None` if the
-    /// counts do not sum to the verdict's length.
-    pub fn split(&self, counts: &[usize]) -> Option<Vec<CryptoVerdict>> {
-        if counts.iter().sum::<usize>() != self.valid.len() {
-            return None;
-        }
-        let mut out = Vec::with_capacity(counts.len());
-        let mut offset = 0;
-        for &count in counts {
-            out.push(CryptoVerdict {
-                valid: self.valid[offset..offset + count].to_vec(),
-            });
-            offset += count;
-        }
-        Some(out)
-    }
 }
 
 impl CryptoJob {
@@ -189,13 +174,14 @@ impl CryptoJob {
         }
     }
 
-    /// A partial-signature batch against a single commitment matrix.
+    /// A partial-signature batch against a DKG's commitment matrix.
     pub fn partial_sig_batch(
         matrix: impl Into<Arc<CommitmentMatrix>>,
         claims: Vec<PartialSigClaim>,
     ) -> Self {
         CryptoJob::PartialSigBatch {
-            groups: vec![(matrix.into(), claims)],
+            matrix: matrix.into(),
+            claims,
         }
     }
 
@@ -207,7 +193,7 @@ impl CryptoJob {
             CryptoJob::PointBatch { claims, .. } => claims.len(),
             CryptoJob::ShareBatch { shares, .. } => shares.len(),
             CryptoJob::VectorShareBatch { shares, .. } => shares.len(),
-            CryptoJob::PartialSigBatch { groups } => groups.iter().map(|(_, c)| c.len()).sum(),
+            CryptoJob::PartialSigBatch { claims, .. } => claims.len(),
             CryptoJob::Signatures { checks, .. } => checks.len(),
         }
     }
@@ -224,33 +210,14 @@ impl CryptoJob {
         }
     }
 
-    /// Merges several [`CryptoJob::PartialSigBatch`] jobs into one, so a
-    /// burst of signing requests costs one multiexp per DKG key even when
-    /// the requests came from different sessions. Claim order is preserved
-    /// (jobs in input order, claims in job order): split the verdict back
-    /// per input job with [`CryptoVerdict::split`] over the inputs' claim
-    /// counts.
-    ///
-    /// Returns `None` for an empty input or any other job kind.
-    pub fn fold(jobs: Vec<CryptoJob>) -> Option<CryptoJob> {
-        let mut groups = Vec::new();
-        for job in jobs {
-            let CryptoJob::PartialSigBatch { groups: g } = job else {
-                return None;
-            };
-            groups.extend(g);
-        }
-        (!groups.is_empty()).then_some(CryptoJob::PartialSigBatch { groups })
-    }
-
     /// Executes the job. Pure and deterministic: no protocol state, no
     /// randomness (batch coefficients are Fiat–Shamir-derived from the
     /// claims), so every executor produces the identical verdict.
     ///
-    /// Batched kinds verify the RLC fold first; only when the fold rejects
-    /// (some claim is bad) do they fall back to per-claim verification to
-    /// attribute blame — the expected cost stays on the fast path because
-    /// failures only occur under active misbehaviour.
+    /// The point and share batches verify the RLC fold first; only when the
+    /// fold rejects (some claim is bad) do they fall back to per-claim
+    /// verification to attribute blame — the expected cost stays on the
+    /// fast path because failures only occur under active misbehaviour.
     pub fn run(&self) -> CryptoVerdict {
         match self {
             CryptoJob::VerifyPoly { matrix, index, row } => CryptoVerdict {
@@ -279,23 +246,9 @@ impl CryptoJob {
                 vector,
                 shares,
             ),
-            CryptoJob::PartialSigBatch { groups } => {
-                // One fold per matrix group; groups are independent, so the
-                // cross-request win is the per-group fold (a burst against
-                // one DKG key is one group and one multiexp).
-                if groups
-                    .iter()
-                    .all(|(matrix, claims)| crate::batch::verify_partial_sigs_batch(matrix, claims))
-                {
-                    return CryptoVerdict::accept_all(self.claim_count());
-                }
-                // Attribute blame per claim.
-                let valid = groups
-                    .iter()
-                    .flat_map(|(matrix, claims)| claims.iter().map(|c| c.verify(matrix)))
-                    .collect();
-                CryptoVerdict { valid }
-            }
+            CryptoJob::PartialSigBatch { matrix, claims } => CryptoVerdict {
+                valid: claims.iter().map(|c| c.verify(matrix)).collect(),
+            },
             CryptoJob::Signatures { directory, checks } => CryptoVerdict {
                 valid: checks
                     .iter()
@@ -589,20 +542,6 @@ mod tests {
     }
 
     #[test]
-    fn fold_refuses_non_point_jobs() {
-        let (_, commitment) = setup(2, 5);
-        let share_job = CryptoJob::ShareBatch {
-            matrix: Arc::new(commitment.clone()),
-            shares: vec![],
-        };
-        let point_job = CryptoJob::point_batch(commitment.project(1), vec![]);
-        assert!(CryptoJob::fold(vec![share_job.clone()]).is_none());
-        assert!(CryptoJob::fold(vec![point_job.clone()]).is_none());
-        assert!(CryptoJob::fold(vec![point_job, share_job]).is_none());
-        assert!(CryptoJob::fold(vec![]).is_none());
-    }
-
-    #[test]
     fn share_batch_flags_bad_shares() {
         let (poly, commitment) = setup(3, 6);
         let mut shares: Vec<(u64, Scalar)> = (1..=5u64)
@@ -666,29 +605,6 @@ mod tests {
     }
 
     #[test]
-    fn folded_partial_sig_batches_match_individual_runs() {
-        let (poly_a, commitment_a) = setup(2, 13);
-        let (poly_b, commitment_b) = setup(3, 14);
-        let mut claims_b = partial_sigs(&poly_b, &[3, 5], 31);
-        claims_b[1].response += Scalar::one();
-        let job_a = CryptoJob::partial_sig_batch(commitment_a, partial_sigs(&poly_a, &[1, 2], 32));
-        let job_b = CryptoJob::partial_sig_batch(commitment_b, claims_b);
-        let counts = [job_a.claim_count(), job_b.claim_count()];
-        let individual = [job_a.run(), job_b.run()];
-
-        let folded = CryptoJob::fold(vec![job_a.clone(), job_b.clone()]).expect("same kind folds");
-        assert_eq!(folded.kind(), "partial-sig-batch");
-        let verdicts = folded.run().split(&counts).expect("counts match");
-        assert_eq!(verdicts[0], individual[0]);
-        assert_eq!(verdicts[1], individual[1]);
-
-        // Mixed kinds refuse to fold.
-        let (poly_c, commitment_c) = setup(2, 15);
-        let point_job = CryptoJob::point_batch(commitment_c.project(1), claims(&poly_c, 1, 2));
-        assert!(CryptoJob::fold(vec![job_a, point_job]).is_none());
-    }
-
-    #[test]
     fn signature_job_judges_each_check() {
         let mut rng = StdRng::seed_from_u64(8);
         let (keys, directory) = dkg_crypto::generate_keyring(&mut rng, 3);
@@ -711,20 +627,6 @@ mod tests {
         }
         .run();
         assert_eq!(verdict.valid, vec![true, false, false]);
-    }
-
-    #[test]
-    fn verdict_split_validates_counts() {
-        let verdict = CryptoVerdict {
-            valid: vec![true, false, true],
-        };
-        assert!(verdict.split(&[2, 2]).is_none());
-        let parts = verdict.split(&[1, 2]).unwrap();
-        assert_eq!(parts[0].valid, vec![true]);
-        assert_eq!(parts[1].valid, vec![false, true]);
-        assert!(!verdict.all_valid());
-        assert_eq!(verdict.len(), 3);
-        assert!(!verdict.is_empty());
     }
 
     #[test]

@@ -30,8 +30,7 @@ pub mod job;
 pub mod univariate;
 
 pub use batch::{
-    verify_partial_sigs_batch, verify_points_batch, verify_shares_batch,
-    verify_vector_shares_batch, PartialSigClaim,
+    verify_points_batch, verify_shares_batch, verify_vector_shares_batch, PartialSigClaim,
 };
 pub use bivariate::SymmetricBivariate;
 pub use commitment::{CommitmentError, CommitmentMatrix, CommitmentVector};

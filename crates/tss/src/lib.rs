@@ -11,8 +11,9 @@
 //!
 //! * [`SignSession`] — the request-driven state machine: FROST-style
 //!   two-round signing (commitment-based distributed nonces, then partial
-//!   responses), batched partial-signature verification through the
-//!   [`dkg_poly::CryptoJob`] pipeline, Lagrange aggregation, and
+//!   responses), Lagrange aggregation verified as the plain Schnorr
+//!   signature it is, per-signer checks through the
+//!   [`dkg_poly::CryptoJob`] pipeline only when that fails, and
 //!   blame-then-retry for silent or misbehaving signers;
 //! * [`TssMessage`] / [`TssInput`] / [`TssOutput`] — the wire messages,
 //!   operator inputs and protocol outputs, with canonical codecs in

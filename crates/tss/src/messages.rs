@@ -15,11 +15,13 @@
 //!    the group nonce `R`, the Schnorr challenge and its Lagrange
 //!    coefficient, and answers with its [`TssMessage::PartialSig`].
 //!
-//! The coordinator batch-verifies the partials (one folded multiexp via
-//! [`dkg_poly::CryptoJob::PartialSigBatch`]), aggregates `s = Σ s_i`, and
-//! broadcasts [`TssMessage::SignResult`] — an ordinary Schnorr signature
-//! under the DKG'd group key. Misbehaving or silent signers are excluded
-//! and the round retried with a fresh attempt counter (and fresh nonces).
+//! The coordinator aggregates `s = Σ s_i`, verifies `(R, s)` under the
+//! DKG'd group key and broadcasts it as [`TssMessage::SignResult`] — an
+//! ordinary Schnorr signature. Only when the aggregate does not verify are
+//! the partials checked one by one
+//! ([`dkg_poly::CryptoJob::PartialSigBatch`]) to name the culprits.
+//! Misbehaving or silent signers are excluded and the round retried with a
+//! fresh attempt counter (and fresh nonces).
 
 use dkg_arith::{GroupElement, Scalar};
 use dkg_crypto::{NodeId, Signature};
@@ -151,8 +153,9 @@ impl WireSize for TssMessage {
 pub enum TssOutput {
     /// A request completed: `signature` verifies over the request's message
     /// under the group public key, exactly like a single-signer Schnorr
-    /// signature. Emitted once at the coordinator on aggregation and once
-    /// at every other node when the broadcast result arrives.
+    /// signature. Emitted once at the coordinator when the aggregate
+    /// verifies and once at every other node when the broadcast result
+    /// arrives (and verifies there).
     Signed {
         /// The completed request.
         req: u64,

@@ -14,14 +14,21 @@
 //!   its Lagrange weight `λ_i`, and answers with the partial response
 //!   `s_i = d_i + e_i·ρ_i + c·λ_i·x_i`.
 //!
-//! The coordinator verifies the full set of partials as one
-//! [`CryptoJob::PartialSigBatch`] — a single RLC-folded
-//! multi-exponentiation through the same job pipeline the DKG uses, so a
-//! burst of requests (or several signing sessions) folds into one multiexp
-//! and blame is attributed per claim only when the fold rejects. Valid
-//! partials aggregate to `s = Σ s_i`; `(R, s)` is an ordinary Schnorr
-//! signature under the group key, broadcast to everyone as a
-//! [`TssMessage::SignResult`].
+//! When the last partial arrives the coordinator aggregates `s = Σ s_i`
+//! and verifies `(R, s)` — an ordinary Schnorr signature — under the group
+//! key. If it verifies, the request is finished on the spot: the signature
+//! is broadcast to everyone as a [`TssMessage::SignResult`] and no
+//! per-signer check ever runs. Only if it does not verify does the
+//! coordinator compute the per-signer nonces `R_k = D_k + E_k·ρ_k` and
+//! submit the partials as one [`CryptoJob::PartialSigBatch`] through the
+//! same job pipeline the DKG uses, to find out whom to blame: an invalid
+//! aggregate means `Σ_k (g^{s_k} − R_k − A_k^{cλ_k}) ≠ 0`, so at least one
+//! claim fails and blame always names someone.
+//!
+//! Per-share verification exists to *identify* the culprits of a failed
+//! signature, not to veto a valid one (RFC 9591 §5.3): two colluding quorum
+//! members whose errors cancel (`s_1 + δ`, `s_2 − δ`) are answered with the
+//! signature — the very bytes an honest run produces — and are not blamed.
 //!
 //! Silent or misbehaving quorum members are excluded and the request is
 //! retried with a fresh attempt counter, fresh nonces and the next
@@ -37,9 +44,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use dkg_arith::{GroupElement, PrimeField, Scalar};
+use dkg_arith::{generator_table, multiexp, GroupElement, PrimeField, Scalar};
 use dkg_core::DkgResult;
-use dkg_crypto::{schnorr_challenge, sha256_parts, NodeId, PublicKey, Signature};
+use dkg_crypto::{schnorr_challenge, sha256_parts, NodeId, PublicKey, Signature, TabledKey};
 use dkg_poly::{
     lagrange_weights_at_zero, CommitmentMatrix, CryptoJob, CryptoVerdict, JobQueue,
     PartialSigClaim, Submission,
@@ -145,6 +152,18 @@ impl RequestState {
     }
 }
 
+/// How many completed requests a session remembers: the `RESULT_WINDOW`
+/// highest request ids, 73 bytes each (id + signature) in memory and in
+/// every snapshot — 9 KiB a session. `results` only ever *shortcuts* work: a
+/// replayed `Sign` or a retransmitted solicitation of a remembered request
+/// is answered with its signature. Forgetting one is therefore safe — a
+/// forgotten request that is solicited again is signed again, with fresh
+/// nonces under the untouched `(req, attempt)` guard, which yields another
+/// valid signature and never a reused nonce — and costs one more signing
+/// round, where an unbounded map costs a session that serves its key's
+/// whole life 73 bytes per signature, forever, at every node.
+const RESULT_WINDOW: usize = 128;
+
 /// Context carried from partial-sig job submission to verdict application.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct SignCtx {
@@ -155,27 +174,28 @@ struct SignCtx {
 /// The per-package values every party to a round derives identically.
 struct Round {
     rho: Vec<Scalar>,
-    nonce_shares: Vec<GroupElement>,
     group_nonce: GroupElement,
     challenge: Scalar,
     lambdas: Vec<Scalar>,
 }
 
-/// Derives the binding factors, per-signer effective nonces
-/// `R_j = D_j + E_j·ρ_j`, group nonce, challenge and Lagrange weights for
-/// a signing package. `None` if the package's signer ids admit no Lagrange
-/// weights (duplicate or zero ids — rejected earlier, kept as a guard).
+/// Derives the binding factors, the group nonce `R = Σ_j (D_j + E_j·ρ_j)`
+/// — one multi-exponentiation over `[E.., D..]` with scalars `[ρ.., 1..]`,
+/// never the per-signer `R_j` — the challenge and the Lagrange weights for
+/// a signing package (`package_bytes` is its encoding). `None` if the
+/// package's signer ids admit no Lagrange weights (duplicate or zero ids —
+/// rejected earlier, kept as a guard).
 fn derive_round(
     sid: u64,
     req: u64,
     attempt: u32,
     message: &[u8],
     package: &[NonceCommitEntry],
+    package_bytes: &[u8],
     group_key: &PublicKey,
 ) -> Option<Round> {
     let ids: Vec<u64> = package.iter().map(|entry| entry.signer).collect();
     let lambdas = lagrange_weights_at_zero(&ids)?;
-    let package_bytes = package.to_vec().encode();
     let rho: Vec<Scalar> = ids
         .iter()
         .map(|&j| {
@@ -185,7 +205,7 @@ fn derive_round(
                 &req.to_be_bytes(),
                 &attempt.to_be_bytes(),
                 message,
-                &package_bytes,
+                package_bytes,
                 &j.to_be_bytes(),
             ]);
             let mut wide = [0u8; 64];
@@ -194,18 +214,17 @@ fn derive_round(
             Scalar::from_uniform_bytes(&wide)
         })
         .collect();
-    let nonce_shares: Vec<GroupElement> = package
+    let points: Vec<GroupElement> = package
         .iter()
-        .zip(&rho)
-        .map(|(entry, rho_j)| entry.hiding + entry.binding * *rho_j)
+        .map(|entry| entry.binding)
+        .chain(package.iter().map(|entry| entry.hiding))
         .collect();
-    let group_nonce = nonce_shares
-        .iter()
-        .fold(GroupElement::identity(), |acc, &r| acc + r);
+    let mut scalars = rho.clone();
+    scalars.resize(points.len(), Scalar::one());
+    let group_nonce = multiexp(&points, &scalars);
     let challenge = schnorr_challenge(&group_nonce, group_key, message);
     Some(Round {
         rho,
-        nonce_shares,
         group_nonce,
         challenge,
         lambdas,
@@ -219,7 +238,7 @@ fn package_digest(
     req: u64,
     attempt: u32,
     message: &[u8],
-    package: &[NonceCommitEntry],
+    package_bytes: &[u8],
 ) -> [u8; 32] {
     sha256_parts(&[
         b"dkg-tss-package-v1",
@@ -227,7 +246,7 @@ fn package_digest(
         &req.to_be_bytes(),
         &attempt.to_be_bytes(),
         message,
-        &package.to_vec().encode(),
+        package_bytes,
     ])
 }
 
@@ -244,7 +263,9 @@ pub struct SignSession {
     config: TssConfig,
     share: Scalar,
     commitment: Arc<CommitmentMatrix>,
-    group_key: PublicKey,
+    /// The group key `C_00` with its table: fixed for the session's life,
+    /// and every aggregate and every broadcast result is checked under it.
+    group_key: TabledKey,
     rng: StdRng,
     /// `req → message`, for every request this node has seen (verifies
     /// broadcast results); dropped once the request completes.
@@ -253,7 +274,8 @@ pub struct SignSession {
     pub(crate) nonces: BTreeMap<(u64, u32), (Scalar, Scalar)>,
     /// Digest of the one `(package, message)` signed per `(req, attempt)`.
     pub(crate) signed: BTreeMap<(u64, u32), [u8; 32]>,
-    /// Completed requests and their signatures.
+    /// The [`RESULT_WINDOW`] highest completed requests and their
+    /// signatures.
     pub(crate) results: BTreeMap<u64, Signature>,
     /// Requests that failed permanently (quorum exhausted).
     pub(crate) exhausted: BTreeSet<u64>,
@@ -281,8 +303,10 @@ impl std::fmt::Debug for SignSession {
 
 impl SignSession {
     /// Builds a session from explicit key material. Returns `None` if `id`
-    /// is not in the signer set, the group key is the identity, or the
-    /// config's threshold disagrees with the commitment matrix's degree
+    /// is not in the signer set, the group key is the identity or is not
+    /// the commitment matrix's `C_00` (partials are judged against the
+    /// matrix, the aggregate against the key: they must be one sharing), or
+    /// the config's threshold disagrees with the commitment matrix's degree
     /// (Lagrange interpolation needs exactly `t + 1` points of the
     /// degree-`t` sharing).
     pub fn new(
@@ -295,26 +319,28 @@ impl SignSession {
         seed: u64,
     ) -> Option<Self> {
         let commitment = commitment.into();
-        if !config.signers.contains(&id) || config.threshold != commitment.threshold() {
+        if !config.signers.contains(&id)
+            || config.threshold != commitment.threshold()
+            || group_key != commitment.public_key()
+        {
             return None;
         }
         let group_key = PublicKey::from_point(group_key)?;
-        Some(SignSession {
+        Some(SignSession::from_parts(
             id,
             sid,
             config,
             share,
             commitment,
             group_key,
-            rng: StdRng::seed_from_u64(seed),
-            requests: BTreeMap::new(),
-            nonces: BTreeMap::new(),
-            signed: BTreeMap::new(),
-            results: BTreeMap::new(),
-            exhausted: BTreeSet::new(),
-            coordinating: BTreeMap::new(),
-            jobs: JobQueue::new(),
-        })
+            StdRng::seed_from_u64(seed),
+            BTreeMap::new(),
+            BTreeMap::new(),
+            BTreeMap::new(),
+            BTreeMap::new(),
+            BTreeSet::new(),
+            BTreeMap::new(),
+        ))
     }
 
     /// Builds a session directly from a completed DKG's result — the
@@ -351,7 +377,7 @@ impl SignSession {
 
     /// The group verification key signatures verify under.
     pub fn group_key(&self) -> PublicKey {
-        self.group_key
+        self.group_key.key()
     }
 
     /// The signature for a completed request, if any.
@@ -446,7 +472,8 @@ impl SignSession {
             .coordinating
             .iter()
             .map(|(&req, state)| {
-                let recipients = match state.package() {
+                let package = state.package();
+                let recipients = match package {
                     Some(_) => state.quorum.clone(),
                     None => self
                         .config
@@ -456,7 +483,7 @@ impl SignSession {
                         .filter(|signer| !state.excluded.contains(signer))
                         .collect(),
                 };
-                (req, state.attempt, state.package(), recipients)
+                (req, state.attempt, package, recipients)
             })
             .collect();
         for (req, attempt, package, recipients) in rounds {
@@ -546,13 +573,15 @@ impl SignSession {
         }
         state.partials.insert(signer, response);
         if state.partials.len() == state.quorum.len() {
-            self.submit_verification(req, sink);
+            self.conclude(req, sink);
         }
     }
 
-    /// Submits the full partial set as one batch job — a burst of ready
-    /// requests across sessions folds into one multiexp at the executor.
-    fn submit_verification(&mut self, req: u64, sink: &mut Sink) {
+    /// The full partial set is in: aggregate, and verify the aggregate as
+    /// the plain Schnorr signature it must be. Valid → finished, no job.
+    /// Invalid → somebody lied; submit the per-signer claims to find out
+    /// who.
+    fn conclude(&mut self, req: u64, sink: &mut Sink) {
         let Some(state) = self.coordinating.get(&req) else {
             return;
         };
@@ -562,16 +591,24 @@ impl SignSession {
         let Some(message) = self.requests.get(&req) else {
             return;
         };
+        let attempt = state.attempt;
         let Some(round) = derive_round(
             self.sid,
             req,
-            state.attempt,
+            attempt,
             message,
             &package,
-            &self.group_key,
+            &package.encode(),
+            &self.group_key.key(),
         ) else {
             return;
         };
+        let response: Scalar = state.partials.values().copied().sum();
+        let signature = Signature::from_parts(round.group_nonce, response);
+        if self.group_key.verify(message, &signature).is_ok() {
+            self.finish(req, signature, sink);
+            return;
+        }
         let claims: Vec<PartialSigClaim> = package
             .iter()
             .enumerate()
@@ -579,21 +616,21 @@ impl SignSession {
                 PartialSigClaim::new(
                     entry.signer,
                     round.challenge * round.lambdas[k],
-                    round.nonce_shares[k],
+                    entry.hiding + entry.binding * round.rho[k],
                     state.partials[&entry.signer],
                 )
             })
             .collect();
-        let ctx = SignCtx {
-            req,
-            attempt: state.attempt,
-        };
         let job = CryptoJob::partial_sig_batch(self.commitment.clone(), claims);
-        if let Submission::Ready(ctx, verdict) = self.jobs.submit(job, ctx) {
+        if let Submission::Ready(ctx, verdict) = self.jobs.submit(job, SignCtx { req, attempt }) {
             self.apply_verdict(ctx, &verdict, sink);
         }
     }
 
+    /// Applies the verdict on the partials of a round whose aggregate did
+    /// not verify: the signers of the failed claims are excluded and the
+    /// request retried. (A verdict that fails no claim contradicts the
+    /// aggregate check; the round is retried with nobody excluded.)
     fn apply_verdict(&mut self, ctx: SignCtx, verdict: &CryptoVerdict, sink: &mut Sink) {
         let SignCtx { req, attempt } = ctx;
         let Some(state) = self.coordinating.get(&req) else {
@@ -608,34 +645,26 @@ impl SignSession {
         if verdict.len() != package.len() {
             return;
         }
-        if verdict.all_valid() {
-            let Some(message) = self.requests.get(&req) else {
-                return;
-            };
-            let Some(round) =
-                derive_round(self.sid, req, attempt, message, &package, &self.group_key)
-            else {
-                return;
-            };
-            let response: Scalar = package
-                .iter()
-                .map(|entry| state.partials[&entry.signer])
-                .sum();
-            let signature = Signature::from_parts(round.group_nonce, response);
-            self.finish(req, signature, sink);
-        } else {
-            let blamed: Vec<NodeId> = package
-                .iter()
-                .zip(&verdict.valid)
-                .filter(|(_, &valid)| !valid)
-                .map(|(entry, _)| entry.signer)
-                .collect();
-            self.retry(req, blamed, sink);
+        let blamed: Vec<NodeId> = package
+            .iter()
+            .zip(&verdict.valid)
+            .filter(|(_, &valid)| !valid)
+            .map(|(entry, _)| entry.signer)
+            .collect();
+        self.retry(req, blamed, sink);
+    }
+
+    /// Remembers a completed request, forgetting the smallest ids beyond
+    /// [`RESULT_WINDOW`].
+    fn record_result(&mut self, req: u64, signature: Signature) {
+        self.results.insert(req, signature);
+        while self.results.len() > RESULT_WINDOW {
+            self.results.pop_first();
         }
     }
 
     fn finish(&mut self, req: u64, signature: Signature, sink: &mut Sink) {
-        self.results.insert(req, signature);
+        self.record_result(req, signature);
         self.coordinating.remove(&req);
         sink.cancel_timer(req);
         let others = self
@@ -760,6 +789,7 @@ impl SignSession {
         // Retransmits re-send the identical commitments: the nonce pair is
         // keyed by (req, attempt), never resampled.
         let (d, e) = self.nonces[&(req, attempt)];
+        let [hiding, binding] = nonce_commitments(&d, &e);
         sink.send(
             from,
             TssMessage::NonceCommit {
@@ -767,8 +797,8 @@ impl SignSession {
                 req,
                 attempt,
                 signer: self.id,
-                hiding: GroupElement::commit(&d),
-                binding: GroupElement::commit(&e),
+                hiding,
+                binding,
             },
         );
     }
@@ -805,14 +835,15 @@ impl SignSession {
             return;
         };
         let me = &package[position];
-        if me.hiding != GroupElement::commit(&d) || me.binding != GroupElement::commit(&e) {
+        if [me.hiding, me.binding] != nonce_commitments(&d, &e) {
             return;
         }
         // Nonce-reuse guard: one (package, message) digest per (req,
         // attempt). A second, different package is refused outright; the
         // same digest is answered idempotently (the recomputed response is
         // identical).
-        let digest = package_digest(self.sid, req, attempt, message, &package);
+        let package_bytes = package.encode();
+        let digest = package_digest(self.sid, req, attempt, message, &package_bytes);
         if self
             .signed
             .get(&(req, attempt))
@@ -820,8 +851,15 @@ impl SignSession {
         {
             return;
         }
-        let Some(round) = derive_round(self.sid, req, attempt, message, &package, &self.group_key)
-        else {
+        let Some(round) = derive_round(
+            self.sid,
+            req,
+            attempt,
+            message,
+            &package,
+            &package_bytes,
+            &self.group_key.key(),
+        ) else {
             return;
         };
         let response =
@@ -849,12 +887,18 @@ impl SignSession {
         if self.group_key.verify(message, &signature).is_err() {
             return; // forged or garbled result
         }
-        self.results.insert(req, signature);
+        self.record_result(req, signature);
         self.coordinating.remove(&req);
         sink.cancel_timer(req);
         sink.output(TssOutput::Signed { req, signature });
         self.cleanup(req);
     }
+}
+
+/// `(g^d, g^e)` through the generator's table, one inversion for the pair.
+fn nonce_commitments(d: &Scalar, e: &Scalar) -> [GroupElement; 2] {
+    let pair = generator_table().mul_batch(&[*d, *e]);
+    [pair[0], pair[1]]
 }
 
 type Sink = ActionSink<TssMessage, TssOutput>;
@@ -925,8 +969,9 @@ impl Protocol for SignSession {
             .filter(|signer| !responded.contains(signer))
             .collect();
         if missing.is_empty() {
-            // Everyone answered; a verification job is still in flight.
-            // Keep the clock running and wait for the verdict.
+            // Everyone answered and the aggregate did not verify (a valid
+            // one finishes the request on the spot): the blame job is
+            // still in flight. Keep the clock running and wait for it.
             sink.set_timer(req, self.config.retry_delay);
             return;
         }
@@ -963,7 +1008,7 @@ impl SignSession {
             config,
             share,
             commitment,
-            group_key,
+            group_key: TabledKey::new(group_key),
             rng,
             requests,
             nonces,

@@ -112,7 +112,8 @@ pub enum SnapshotError {
         /// The offending node id.
         node: NodeId,
     },
-    /// The snapshot's group key is the identity element.
+    /// The snapshot's group key is the identity element, or is not its
+    /// commitment matrix's `C_00`.
     InvalidGroupKey,
     /// The snapshot's signer set, threshold or retry delay do not form a
     /// valid [`TssConfig`], or the threshold disagrees with the
@@ -127,7 +128,10 @@ impl std::fmt::Display for SnapshotError {
                 write!(f, "snapshot node {node} is not in its signer set")
             }
             SnapshotError::InvalidGroupKey => {
-                write!(f, "snapshot group key is the identity element")
+                write!(
+                    f,
+                    "snapshot group key is the identity or not its commitment's"
+                )
             }
             SnapshotError::InvalidConfig => {
                 write!(f, "snapshot parameters do not form a valid config")
@@ -196,8 +200,9 @@ impl SignSession {
         if !snapshot.signers.contains(&snapshot.id) {
             return Err(SnapshotError::ForeignNode { node: snapshot.id });
         }
-        let group_key =
-            PublicKey::from_point(snapshot.group_key).ok_or(SnapshotError::InvalidGroupKey)?;
+        let group_key = PublicKey::from_point(snapshot.group_key)
+            .filter(|key| key.point() == snapshot.commitment.public_key())
+            .ok_or(SnapshotError::InvalidGroupKey)?;
         let coordinating: BTreeMap<u64, crate::session::RequestState> = snapshot
             .coordinating
             .into_iter()

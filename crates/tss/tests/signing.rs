@@ -1,11 +1,13 @@
 //! End-to-end tests of the threshold-signing state machine on an
 //! in-memory message pump: honest runs, misbehaving and silent signers,
 //! quorum exhaustion, idempotent replays, nonce-reuse refusal, deferred
-//! crypto jobs and snapshot/restore mid-request.
+//! crypto jobs and snapshot/restore mid-request — and the shape of the
+//! honest path: the aggregate is verified first, no per-signer check and no
+//! crypto job unless it fails, and the completed-request window is bounded.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use dkg_arith::{PrimeField, Scalar};
+use dkg_arith::{multiexp, ops, GroupElement, PrimeField, Scalar};
 use dkg_crypto::{NodeId, PublicKey};
 use dkg_poly::{CommitmentMatrix, SymmetricBivariate};
 use dkg_sim::{Action, ActionSink, Protocol};
@@ -20,6 +22,8 @@ struct Net {
     queue: VecDeque<(NodeId, NodeId, TssMessage)>,
     timers: BTreeMap<(NodeId, u64), bool>,
     outputs: Vec<(NodeId, TssOutput)>,
+    /// The verdict of every crypto job that ran, in order.
+    verdicts: Vec<Vec<bool>>,
     group_key: PublicKey,
 }
 
@@ -52,6 +56,7 @@ fn build(n: u64, t: usize, seed: u64) -> Net {
         queue: VecDeque::new(),
         timers: BTreeMap::new(),
         outputs: Vec::new(),
+        verdicts: Vec::new(),
         group_key: PublicKey::from_point(group_point).unwrap(),
     }
 }
@@ -117,6 +122,7 @@ impl Net {
         for node in ids {
             while let Some((job_id, job)) = self.sessions.get_mut(&node).unwrap().poll_job() {
                 let verdict = job.run();
+                self.verdicts.push(verdict.valid.clone());
                 let mut sink = ActionSink::new();
                 self.sessions
                     .get_mut(&node)
@@ -211,7 +217,7 @@ fn corrupted_partial_is_identified_and_excluded() {
             message: b"message".to_vec(),
         },
     );
-    // Node 3 always garbles its partial response; batch-then-attribute
+    // Node 3 always garbles its partial response; aggregate-then-attribute
     // must pin the blame on it alone and the retry must succeed without it.
     net.run_with(|from, _to, message| match message {
         TssMessage::PartialSig {
@@ -545,4 +551,277 @@ fn session_debug_redacts_key_material() {
     let rendered = format!("{:?}", net.sessions[&1]);
     assert!(rendered.contains("<redacted>"));
     assert!(!rendered.contains("Scalar"));
+}
+
+/// Adds `delta` to the partial responses `signer` sends, leaving every
+/// other message alone.
+fn shift_partial(message: TssMessage, signer: NodeId, delta: Scalar) -> TssMessage {
+    match message {
+        TssMessage::PartialSig {
+            sid,
+            req,
+            attempt,
+            signer: s,
+            response,
+        } if s == signer => TssMessage::PartialSig {
+            sid,
+            req,
+            attempt,
+            signer: s,
+            response: response + delta,
+        },
+        other => other,
+    }
+}
+
+#[test]
+fn group_nonce_multiexp_is_the_sum_of_the_per_signer_nonces() {
+    // R = Σ_j (D_j + ρ_j·E_j), the way every party used to compute it, is
+    // the one multiexp over [E.., D..] with scalars [ρ.., 1..] that
+    // `derive_round` computes now — identity and repeated commitments
+    // (a hostile signer may send either) included.
+    let mut rng = StdRng::seed_from_u64(0x51);
+    for case in 0..24usize {
+        let size = case % 6 + 1;
+        let mut hiding: Vec<GroupElement> =
+            (0..size).map(|_| GroupElement::random(&mut rng)).collect();
+        let mut binding: Vec<GroupElement> =
+            (0..size).map(|_| GroupElement::random(&mut rng)).collect();
+        if case % 4 == 1 {
+            hiding[0] = GroupElement::identity();
+            binding[size - 1] = GroupElement::identity();
+        }
+        if case % 4 == 2 {
+            binding[0] = hiding[0];
+            hiding[size - 1] = hiding[0];
+        }
+        let rho: Vec<Scalar> = (0..size).map(|_| Scalar::random(&mut rng)).collect();
+        let old_way = hiding
+            .iter()
+            .zip(&binding)
+            .zip(&rho)
+            .fold(GroupElement::identity(), |acc, ((&d, &e), &r)| {
+                acc + (d + e * r)
+            });
+        let points: Vec<GroupElement> = binding.iter().chain(&hiding).copied().collect();
+        let mut scalars = rho.clone();
+        scalars.resize(2 * size, Scalar::one());
+        assert_eq!(multiexp(&points, &scalars), old_way, "case {case}");
+    }
+}
+
+#[test]
+fn seeded_signature_bytes_are_pinned() {
+    // The bytes the parent commit (per-signer nonces, batch-verified
+    // partials) produced for this run: same nonces, same ρ, same challenge,
+    // same s.
+    const PINNED: &str = "021658d80dcb8b1e51a56ee71ed5e7cf1eb3e362e3ee5597c7b6da210a65a766d5\
+                          8a654636680106059d7f3c54261d547e25d6a27de93b7e493f62ff089afcbb5c";
+    let mut net = build(7, 2, 21);
+    net.operator(
+        3,
+        TssInput::Sign {
+            req: 1,
+            message: b"pinned bytes".to_vec(),
+        },
+    );
+    net.run();
+    let signed = net.signed_outputs(1);
+    assert_eq!(signed.len(), 7);
+    let bytes = signed[0].1.to_bytes();
+    let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(hex, PINNED);
+}
+
+#[test]
+fn honest_request_costs_one_aggregate_check_and_no_job() {
+    let mut net = build(13, 4, 13);
+    for session in net.sessions.values_mut() {
+        session.set_deferred_crypto(true);
+    }
+    net.operator(
+        1,
+        TssInput::Sign {
+            req: 1,
+            message: b"counted".to_vec(),
+        },
+    );
+    // `build` warmed the generator's table and built the group key's.
+    let ((), spent) = ops::measure(|| net.run());
+    assert_eq!(net.signed_outputs(1).len(), 13);
+    // 6 group-nonce multiexps, 13 + 5 commitment pairs, 13 table-backed
+    // verifications.
+    assert!(spent.total() <= 8_000, "{spent:?}");
+    assert!(net.verdicts.is_empty(), "no crypto job on the honest path");
+    assert!(net.sessions.values().all(|s| !s.has_queued_jobs()));
+}
+
+#[test]
+fn forged_partial_costs_one_job_that_blames_exactly_the_forger() {
+    let mut net = build(13, 4, 14);
+    for session in net.sessions.values_mut() {
+        session.set_deferred_crypto(true);
+    }
+    net.operator(
+        1,
+        TssInput::Sign {
+            req: 1,
+            message: b"forged".to_vec(),
+        },
+    );
+    // Whom the coordinator solicits for the retry: everyone it has not
+    // excluded.
+    let mut resolicited = BTreeSet::new();
+    net.run_with(|_, to, message| {
+        if let TssMessage::SignRequest {
+            attempt: 1,
+            package: None,
+            ..
+        } = &message
+        {
+            resolicited.insert(to);
+        }
+        Some(shift_partial(message, 3, Scalar::one()))
+    });
+    // One job, for the failed aggregate of attempt 0; its verdict fails
+    // the forger's claim alone; the retry's aggregate verifies, so no
+    // second job.
+    assert_eq!(
+        net.verdicts,
+        vec![vec![true, true, false, true, true]],
+        "quorum 1..=5, forger 3"
+    );
+    let everyone_else: BTreeSet<NodeId> = (1..=13).filter(|&node| node != 3).collect();
+    assert_eq!(resolicited, everyone_else);
+    let signed = net.signed_outputs(1);
+    assert_eq!(signed.len(), 13);
+    assert!(net.group_key.verify(b"forged", &signed[0].1).is_ok());
+}
+
+#[test]
+fn cancelling_errors_yield_the_honest_signature_and_no_blame() {
+    // Quorum members 1 and 2 collude: s_1 + δ and s_2 − δ. Each partial
+    // fails its own check, but the errors cancel in s = Σ s_k, so the
+    // aggregate is the very signature an honest run produces. Per-share
+    // verification exists to identify the culprits of a *failed* signature,
+    // not to veto a valid one (RFC 9591 §5.3: the coordinator verifies the
+    // aggregate and checks individual shares only if that fails) — there
+    // is nothing to blame anybody for.
+    let sign = TssInput::Sign {
+        req: 1,
+        message: b"cancel".to_vec(),
+    };
+    let mut honest = build(5, 2, 15);
+    honest.operator(4, sign.clone());
+    honest.run();
+
+    let mut colluding = build(5, 2, 15);
+    for session in colluding.sessions.values_mut() {
+        session.set_deferred_crypto(true);
+    }
+    colluding.operator(4, sign);
+    let delta = Scalar::from_u64(0xD157);
+    let mut retried = false;
+    colluding.run_with(|_, _, message| {
+        if let TssMessage::SignRequest { attempt, .. } = &message {
+            retried |= *attempt > 0;
+        }
+        Some(shift_partial(shift_partial(message, 1, delta), 2, -delta))
+    });
+    assert!(!retried, "completes on attempt 0, nobody excluded");
+    assert!(colluding.verdicts.is_empty(), "no per-signer check ran");
+    let signed = colluding.signed_outputs(1);
+    assert_eq!(signed.len(), 5);
+    assert_eq!(signed, honest.signed_outputs(1));
+    assert!(colluding.group_key.verify(b"cancel", &signed[0].1).is_ok());
+}
+
+#[test]
+fn completed_requests_are_remembered_in_a_bounded_window() {
+    use dkg_wire::{WireDecode, WireEncode};
+
+    let mut net = build(4, 1, 16);
+    // Every package a node was asked to sign, by the hiding commitment it
+    // advertises for that node — i.e. by the node's nonce pair.
+    let mut packages: BTreeMap<(NodeId, [u8; 33]), BTreeSet<Vec<u8>>> = BTreeMap::new();
+    let mut watch = |_: NodeId, to: NodeId, message: TssMessage| {
+        if let TssMessage::SignRequest {
+            package: Some(package),
+            ..
+        } = &message
+        {
+            let mine = package.iter().find(|entry| entry.signer == to).unwrap();
+            packages
+                .entry((to, mine.hiding.to_bytes()))
+                .or_default()
+                .insert(message.encode());
+        }
+        Some(message)
+    };
+    let message = |req: u64| format!("request {req}").into_bytes();
+    for req in 1..=130u64 {
+        net.operator(
+            1,
+            TssInput::Sign {
+                req,
+                message: message(req),
+            },
+        );
+        net.run_with(&mut watch);
+    }
+    for session in net.sessions.values() {
+        assert_eq!(session.snapshot().unwrap().results.len(), 128);
+        assert_eq!(session.result(1), None);
+        assert_eq!(session.result(2), None);
+        assert!(session.result(3).is_some());
+        assert!(session.result(130).is_some());
+    }
+    // The window is what a snapshot carries, and a restore keeps it.
+    let bytes = net.sessions[&1].snapshot().unwrap().encode();
+    let restored = SignSession::restore(dkg_tss::SignSnapshot::decode(&bytes).unwrap()).unwrap();
+    assert_eq!(restored.snapshot().unwrap().encode(), bytes);
+    net.sessions.insert(1, restored);
+
+    // A forgotten request that is asked for again is signed again: fresh
+    // nonces, another valid signature.
+    let first = net.signed_outputs(1);
+    net.operator(
+        1,
+        TssInput::Sign {
+            req: 1,
+            message: message(1),
+        },
+    );
+    net.run_with(&mut watch);
+    let both = net.signed_outputs(1);
+    assert_eq!((first.len(), both.len()), (4, 8));
+    let again = both[4].1;
+    assert_ne!(again.nonce_commitment(), first[0].1.nonce_commitment());
+    assert!(net.group_key.verify(&message(1), &again).is_ok());
+    // It is lower than everything remembered, so it is not kept either.
+    assert_eq!(net.sessions[&1].snapshot().unwrap().results.len(), 128);
+    assert_eq!(net.sessions[&1].result(1), None);
+
+    // 131 signings, quorum of two: no nonce pair ever answered two
+    // packages, the replayed request included.
+    assert_eq!(packages.len(), 131 * 2);
+    assert!(packages.values().all(|seen| seen.len() == 1));
+}
+
+#[test]
+fn group_key_must_be_the_matrix_s() {
+    // Partials are judged against the matrix and the aggregate against the
+    // key; a key that is not C_00 would make the two disagree.
+    let mut rng = StdRng::seed_from_u64(17);
+    let secret = Scalar::random(&mut rng);
+    let poly = SymmetricBivariate::random_with_secret(&mut rng, 1, secret);
+    let matrix = CommitmentMatrix::commit(&poly);
+    let session = |group_key: GroupElement| {
+        let config = TssConfig::new(vec![1, 2, 3], 1, RETRY).unwrap();
+        let share = poly.row(1).constant_term();
+        SignSession::new(1, 9, config, share, matrix.clone(), group_key, 1)
+    };
+    assert!(session(matrix.public_key()).is_some());
+    assert!(session(matrix.public_key() + GroupElement::generator()).is_none());
+    assert!(session(GroupElement::identity()).is_none());
 }

@@ -202,6 +202,15 @@ fn snapshot_restore_rejections_cover_every_variant() {
     assert!(SnapshotError::InvalidGroupKey
         .to_string()
         .contains("identity"));
+    // ... and neither may it differ from the matrix's C_00.
+    let foreign_key = SignSnapshot {
+        group_key: matrix.share_commitment(0) + GroupElement::generator(),
+        ..good.clone()
+    };
+    assert_eq!(
+        SignSession::restore(foreign_key).err(),
+        Some(SnapshotError::InvalidGroupKey)
+    );
 
     // InvalidConfig: zero retry delay, or a threshold the commitment
     // matrix disagrees with.

@@ -6,8 +6,8 @@
 //!
 //! The paper proves safety and liveness against an adversary that controls
 //! up to `t < n/3` nodes *actively*: it holds their real keys, knows the
-//! protocol, and deviates strategically. The simulator-level fault hooks
-//! (crashes, muting, garbage injection) never exercised that adversary —
+//! protocol, and deviates strategically. The network driver's fault hooks
+//! (crashes, muting, garbage injection) never exercise that adversary —
 //! this crate does, over the same byte-level [`dkg_engine::EndpointNet`]
 //! the honest nodes use:
 //!

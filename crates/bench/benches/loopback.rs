@@ -1,6 +1,6 @@
 //! What does the real socket path cost? A full n = 16 DKG where every
 //! node is a thread with its own UDP socket on localhost — the same
-//! protocol work as the simulator benches, plus genuine framing, ARQ
+//! protocol work as the `EndpointNet` benches, plus genuine framing, ARQ
 //! tracking, kernel datagram I/O and retransmission timers.
 //!
 //! Wall-clock lands in `target/criterion/loopback/baseline.json` like

@@ -22,7 +22,6 @@ use dkg_arith::{PrimeField, Scalar};
 use dkg_core::{DealerProof, DkgMessage, Justification, Proposal};
 use dkg_crypto::SigningKey;
 use dkg_poly::{CommitmentMatrix, SymmetricBivariate};
-use dkg_sim::WireSize;
 use dkg_vss::{CommitmentRef, ReadyWitness, SessionId, VssMessage};
 use dkg_wire::{WireDecode, WireEncode};
 use rand::rngs::StdRng;
@@ -146,13 +145,14 @@ fn throughput_of<M: WireEncode + WireDecode>(label: &str, message: &M) {
 }
 
 /// Explicit bytes/sec numbers (the unit transport capacity planning wants),
-/// plus the invariant that `wire_size()` is the exact encoded length.
+/// plus the invariant that the counting sink (`encoded_len()`) is the exact
+/// encoded length.
 fn report_throughput(_c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(4);
     let vss_send = sample_vss_send(3, &mut rng);
     let dkg_send = sample_dkg_send(3, &mut rng);
-    assert_eq!(vss_send.wire_size(), vss_send.encode().len());
-    assert_eq!(dkg_send.wire_size(), dkg_send.encode().len());
+    assert_eq!(vss_send.encoded_len(), vss_send.encode().len());
+    assert_eq!(dkg_send.encoded_len(), dkg_send.encode().len());
     throughput_of("vss-send(t=3)", &vss_send);
     throughput_of("dkg-send(t=3)", &dkg_send);
 }

@@ -1,194 +1,32 @@
 //! The experiments E1–E10 (plus helpers) described in DESIGN.md §4 and
-//! EXPERIMENTS.md. Every experiment runs the real protocols on the
-//! deterministic simulator and reports the measured message / communication
-//! complexity series that the paper states analytically.
+//! EXPERIMENTS.md. Every experiment runs the real protocols as sessions of
+//! `dkg-engine` endpoints over [`dkg_engine::EndpointNet`] and reports the
+//! measured message / communication complexity series that the paper
+//! states analytically: messages are datagrams, bytes are the lengths of
+//! their canonical encodings including the routing header.
 
-use dkg_arith::{GroupElement, PrimeField, Scalar};
+use dkg_arith::{GroupElement, Scalar};
 use dkg_baselines::{comparison_table, JfDkg, Scheme};
 use dkg_core::proactive::RenewalOptions;
-use dkg_core::{DkgInput, DkgNode, DkgOutput};
-use dkg_engine::runner::{run_initial_phase, run_renewal_phase, SystemSetup};
-use dkg_poly::interpolate_secret;
-use dkg_sim::{
-    CrashSchedule, DelayModel, Metrics, MutingAdversary, NetworkConfig, Simulation,
-    StallingAdversary,
+use dkg_engine::runner::{
+    run_dkg, run_group_agreement, run_initial_phase, run_renewal_phase, run_vss, SystemSetup,
 };
-use dkg_vss::{CommitmentMode, SessionId, VssConfig, VssInput, VssNode, VssOutput};
+use dkg_engine::EndpointNet;
+use dkg_poly::interpolate_secret;
+use dkg_sim::{ChaosModel, DelayModel, NodeId};
+use dkg_vss::CommitmentMode;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::table::{fnum, Table};
 
-/// Outcome of a single HybridVSS sharing run.
-pub struct VssRun {
-    /// Number of nodes that output `shared`.
-    pub completions: usize,
-    /// Metrics of the run.
-    pub metrics: Metrics,
-    /// Simulated time of the last completion (ms).
-    pub last_completion: u64,
-}
-
-/// Runs one HybridVSS sharing with dealer 1 on `n` nodes, `f` crash limit,
-/// the given commitment mode and an optional crash/recovery schedule.
-pub fn run_vss(
-    n: usize,
-    f: usize,
-    mode: CommitmentMode,
-    crashes: Option<CrashSchedule>,
-    seed: u64,
-) -> VssRun {
-    let cfg = VssConfig::standard_with_mode(n, f, mode).expect("valid parameters");
-    let session = SessionId::new(1, 0);
-    let mut sim = Simulation::new(
-        NetworkConfig {
-            delay: DelayModel::Uniform { min: 10, max: 80 },
-            self_messages_pay_delay: false,
-        },
-        seed,
-    );
-    for i in 1..=n as u64 {
-        sim.add_node(VssNode::new(
-            i,
-            cfg.clone(),
-            session,
-            seed.wrapping_mul(131).wrapping_add(i),
-            None,
-        ));
-    }
-    if let Some(schedule) = &crashes {
-        sim.apply_crash_schedule(schedule);
-        // Recovering nodes run their recovery procedure right after reboot.
-        for (time, event) in schedule.events() {
-            if let dkg_sim::CrashEvent::Recover(node) = event {
-                sim.schedule_operator(node, VssInput::Recover, time + 1);
-            }
-        }
-    }
-    sim.schedule_operator(
-        1,
-        VssInput::Share {
-            secret: Scalar::from_u64(seed),
-        },
-        0,
-    );
-    sim.run();
-    let completions = sim
-        .outputs()
-        .iter()
-        .filter(|o| matches!(o.output, VssOutput::Shared { .. }))
-        .count();
-    let last_completion = sim
-        .outputs()
-        .iter()
-        .filter(|o| matches!(o.output, VssOutput::Shared { .. }))
-        .map(|o| o.time)
-        .max()
-        .unwrap_or(0);
-    VssRun {
-        completions,
-        metrics: sim.metrics().clone(),
-        last_completion,
-    }
-}
-
-/// Outcome of a DKG run.
-pub struct DkgRun {
-    /// Nodes that completed.
-    pub completions: usize,
-    /// Distinct public keys output (must be 1 for consistency).
-    pub distinct_keys: usize,
-    /// Leader changes observed anywhere.
-    pub leader_changes: usize,
-    /// Metrics.
-    pub metrics: Metrics,
-    /// Last completion time (ms).
-    pub last_completion: u64,
-    /// Per-node completion times `(node, time)`.
-    pub completion_times: Vec<(u64, u64)>,
-}
-
-impl DkgRun {
-    /// Completions restricted to the given node set.
-    pub fn completions_among(&self, nodes: &[u64]) -> usize {
-        self.completion_times
-            .iter()
-            .filter(|(n, _)| nodes.contains(n))
-            .count()
-    }
-
-    /// Latest completion time among the given node set.
-    pub fn last_completion_among(&self, nodes: &[u64]) -> u64 {
-        self.completion_times
-            .iter()
-            .filter(|(n, _)| nodes.contains(n))
-            .map(|&(_, t)| t)
-            .max()
-            .unwrap_or(0)
-    }
-}
-
-/// Runs a full DKG with optional muted (Byzantine-silent) nodes, crashed
-/// nodes, and an extra stall applied to the corrupted nodes' links.
-pub fn run_dkg(
-    n: usize,
-    f: usize,
-    muted: &[u64],
-    crashed: &[u64],
-    stall: Option<u64>,
-    seed: u64,
-) -> DkgRun {
-    let setup = SystemSetup::generate(n, f, seed);
-    let mut sim = setup.build_simulation(0, DelayModel::Uniform { min: 10, max: 80 });
-    if !muted.is_empty() {
-        if let Some(stall) = stall {
-            sim.set_adversary(Box::new(StallingAdversary::new(
-                muted.iter().copied(),
-                stall,
-            )));
-        } else {
-            sim.set_adversary(Box::new(MutingAdversary::new(muted.iter().copied())));
-        }
-    }
-    for &node in crashed {
-        sim.schedule_crash(node, 0);
-    }
-    for &node in &setup.config.vss.nodes {
-        if !crashed.contains(&node) {
-            sim.schedule_operator(node, DkgInput::Start, 0);
-        }
-    }
-    sim.run();
-    summarize_dkg(&sim)
-}
-
-fn summarize_dkg(sim: &Simulation<DkgNode>) -> DkgRun {
-    let mut keys = std::collections::BTreeSet::new();
-    let mut completions = 0;
-    let mut last_completion = 0;
-    let mut leader_changes = 0;
-    let mut completion_times = Vec::new();
-    for record in sim.outputs() {
-        match &record.output {
-            DkgOutput::Completed { public_key, .. } => {
-                completions += 1;
-                keys.insert(public_key.to_bytes());
-                last_completion = last_completion.max(record.time);
-                completion_times.push((record.node, record.time));
-            }
-            DkgOutput::LeaderChanged { .. } => leader_changes += 1,
-            _ => {}
-        }
-    }
-    DkgRun {
-        completions,
-        distinct_keys: keys.len(),
-        leader_changes,
-        metrics: sim.metrics().clone(),
-        last_completion,
-        completion_times,
-    }
-}
+/// Honest-link delay bounds of every experiment (ms).
+const LINK_MIN: u64 = 10;
+const LINK_MAX: u64 = 80;
+const LINKS: DelayModel = DelayModel::Uniform {
+    min: LINK_MIN,
+    max: LINK_MAX,
+};
 
 // ---------------------------------------------------------------------
 // E1 — HybridVSS scaling (crash-free): O(n²) messages, O(κ n⁴) bytes
@@ -201,10 +39,14 @@ pub fn e1_hybridvss_scaling(sizes: &[usize], seed: u64) -> Table {
         &["n", "t", "messages", "msgs/n^2", "bytes", "bytes/n^4"],
     );
     for (i, &n) in sizes.iter().enumerate() {
-        let run = run_vss(n, 0, CommitmentMode::Full, None, seed + i as u64);
-        assert_eq!(run.completions, n, "all nodes must complete at n = {n}");
-        let msgs = run.metrics.message_count() as f64;
-        let bytes = run.metrics.byte_count() as f64;
+        let run = run_vss(n, 0, CommitmentMode::Full, LINKS, &[], seed + i as u64);
+        assert_eq!(
+            run.completions.len(),
+            n,
+            "all nodes must complete at n = {n}"
+        );
+        let msgs = run.net.metrics().message_count() as f64;
+        let bytes = run.net.metrics().byte_count() as f64;
         table.row(&[
             n.to_string(),
             ((n - 1) / 3).to_string(),
@@ -237,11 +79,18 @@ pub fn e2_hash_optimization(sizes: &[usize], seed: u64) -> Table {
         ],
     );
     for (i, &n) in sizes.iter().enumerate() {
-        let full = run_vss(n, 0, CommitmentMode::Full, None, seed + i as u64);
-        let digest = run_vss(n, 0, CommitmentMode::Digest, None, seed + 100 + i as u64);
-        assert_eq!(digest.completions, n);
-        let fb = full.metrics.byte_count() as f64;
-        let db = digest.metrics.byte_count() as f64;
+        let full = run_vss(n, 0, CommitmentMode::Full, LINKS, &[], seed + i as u64);
+        let digest = run_vss(
+            n,
+            0,
+            CommitmentMode::Digest,
+            LINKS,
+            &[],
+            seed + 100 + i as u64,
+        );
+        assert_eq!(digest.completions.len(), n);
+        let fb = full.net.metrics().byte_count() as f64;
+        let db = digest.net.metrics().byte_count() as f64;
         table.row(&[
             n.to_string(),
             fnum(fb),
@@ -267,20 +116,23 @@ pub fn e3_crash_recovery(n: usize, f: usize, crash_counts: &[usize], seed: u64) 
         &["d", "messages", "bytes", "help msgs", "completions"],
     );
     for (i, &d) in crash_counts.iter().enumerate() {
-        let mut schedule = CrashSchedule::new();
-        for k in 0..d {
-            // Crash node (n - k) briefly during the sharing, then recover it.
-            let node = (n - (k % f.max(1))) as u64;
-            let start = 40 + 150 * k as u64;
-            schedule = schedule.outage(node, start, start + 400);
-        }
-        let run = run_vss(n, f, CommitmentMode::Full, Some(schedule), seed + i as u64);
+        // Crash node (n - k mod f) briefly during the sharing, then
+        // recover it.
+        let outages: Vec<(NodeId, u64, u64)> = (0..d)
+            .map(|k| {
+                let node = (n - (k % f.max(1))) as u64;
+                let start = 40 + 150 * k as u64;
+                (node, start, start + 400)
+            })
+            .collect();
+        let run = run_vss(n, f, CommitmentMode::Full, LINKS, &outages, seed + i as u64);
+        let metrics = run.net.metrics();
         table.row(&[
             d.to_string(),
-            run.metrics.message_count().to_string(),
-            run.metrics.byte_count().to_string(),
-            run.metrics.kind("vss-help").messages.to_string(),
-            run.completions.to_string(),
+            metrics.message_count().to_string(),
+            metrics.byte_count().to_string(),
+            metrics.kind("vss-help").messages.to_string(),
+            run.completions.len().to_string(),
         ]);
     }
     table.note("paper §3 efficiency: with crashes the totals grow to O(t d n^2) messages / O(kappa t d n^3) bytes; each recovery adds O(n) help requests plus retransmissions");
@@ -298,14 +150,15 @@ pub fn e4_dkg_optimistic(sizes: &[usize], seed: u64) -> Table {
         &["n", "t", "messages", "msgs/n^3", "bytes", "bytes/n^4", "agreement msgs"],
     );
     for (i, &n) in sizes.iter().enumerate() {
-        let run = run_dkg(n, 0, &[], &[], None, seed + i as u64);
+        let run = run_dkg(n, 0, &[], &[], LINKS, seed + i as u64);
         assert_eq!(run.completions, n, "all nodes must complete at n = {n}");
         assert_eq!(run.distinct_keys, 1);
-        let msgs = run.metrics.message_count() as f64;
-        let bytes = run.metrics.byte_count() as f64;
-        let agreement = run.metrics.kind("dkg-send").messages
-            + run.metrics.kind("dkg-echo").messages
-            + run.metrics.kind("dkg-ready").messages;
+        let metrics = run.net.metrics();
+        let msgs = metrics.message_count() as f64;
+        let bytes = metrics.byte_count() as f64;
+        let agreement = metrics.kind("dkg-send").messages
+            + metrics.kind("dkg-echo").messages
+            + metrics.kind("dkg-ready").messages;
         table.row(&[
             n.to_string(),
             ((n - 1) / 3).to_string(),
@@ -340,15 +193,17 @@ pub fn e5_dkg_pessimistic(n: usize, faulty_leaders: &[usize], seed: u64) -> Tabl
     );
     for (i, &k) in faulty_leaders.iter().enumerate() {
         let muted: Vec<u64> = (1..=k as u64).collect();
-        let run = run_dkg(n, 0, &muted, &[], None, seed + i as u64);
+        let run = run_dkg(n, 0, &muted, &[], LINKS, seed + i as u64);
         assert!(run.distinct_keys <= 1);
+        let last_completion = run.completion_times.iter().map(|&(_, time)| time).max();
+        let metrics = run.net.metrics();
         table.row(&[
             k.to_string(),
             run.completions.to_string(),
-            run.metrics.kind("dkg-lead-ch").messages.to_string(),
-            run.metrics.message_count().to_string(),
-            run.metrics.byte_count().to_string(),
-            run.last_completion.to_string(),
+            metrics.kind("dkg-lead-ch").messages.to_string(),
+            metrics.message_count().to_string(),
+            metrics.byte_count().to_string(),
+            last_completion.unwrap_or(0).to_string(),
         ]);
     }
     table.note("paper §4: each leader change costs O(t d n^2) messages / O(kappa t d n^3) bits and the number of changes is bounded; completion time grows with the number of faulty leaders but safety is never violated");
@@ -378,18 +233,18 @@ pub fn e6_baseline_comparison(n: usize, seed: u64) -> Table {
             "model".into(),
         ]);
     }
-    let measured = run_vss(n, 0, CommitmentMode::Digest, None, seed);
+    let measured = run_vss(n, 0, CommitmentMode::Digest, LINKS, &[], seed);
     table.row(&[
         "HybridVSS (measured, digest mode)".into(),
-        measured.metrics.message_count().to_string(),
-        measured.metrics.byte_count().to_string(),
+        measured.net.metrics().message_count().to_string(),
+        measured.net.metrics().byte_count().to_string(),
         "measured".into(),
     ]);
-    let dkg = run_dkg(n, 0, &[], &[], None, seed + 1);
+    let dkg = run_dkg(n, 0, &[], &[], LINKS, seed + 1);
     table.row(&[
         "DKG (measured, n sharings + agreement)".into(),
-        dkg.metrics.message_count().to_string(),
-        dkg.metrics.byte_count().to_string(),
+        dkg.net.metrics().message_count().to_string(),
+        dkg.net.metrics().byte_count().to_string(),
         "measured".into(),
     ]);
     let mut rng = StdRng::seed_from_u64(seed);
@@ -424,7 +279,7 @@ pub fn e7_proactive_renewal(n: usize, phases: usize, seed: u64) -> Table {
             "shares changed",
         ],
     );
-    let (mut states, sim0) = run_initial_phase(&setup, DelayModel::Uniform { min: 10, max: 80 });
+    let (mut states, keygen_net) = run_initial_phase(&setup, LINKS);
     let pk = states
         .values()
         .next()
@@ -443,14 +298,14 @@ pub fn e7_proactive_renewal(n: usize, phases: usize, seed: u64) -> Table {
     table.row(&[
         "0 (keygen)".into(),
         states.len().to_string(),
-        sim0.metrics().message_count().to_string(),
-        sim0.metrics().byte_count().to_string(),
+        keygen_net.metrics().message_count().to_string(),
+        keygen_net.metrics().byte_count().to_string(),
         secret_check(&states).to_string(),
         "-".into(),
     ]);
     for phase in 1..=phases as u64 {
         let previous = states.clone();
-        let (next, sim) = run_renewal_phase(&setup, &previous, phase, &RenewalOptions::default())
+        let (next, net) = run_renewal_phase(&setup, &previous, phase, &RenewalOptions::default())
             .expect("renewal phase runs");
         let changed = next.iter().all(|(node, s)| {
             previous
@@ -461,8 +316,8 @@ pub fn e7_proactive_renewal(n: usize, phases: usize, seed: u64) -> Table {
         table.row(&[
             phase.to_string(),
             next.len().to_string(),
-            sim.metrics().message_count().to_string(),
-            sim.metrics().byte_count().to_string(),
+            net.metrics().message_count().to_string(),
+            net.metrics().byte_count().to_string(),
             secret_check(&next).to_string(),
             changed.to_string(),
         ]);
@@ -479,8 +334,8 @@ pub fn e7_proactive_renewal(n: usize, phases: usize, seed: u64) -> Table {
 /// E8: group-modification agreement cost and node-addition correctness.
 pub fn e8_group_modification(n: usize, seed: u64) -> Table {
     use dkg_core::group::{
-        apply_group_changes, combine_subshares, subshare_for_new_node, GroupChange, GroupModInput,
-        GroupModNode, GroupModOutput, ParameterAdjustment,
+        apply_group_changes, combine_subshares, subshare_for_new_node, GroupChange,
+        ParameterAdjustment,
     };
     let mut table = Table::new(
         format!("E8 — group modification (n = {n})"),
@@ -489,31 +344,16 @@ pub fn e8_group_modification(n: usize, seed: u64) -> Table {
     let config = dkg_core::DkgConfig::standard(n, 0).expect("valid");
 
     // Agreement on an add-node proposal.
-    let mut sim: Simulation<GroupModNode> = Simulation::new(
-        NetworkConfig {
-            delay: DelayModel::Uniform { min: 10, max: 80 },
-            self_messages_pay_delay: false,
-        },
-        seed,
-    );
-    for i in 1..=n as u64 {
-        sim.add_node(GroupModNode::new(i, config.clone()));
-    }
     let change = GroupChange::AddNode {
         node: (n + 1) as u64,
         adjustment: ParameterAdjustment::None,
     };
-    sim.schedule_operator(1, GroupModInput::Propose(change), 0);
-    sim.run();
-    let accepted = sim
-        .outputs()
-        .iter()
-        .filter(|o| matches!(o.output, GroupModOutput::Accepted(_)))
-        .count();
+    let mut agreement = EndpointNet::new(LINKS, seed);
+    let accepted = run_group_agreement(&mut agreement, &config, 0, 1, change).len();
     table.row(&[
         "agreement: add node".into(),
-        sim.metrics().message_count().to_string(),
-        sim.metrics().byte_count().to_string(),
+        agreement.metrics().message_count().to_string(),
+        agreement.metrics().byte_count().to_string(),
         format!("accepted at {accepted}/{n} nodes"),
     ]);
 
@@ -537,12 +377,12 @@ pub fn e8_group_modification(n: usize, seed: u64) -> Table {
     let (states, _) = run_initial_phase(&setup, DelayModel::Constant(20));
     let t = setup.config.t();
     let pk = states.values().next().expect("completed").public_key;
-    let (renewed, renewal_sim) =
+    let (renewed, renewal_net) =
         run_renewal_phase(&setup, &states, 1, &RenewalOptions::default()).expect("renewal runs");
     let new_node = (n + 1) as u64;
     let mut subshares = Vec::new();
     for &contributor in setup.config.vss.nodes.iter().take(t + 1) {
-        let node = renewal_sim
+        let node = renewal_net
             .endpoint(contributor)
             .and_then(|e| e.dkg_session(1))
             .expect("node exists");
@@ -574,6 +414,24 @@ pub fn e8_group_modification(n: usize, seed: u64) -> Table {
 // E9 — the asynchrony argument of §2.1
 // ---------------------------------------------------------------------
 
+/// The §2.1 adversary's hold over the network: every link touching a
+/// corrupted node, in either direction, delivers `stall` ms later than an
+/// honest link; honest↔honest links keep [`LINKS`].
+fn stalled_links(n: usize, corrupted: &[NodeId], stall: u64) -> ChaosModel {
+    let stalled = DelayModel::Uniform {
+        min: LINK_MIN + stall,
+        max: LINK_MAX + stall,
+    };
+    let mut links = ChaosModel::from(LINKS);
+    for &node in corrupted {
+        for peer in (1..=n as u64).filter(|&peer| peer != node) {
+            links = links.with_link(node, peer, stalled.clone());
+            links = links.with_link(peer, node, stalled.clone());
+        }
+    }
+    links
+}
+
 /// E9: an adversary that delays messages on the links it controls slows a
 /// timeout-based synchronous protocol but not the asynchronous DKG.
 pub fn e9_adversarial_delay(n: usize, stalls: &[u64], seed: u64) -> Table {
@@ -587,16 +445,16 @@ pub fn e9_adversarial_delay(n: usize, stalls: &[u64], seed: u64) -> Table {
             "async completions",
         ],
     );
-    let honest_delay = 80u64;
     for (i, &stall) in stalls.iter().enumerate() {
         let corrupted: Vec<u64> = ((n - t + 1) as u64..=n as u64).collect();
         let honest: Vec<u64> = (1..=(n - t) as u64).collect();
-        let run = run_dkg(n, 0, &corrupted, &[], Some(stall), seed + i as u64);
+        let links = stalled_links(n, &corrupted, stall);
+        let run = run_dkg(n, 0, &[], &[], links, seed + i as u64);
         // A synchronous protocol must set its round timeout above the worst
         // message delay it is willing to tolerate; a rushing adversary can
         // always push delivery to that bound (§2.1), so each of its rounds
         // costs max(stall, honest delay).
-        let sync_round_time = 2 * stall.max(honest_delay);
+        let sync_round_time = 2 * stall.max(LINK_MAX);
         table.row(&[
             stall.to_string(),
             run.last_completion_among(&honest).to_string(),
@@ -642,7 +500,7 @@ pub fn e10_resilience_bound(seed: u64) -> Table {
         ("3 crashed — quorum lost", vec![], vec![5, 6, 7]),
     ];
     for (i, (name, muted, crashed)) in scenarios.into_iter().enumerate() {
-        let run = run_dkg(n, 0, &muted, &crashed, None, seed + i as u64);
+        let run = run_dkg(n, 0, &muted, &crashed, LINKS, seed + i as u64);
         let honest: Vec<u64> = (1..=n as u64)
             .filter(|i| !muted.contains(i) && !crashed.contains(i))
             .collect();
@@ -665,11 +523,60 @@ pub fn e10_resilience_bound(seed: u64) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dkg_arith::PrimeField;
+    use dkg_poly::{CommitmentMatrix, SymmetricBivariate};
+    use dkg_vss::{CommitmentRef, SessionId, VssMessage};
+    use dkg_wire::{WireEncode, HEADER_LEN};
 
     #[test]
     fn e1_small_sweep_produces_flatish_message_ratio() {
         let table = e1_hybridvss_scaling(&[4, 7], 1);
         assert_eq!(table.len(), 2);
+    }
+
+    /// §3's counts, exactly: a crash-free sharing is n `send`, n² `echo` and
+    /// n² `ready` datagrams, and the byte total is the sum of their framed
+    /// encodings — computed here from sample messages of the same shape,
+    /// not from the network's own tally.
+    #[test]
+    fn crash_free_sharing_sends_exactly_the_datagrams_of_fig_1() {
+        for n in [4usize, 7] {
+            let run = run_vss(n, 0, CommitmentMode::Full, LINKS, &[], n as u64);
+            assert_eq!(run.completions.len(), n);
+            let metrics = run.net.metrics();
+            let (n1, n2) = (n as u64, (n * n) as u64);
+            assert_eq!(metrics.kind("vss-send").messages, n1);
+            assert_eq!(metrics.kind("vss-echo").messages, n2);
+            assert_eq!(metrics.kind("vss-ready").messages, n2);
+            assert_eq!(metrics.message_count(), n1 + 2 * n2);
+
+            let t = (n - 1) / 3;
+            let mut rng = StdRng::seed_from_u64(1);
+            let poly = SymmetricBivariate::random_with_secret(&mut rng, t, Scalar::one());
+            let commitment = CommitmentMatrix::commit(&poly);
+            let session = SessionId::new(1, 0);
+            let framed = |message: VssMessage| (HEADER_LEN + message.encoded_len()) as u64;
+            let send = framed(VssMessage::Send {
+                session,
+                commitment: commitment.clone(),
+                row: poly.row(1),
+            });
+            let echo = framed(VssMessage::Echo {
+                session,
+                commitment: CommitmentRef::full(commitment.clone()),
+                point: Scalar::one(),
+            });
+            let ready = framed(VssMessage::Ready {
+                session,
+                commitment: CommitmentRef::full(commitment),
+                point: Scalar::one(),
+                signature: None,
+            });
+            assert_eq!(metrics.kind("vss-send").bytes, n1 * send);
+            assert_eq!(metrics.kind("vss-echo").bytes, n2 * echo);
+            assert_eq!(metrics.kind("vss-ready").bytes, n2 * ready);
+            assert_eq!(metrics.byte_count(), n1 * send + n2 * (echo + ready));
+        }
     }
 
     #[test]
@@ -682,9 +589,35 @@ mod tests {
     }
 
     #[test]
+    fn e3_two_outages_cost_help_traffic_and_everyone_completes() {
+        let table = e3_crash_recovery(10, 2, &[2], 5);
+        let row = &table.rows()[0];
+        assert!(row[3].parse::<u64>().unwrap() > 0, "vss-help was sent");
+        assert_eq!(row[4], "10", "every node completes");
+    }
+
+    #[test]
     fn e6_contains_measured_and_model_rows() {
         let table = e6_baseline_comparison(7, 3);
         assert!(table.len() >= 5);
+    }
+
+    /// §2.1: honest nodes finish at the speed of the honest links however
+    /// far the adversary stalls the links it controls.
+    #[test]
+    fn e9_honest_completion_time_does_not_grow_with_the_stall() {
+        let table = e9_adversarial_delay(7, &[0, 60_000], 6);
+        let completion = |row: &[String]| row[1].parse::<u64>().unwrap();
+        let (unstalled, stalled) = (&table.rows()[0], &table.rows()[1]);
+        assert_eq!(unstalled[3], "5", "all honest nodes complete");
+        assert_eq!(stalled[3], "5", "all honest nodes complete");
+        assert!(completion(unstalled) > 0);
+        assert!(
+            completion(stalled) <= 2 * completion(unstalled),
+            "stalled run took {} ms, unstalled {} ms",
+            completion(stalled),
+            completion(unstalled)
+        );
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use dkg_arith::{PrimeField, Scalar};
 use dkg_crypto::NodeId;
 use dkg_poly::{CommitmentMatrix, CommitmentVector, CryptoJob, CryptoVerdict};
-use dkg_sim::{ActionSink, Protocol, WireSize};
+use dkg_sim::{ActionSink, MessageKind, Protocol};
 
 use crate::config::DkgConfig;
 use crate::messages::CombineRule;
@@ -157,13 +157,7 @@ pub enum GroupModMessage {
     Ready(GroupChange),
 }
 
-impl WireSize for GroupModMessage {
-    /// The exact length of the message's canonical [`dkg_wire`] encoding
-    /// (see [`crate::wire`]), like every other protocol message.
-    fn wire_size(&self) -> usize {
-        dkg_wire::WireEncode::encoded_len(self)
-    }
-
+impl MessageKind for GroupModMessage {
     fn kind(&self) -> &'static str {
         match self {
             GroupModMessage::Propose(_) => "groupmod-propose",
@@ -670,36 +664,6 @@ mod tests {
     }
 
     // ----- agreement -----
-
-    #[test]
-    fn group_modification_agreement_accepts_proposals_everywhere() {
-        use dkg_sim::{DelayModel, NetworkConfig, Simulation};
-        let config = DkgConfig::standard(4, 0).unwrap();
-        let mut sim: Simulation<GroupModNode> = Simulation::new(
-            NetworkConfig {
-                delay: DelayModel::Uniform { min: 5, max: 50 },
-                self_messages_pay_delay: false,
-            },
-            3,
-        );
-        for i in 1..=4 {
-            sim.add_node(GroupModNode::new(i, config.clone()));
-        }
-        let change = GroupChange::AddNode {
-            node: 5,
-            adjustment: ParameterAdjustment::None,
-        };
-        sim.schedule_operator(2, GroupModInput::Propose(change), 0);
-        sim.run();
-        let accepted: Vec<NodeId> = sim
-            .outputs()
-            .iter()
-            .filter(|o| matches!(o.output, GroupModOutput::Accepted(_)))
-            .map(|o| o.node)
-            .collect();
-        assert_eq!(accepted.len(), 4);
-        assert_eq!(sim.node(1).unwrap().accepted(), &[change]);
-    }
 
     #[test]
     fn invalid_proposals_are_not_echoed() {

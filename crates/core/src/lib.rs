@@ -9,7 +9,8 @@
 //!
 //! * [`DkgNode`] — the per-node state machine: optimistic phase (Fig. 2),
 //!   pessimistic leader-change phase (Fig. 3), group-secret reconstruction
-//!   and crash recovery. Runs directly on the [`dkg_sim`] simulator.
+//!   and crash recovery. A [`dkg_sim::Protocol`], hosted as a session of a
+//!   `dkg_engine::Endpoint`.
 //! * [`proactive`] — share renewal and recovery across phases (§5):
 //!   [`PhaseState`], [`RenewalOptions`] and the shared [`plan_renewal`]
 //!   safeguards (the end-to-end drivers live in `dkg_engine::runner`).
@@ -24,18 +25,19 @@
 //! ```
 //! use dkg_core::runner::SystemSetup;
 //! use dkg_core::DkgInput;
-//! use dkg_sim::{DelayModel, Simulation};
+//! use dkg_engine::runner::build_dkg_net;
+//! use dkg_sim::DelayModel;
 //!
-//! // A 4-node system tolerating t = 1 Byzantine node, on the in-process
-//! // simulator (see dkg_engine::runner for the byte-datagram driver).
+//! // A 4-node system tolerating t = 1 Byzantine node: one endpoint per
+//! // node, each hosting the DKG session τ = 0, exchanging encoded datagrams.
 //! let setup = SystemSetup::generate(4, 0, 42);
-//! let mut sim = setup.build_simulation(0, DelayModel::Constant(25));
+//! let mut net = build_dkg_net(&setup, 0, DelayModel::Constant(25));
 //! for node in 1..=4 {
-//!     sim.schedule_operator(node, DkgInput::Start, 0);
+//!     net.schedule_dkg_input(node, 0, DkgInput::Start, 0);
 //! }
-//! sim.run();
-//! assert!((1..=4).all(|node| sim.node(node).unwrap().is_complete()));
-//! println!("{}", sim.metrics().report());
+//! net.run();
+//! assert!((1..=4).all(|node| net.endpoint(node).unwrap().dkg_result(0).is_some()));
+//! println!("{}", net.metrics().report());
 //! ```
 
 #![forbid(unsafe_code)]

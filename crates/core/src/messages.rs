@@ -3,7 +3,7 @@
 use dkg_arith::{GroupElement, Scalar};
 use dkg_crypto::{Digest, NodeId, Signature};
 use dkg_poly::CommitmentMatrix;
-use dkg_sim::WireSize;
+use dkg_sim::MessageKind;
 use dkg_vss::{ReadyWitness, VssMessage};
 
 /// The set `Q` (or `Q̂`) of dealers whose HybridVSS instances the system
@@ -45,12 +45,6 @@ impl Proposal {
         }
         out
     }
-
-    /// Wire size: the exact length of the canonical encoding (`u32` count
-    /// prefix plus the dealer ids).
-    pub fn wire_size(&self) -> usize {
-        dkg_wire::WireEncode::encoded_len(self)
-    }
 }
 
 /// A node's signature over a DKG agreement payload (`echo`, `ready` or
@@ -81,13 +75,6 @@ pub struct DealerProof {
     pub witnesses: Vec<ReadyWitness>,
 }
 
-impl DealerProof {
-    /// Wire size: the exact length of the canonical encoding.
-    pub fn wire_size(&self) -> usize {
-        dkg_wire::WireEncode::encoded_len(self)
-    }
-}
-
 /// The validity evidence attached to a proposal: either the per-dealer ready
 /// proofs `R̂` (for a fresh proposal assembled by the leader from its own
 /// completed sharings) or the echo / ready certificate `M` for an
@@ -100,13 +87,6 @@ pub enum Justification {
     EchoCertificate(Vec<SignedVote>),
     /// `M` = `t + 1` signed `ready` votes for the proposal.
     ReadyCertificate(Vec<SignedVote>),
-}
-
-impl Justification {
-    /// Wire size: the exact length of the canonical encoding.
-    pub fn wire_size(&self) -> usize {
-        dkg_wire::WireEncode::encoded_len(self)
-    }
 }
 
 /// Payload helpers for the signatures exchanged by the agreement protocol.
@@ -195,16 +175,7 @@ pub enum DkgMessage {
     },
 }
 
-impl WireSize for DkgMessage {
-    /// The exact length of the message's canonical [`dkg_wire`] encoding.
-    /// Earlier revisions hand-estimated this from `field_size` constants and
-    /// drifted from reality on variable-length fields (length prefixes,
-    /// certificate vectors, justification payloads); it is now *defined* as
-    /// `encode().len()` and asserted equal by round-trip property tests.
-    fn wire_size(&self) -> usize {
-        dkg_wire::WireEncode::encoded_len(self)
-    }
-
+impl MessageKind for DkgMessage {
     fn kind(&self) -> &'static str {
         match self {
             DkgMessage::Vss(m) => m.kind(),
@@ -288,6 +259,7 @@ mod tests {
     use super::*;
     use dkg_arith::PrimeField;
     use dkg_vss::SessionId;
+    use dkg_wire::WireEncode;
 
     #[test]
     fn proposal_is_canonical() {
@@ -312,13 +284,13 @@ mod tests {
     fn wire_sizes_scale_with_content() {
         let small = Proposal::new(vec![1]);
         let large = Proposal::new((1..=10).collect());
-        assert!(large.wire_size() > small.wire_size());
+        assert!(large.encoded_len() > small.encoded_len());
 
         let vss = DkgMessage::Vss(VssMessage::Help {
             session: SessionId::new(1, 0),
         });
         assert_eq!(vss.kind(), "vss-help");
-        assert!(vss.wire_size() > 0);
+        assert!(vss.encoded_len() > 0);
 
         let lead_ch = DkgMessage::LeadCh {
             tau: 0,
@@ -333,7 +305,7 @@ mod tests {
             proposal: Some((large.clone(), Justification::EchoCertificate(vec![]))),
             signature: sample_signature(),
         };
-        assert!(with_proposal.wire_size() > lead_ch.wire_size());
+        assert!(with_proposal.encoded_len() > lead_ch.encoded_len());
     }
 
     fn sample_signature() -> Signature {

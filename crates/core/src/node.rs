@@ -1804,41 +1804,6 @@ impl Protocol for DkgNode {
 mod tests {
     use super::*;
     use dkg_crypto::generate_keyring;
-    use dkg_sim::{DelayModel, NetworkConfig, Simulation};
-
-    /// Builds a simulation of `n` DKG nodes with `f` tolerated crashes.
-    pub(crate) fn build_dkg_sim(n: usize, f: usize, seed: u64) -> Simulation<DkgNode> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let (secrets, directory) = generate_keyring(&mut rng, n);
-        let config = DkgConfig::standard(n, f).unwrap();
-        let mut sim = Simulation::new(
-            NetworkConfig {
-                delay: DelayModel::Uniform { min: 10, max: 100 },
-                self_messages_pay_delay: false,
-            },
-            seed,
-        );
-        for i in 1..=n as u64 {
-            let keys = NodeKeys {
-                signing_key: secrets[&i],
-                directory: Arc::new(directory.clone()),
-            };
-            sim.add_node(DkgNode::new(i, config.clone(), keys, 0, seed * 1000 + i));
-        }
-        sim
-    }
-
-    fn completions(sim: &Simulation<DkgNode>) -> Vec<(NodeId, GroupElement, Scalar)> {
-        sim.outputs()
-            .iter()
-            .filter_map(|o| match &o.output {
-                DkgOutput::Completed {
-                    public_key, share, ..
-                } => Some((o.node, *public_key, *share)),
-                _ => None,
-            })
-            .collect()
-    }
 
     #[test]
     fn restore_rejects_identity_directory_key() {
@@ -1858,53 +1823,6 @@ mod tests {
             DkgNode::restore(snapshot).err(),
             Some(dkg_vss::SnapshotError::InvalidDirectoryKey { node: 3 })
         );
-    }
-
-    #[test]
-    fn dkg_completes_with_honest_leader() {
-        let n = 4;
-        let mut sim = build_dkg_sim(n, 0, 11);
-        for i in 1..=n as u64 {
-            sim.schedule_operator(i, DkgInput::Start, 0);
-        }
-        sim.run();
-        let done = completions(&sim);
-        assert_eq!(done.len(), n);
-        // Everyone agrees on the same public key.
-        let keys: BTreeSet<_> = done.iter().map(|(_, pk, _)| pk.to_bytes()).collect();
-        assert_eq!(keys.len(), 1);
-        // The shares are consistent: any t+1 of them interpolate to a secret
-        // whose commitment is the public key.
-        let t = sim.node(1).unwrap().config().t();
-        let shares: Vec<(u64, Scalar)> =
-            done.iter().take(t + 1).map(|(i, _, s)| (*i, *s)).collect();
-        let secret = interpolate_secret(&shares).unwrap();
-        assert_eq!(GroupElement::commit(&secret), done[0].1);
-    }
-
-    #[test]
-    fn dkg_reconstruction_matches_public_key() {
-        let n = 4;
-        let mut sim = build_dkg_sim(n, 0, 13);
-        for i in 1..=n as u64 {
-            sim.schedule_operator(i, DkgInput::Start, 0);
-        }
-        sim.run();
-        for i in 1..=n as u64 {
-            sim.schedule_operator(i, DkgInput::Reconstruct, sim.now() + 10);
-        }
-        sim.run();
-        let reconstructed: Vec<Scalar> = sim
-            .outputs()
-            .iter()
-            .filter_map(|o| match &o.output {
-                DkgOutput::Reconstructed { value, .. } => Some(*value),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(reconstructed.len(), n);
-        let pk = completions(&sim)[0].1;
-        assert!(reconstructed.iter().all(|v| GroupElement::commit(v) == pk));
     }
 
     /// Drives `n` DkgNodes to completion by synchronously delivering all
@@ -1989,30 +1907,5 @@ mod tests {
             done
         };
         assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn dkg_completes_with_crashed_leader_via_leader_change() {
-        let n = 7;
-        let f = 1;
-        let mut sim = build_dkg_sim(n, f, 17);
-        // The initial leader (node 1) is crashed from the start; the
-        // protocol must complete under a later leader.
-        sim.schedule_crash(1, 0);
-        for i in 2..=n as u64 {
-            sim.schedule_operator(i, DkgInput::Start, 0);
-        }
-        sim.run();
-        let done = completions(&sim);
-        // All uncrashed nodes complete.
-        assert_eq!(done.len(), n - 1);
-        let keys: BTreeSet<_> = done.iter().map(|(_, pk, _)| pk.to_bytes()).collect();
-        assert_eq!(keys.len(), 1);
-        // At least one leader change happened.
-        assert!(sim
-            .outputs()
-            .iter()
-            .any(|o| matches!(o.output, DkgOutput::LeaderChanged { .. })));
-        assert!(sim.metrics().kind("dkg-lead-ch").messages > 0);
     }
 }

@@ -93,9 +93,9 @@ impl std::error::Error for RenewalError {}
 
 /// The transport-independent plan for a renewal phase: the §5.2 safeguards
 /// and tick schedule, shared by every harness that drives a renewal
-/// (the in-process simulator here, the byte-datagram endpoint runner in
-/// `dkg-engine`). Keeping this in one place means a future tightening of
-/// the safeguards cannot silently diverge between harnesses.
+/// (`dkg_engine::runner::run_renewal_phase`, the fleet's epochs). Keeping
+/// this in one place means a future tightening of the safeguards cannot
+/// silently diverge between harnesses.
 #[derive(Clone, Debug)]
 pub struct RenewalPlan {
     /// Expected resharing commitments `g^{s_d}` per dealer: a dealer

@@ -4,14 +4,11 @@
 //! This module only *builds* systems ([`SystemSetup`]). The canonical
 //! driver that runs them end-to-end over encoded byte datagrams lives in
 //! `dkg_engine::runner` (which re-exports [`SystemSetup`], so examples and
-//! tests have a single import path); [`SystemSetup::build_simulation`]
-//! remains for experiments that need the in-process simulator's adversary
-//! hooks.
+//! tests have a single import path).
 
 use std::collections::BTreeMap;
 
 use dkg_crypto::{generate_keyring, KeyDirectory, NodeId, SigningKey};
-use dkg_sim::{DelayModel, NetworkConfig, Simulation};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -78,22 +75,6 @@ impl SystemSetup {
                 .wrapping_add(node)
                 .wrapping_add(tau.wrapping_mul(97)),
         )
-    }
-
-    /// Builds a simulation containing a [`DkgNode`] for every node, using the
-    /// given network delay model.
-    pub fn build_simulation(&self, tau: u64, delay: DelayModel) -> Simulation<DkgNode> {
-        let mut sim = Simulation::new(
-            NetworkConfig {
-                delay,
-                self_messages_pay_delay: false,
-            },
-            self.seed ^ tau,
-        );
-        for &node in &self.config.vss.nodes {
-            sim.add_node(self.build_node(node, tau));
-        }
-        sim
     }
 }
 

@@ -1,5 +1,5 @@
 //! Codec properties for the DKG agreement messages: lossless round-trips,
-//! `wire_size()` == real encoded length, canonical proposals, and no panics
+//! `encoded_len()` == real encoded length, canonical proposals, and no panics
 //! on adversarially mangled bytes.
 //!
 //! `WIRE_FUZZ_CASES` raises the per-test case count (used by CI's fuzz step).
@@ -8,7 +8,6 @@ use dkg_arith::{PrimeField, Scalar};
 use dkg_core::{DealerProof, DkgMessage, Justification, Proposal, SignedVote};
 use dkg_crypto::{Digest, SigningKey};
 use dkg_poly::{CommitmentMatrix, SymmetricBivariate};
-use dkg_sim::WireSize;
 use dkg_vss::{CommitmentRef, ReadyWitness, SessionId, VssMessage};
 use dkg_wire::{WireDecode, WireEncode, WireError};
 use proptest::collection::vec;
@@ -130,7 +129,7 @@ proptest! {
     #[test]
     fn wire_size_is_the_exact_encoded_length(seed in any::<u64>()) {
         for message in sample_messages(seed) {
-            prop_assert_eq!(message.wire_size(), message.encode().len());
+            prop_assert_eq!(message.encoded_len(), message.encode().len());
         }
     }
 
@@ -321,7 +320,7 @@ fn snapshot_types_roundtrip_losslessly() {
 }
 
 /// Group-modification agreement messages share the canonical codec: they
-/// round-trip losslessly, `wire_size()` is the exact encoded length, and
+/// round-trip losslessly, `encoded_len()` is the exact encoded length, and
 /// unknown tags are refused rather than misparsed.
 #[test]
 fn group_mod_messages_roundtrip_and_size_exactly() {
@@ -347,7 +346,7 @@ fn group_mod_messages_roundtrip_and_size_exactly() {
             GroupModMessage::Ready(change),
         ] {
             let bytes = message.encode();
-            assert_eq!(bytes.len(), message.wire_size());
+            assert_eq!(bytes.len(), message.encoded_len());
             assert_eq!(GroupModMessage::decode(&bytes).unwrap(), message);
         }
     }

@@ -31,7 +31,7 @@ use dkg_core::group::{GroupModInput, GroupModNode};
 use dkg_core::{DkgInput, DkgNode, DkgResult};
 use dkg_crypto::NodeId;
 use dkg_poly::{CryptoJob, CryptoVerdict};
-use dkg_sim::{Action, ActionSink, Protocol, TimerId, WireSize};
+use dkg_sim::{Action, ActionSink, MessageKind, Protocol, TimerId};
 use dkg_store::{StoreError, StoreHandle, WalRecord};
 use dkg_tss::{SignSession, TssInput};
 use dkg_vss::{SessionId, VssInput, VssNode};

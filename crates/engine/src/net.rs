@@ -368,10 +368,8 @@ impl EndpointNet {
 
     /// Byte-accurate traffic metrics: sizes are the lengths of the real
     /// framed datagrams, i.e. [`dkg_wire::HEADER_LEN`] (22 bytes of
-    /// version/routing/length framing) **plus** the message payload. The
-    /// in-process `dkg_sim::Simulation` counts payload-only `wire_size()`,
-    /// so its byte totals for the same run are exactly
-    /// `HEADER_LEN × messages` smaller.
+    /// version/routing/length framing) **plus** the message payload
+    /// (`WireEncode::encoded_len()`).
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
     }
@@ -429,8 +427,7 @@ impl EndpointNet {
     }
 
     /// Drops all future datagrams *sent by* `node` (a Byzantine-silent /
-    /// muted adversary position; the sends still count in the metrics, as in
-    /// the in-process simulator).
+    /// muted adversary position; the sends still count in the metrics).
     pub fn mute(&mut self, node: NodeId) {
         self.muted.insert(node);
     }

@@ -12,19 +12,21 @@
 //! verdicts are pure functions of the jobs and are applied in job order —
 //! which the executor-determinism tests assert transcript-for-transcript.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use dkg_arith::{GroupElement, PrimeField, Scalar};
+use dkg_core::group::{GroupChange, GroupModInput, GroupModNode, GroupModOutput};
 use dkg_core::proactive::{plan_renewal, PhaseState, RenewalError, RenewalOptions};
-use dkg_core::{CombineRule, DkgInput, DkgOutput};
+use dkg_core::{CombineRule, DkgConfig, DkgInput, DkgOutput};
 use dkg_crypto::{NodeId, Signature};
-use dkg_sim::DelayModel;
+use dkg_sim::{ChaosModel, DelayModel};
+use dkg_store::StoreHandle;
 use dkg_tss::{SignSession, TssConfig, TssInput, TssOutput};
 use dkg_vss::{CommitmentMode, SessionId, VssConfig, VssInput, VssNode, VssOutput};
 
 pub use dkg_core::runner::SystemSetup;
 
-use crate::endpoint::{Endpoint, EndpointConfig, Event};
+use crate::endpoint::{Endpoint, EndpointConfig, Event, WallClock};
 use crate::executor::{Executor, InlineExecutor};
 use crate::net::EndpointNet;
 
@@ -141,19 +143,29 @@ pub struct VssNetRun {
 }
 
 /// Runs one HybridVSS sharing (dealer 1) for `n` nodes over endpoints,
-/// returning completions and the network.
+/// returning completions and the network. Each `(node, start, end)` in
+/// `outages` crashes `node` at `start` and reboots it at `end` (§2.2): the
+/// node persists to an in-memory store, its endpoint is dropped and rebuilt
+/// from that store, and it runs the §5.3 recovery procedure
+/// ([`VssInput::Recover`]) right after the reboot.
 pub fn run_vss(
     n: usize,
     f: usize,
     mode: CommitmentMode,
     delay: DelayModel,
+    outages: &[(NodeId, WallClock, WallClock)],
     seed: u64,
 ) -> VssNetRun {
     let cfg = VssConfig::standard_with_mode(n, f, mode).expect("valid parameters");
     let session = SessionId::new(1, 0);
     let mut net = EndpointNet::new(delay, seed);
     for i in 1..=n as u64 {
-        let mut endpoint = Endpoint::new(i, EndpointConfig::default());
+        let goes_down = outages.iter().any(|&(node, ..)| node == i);
+        let config = EndpointConfig {
+            store: goes_down.then(StoreHandle::in_memory),
+            ..EndpointConfig::default()
+        };
+        let mut endpoint = Endpoint::new(i, config);
         endpoint
             .add_vss_session(VssNode::new(
                 i,
@@ -164,6 +176,11 @@ pub fn run_vss(
             ))
             .expect("fresh endpoint has no session");
         net.add_endpoint(endpoint);
+    }
+    for &(node, start, end) in outages {
+        net.schedule_crash(node, start);
+        net.schedule_recover(node, end);
+        net.schedule_vss_input(node, session, VssInput::Recover, end + 1);
     }
     net.schedule_vss_input(
         1,
@@ -215,8 +232,7 @@ pub fn persistence_summary(net: &EndpointNet) -> String {
     )
 }
 
-/// Summary of a DKG run with faults, mirroring the experiment harness's
-/// `DkgRun` but measured on real datagrams.
+/// Summary of a DKG run with faults.
 pub struct DkgNetRun {
     /// Nodes that completed.
     pub completions: usize,
@@ -238,13 +254,35 @@ impl DkgNetRun {
             .filter(|(n, _)| nodes.contains(n))
             .count()
     }
+
+    /// Latest completion time among the given node set (0 if none of them
+    /// completed).
+    pub fn last_completion_among(&self, nodes: &[NodeId]) -> u64 {
+        self.completion_times
+            .iter()
+            .filter(|(n, _)| nodes.contains(n))
+            .map(|&(_, time)| time)
+            .max()
+            .unwrap_or(0)
+    }
 }
 
 /// Runs a full DKG over endpoints with optional muted (Byzantine-silent)
-/// and crashed nodes.
-pub fn run_dkg(n: usize, f: usize, muted: &[NodeId], crashed: &[NodeId], seed: u64) -> DkgNetRun {
+/// and crashed nodes. `links` is the link model: a plain [`DelayModel`],
+/// or a [`ChaosModel`] whose per-link overrides stretch the links the
+/// adversary controls (§2.1).
+pub fn run_dkg(
+    n: usize,
+    f: usize,
+    muted: &[NodeId],
+    crashed: &[NodeId],
+    links: impl Into<ChaosModel>,
+    seed: u64,
+) -> DkgNetRun {
     let setup = SystemSetup::generate(n, f, seed);
-    let mut net = build_dkg_net(&setup, 0, DelayModel::Uniform { min: 10, max: 80 });
+    let links = links.into();
+    let mut net = build_dkg_net(&setup, 0, links.base.clone());
+    net.set_chaos(links);
     for &node in muted {
         net.mute(node);
     }
@@ -258,7 +296,7 @@ pub fn run_dkg(n: usize, f: usize, muted: &[NodeId], crashed: &[NodeId], seed: u
     }
     net.run();
 
-    let mut keys = std::collections::BTreeSet::new();
+    let mut keys = BTreeSet::new();
     let mut completion_times = Vec::new();
     let mut leader_changes = 0;
     for record in net.events() {
@@ -284,6 +322,42 @@ pub fn run_dkg(n: usize, f: usize, muted: &[NodeId], crashed: &[NodeId], seed: u
         completion_times,
         net,
     }
+}
+
+/// Runs the §6.1 group-modification agreement for `era` over `net`: every
+/// member of `config` hosts a [`GroupModNode`] (on its endpoint in `net`,
+/// or on a fresh default endpoint if it has none), `proposer` proposes
+/// `change`, and the network runs to quiescence. Returns the members that
+/// accepted exactly `change`.
+pub fn run_group_agreement(
+    net: &mut EndpointNet,
+    config: &DkgConfig,
+    era: u64,
+    proposer: NodeId,
+    change: GroupChange,
+) -> BTreeSet<NodeId> {
+    for &node in &config.vss.nodes {
+        if net.endpoint(node).is_none() {
+            net.add_endpoint(Endpoint::new(node, EndpointConfig::default()));
+        }
+        net.endpoint_mut(node)
+            .expect("just ensured")
+            .add_mod_session(era, GroupModNode::new(node, config.clone()))
+            .expect("era is fresh on this endpoint");
+    }
+    net.schedule_mod_input(proposer, era, GroupModInput::Propose(change), net.now());
+    net.run();
+    net.events()
+        .iter()
+        .filter(|record| {
+            matches!(
+                &record.event,
+                Event::Mod { era: e, output: GroupModOutput::Accepted(c) }
+                    if *e == era && *c == change
+            )
+        })
+        .map(|record| record.node)
+        .collect()
 }
 
 /// Runs the initial key-generation phase (`τ = 0`) over endpoints and

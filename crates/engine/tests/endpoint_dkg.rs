@@ -3,9 +3,10 @@
 //! endpoint bookkeeping.
 
 use dkg_arith::{GroupElement, Scalar};
-use dkg_engine::runner::SystemSetup;
-use dkg_engine::runner::{run_key_generation, run_vss};
-use dkg_engine::SessionKey;
+use dkg_core::group::{GroupChange, ParameterAdjustment};
+use dkg_core::DkgConfig;
+use dkg_engine::runner::{run_dkg, run_group_agreement, run_key_generation, run_vss, SystemSetup};
+use dkg_engine::{EndpointNet, SessionKey};
 use dkg_poly::interpolate_secret;
 use dkg_sim::DelayModel;
 use dkg_vss::CommitmentMode;
@@ -91,11 +92,11 @@ fn standalone_vss_runs_over_endpoints() {
         0,
         CommitmentMode::Full,
         DelayModel::Uniform { min: 10, max: 80 },
+        &[],
         42,
     );
     assert_eq!(run.completions.len(), 7);
-    // Message complexity sanity carries over from the in-process simulator:
-    // n sends, n² echoes.
+    // Message complexity sanity: n sends, n² echoes.
     assert_eq!(run.net.metrics().kind("vss-send").messages, 7);
     assert_eq!(run.net.metrics().kind("vss-echo").messages, 49);
     assert!(run.net.rejections().is_empty());
@@ -103,9 +104,40 @@ fn standalone_vss_runs_over_endpoints() {
 
 #[test]
 fn digest_mode_still_saves_bytes_on_the_wire() {
-    let full = run_vss(10, 0, CommitmentMode::Full, DelayModel::Constant(10), 21);
-    let digest = run_vss(10, 0, CommitmentMode::Digest, DelayModel::Constant(10), 22);
+    let delay = DelayModel::Constant(10);
+    let full = run_vss(10, 0, CommitmentMode::Full, delay.clone(), &[], 21);
+    let digest = run_vss(10, 0, CommitmentMode::Digest, delay, &[], 22);
     assert_eq!(full.completions.len(), 10);
     assert_eq!(digest.completions.len(), 10);
     assert!(digest.net.metrics().byte_count() * 2 < full.net.metrics().byte_count());
+}
+
+#[test]
+fn dkg_completes_with_crashed_leader_via_leader_change() {
+    // The initial leader (node 1) is crashed from the start; the protocol
+    // must complete under a later leader.
+    let n = 7;
+    let delay = DelayModel::Uniform { min: 10, max: 100 };
+    let run = run_dkg(n, 1, &[], &[1], delay, 17);
+    // All uncrashed nodes complete, on one key.
+    assert_eq!(run.completions, n - 1);
+    assert_eq!(run.distinct_keys, 1);
+    // At least one leader change happened.
+    assert!(run.leader_changes > 0);
+    assert!(run.net.metrics().kind("dkg-lead-ch").messages > 0);
+}
+
+#[test]
+fn group_modification_agreement_accepts_proposals_everywhere() {
+    let config = DkgConfig::standard(4, 0).unwrap();
+    let change = GroupChange::AddNode {
+        node: 5,
+        adjustment: ParameterAdjustment::None,
+    };
+    let mut net = EndpointNet::new(DelayModel::Uniform { min: 5, max: 50 }, 3);
+    let accepted = run_group_agreement(&mut net, &config, 0, 2, change);
+    assert_eq!(accepted.len(), 4);
+    let agreement = net.endpoint(1).unwrap().mod_session(0).unwrap();
+    assert_eq!(agreement.accepted(), &[change]);
+    assert!(net.rejections().is_empty());
 }

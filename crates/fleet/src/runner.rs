@@ -7,9 +7,9 @@
 //!    else touches that disk state, and the restored share is compared
 //!    against the pre-crash value.
 //! 2. **Membership agreement** (§6.1) — on churn epochs every member runs
-//!    the [`GroupModNode`] reliable broadcast over real endpoints; the
-//!    accepted change is applied at the phase boundary with
-//!    [`apply_group_changes`].
+//!    the [`dkg_core::group::GroupModNode`] reliable broadcast over real
+//!    endpoints ([`run_group_agreement`]); the accepted change is applied
+//!    at the phase boundary with [`apply_group_changes`].
 //! 3. **Share renewal** (§5.2) — a resharing DKG at `τ = epoch`, driven
 //!    by the same [`plan_renewal`] safeguards production uses, optionally
 //!    with one corrupted member ([`MaliciousNode`]), a timed chaos
@@ -34,16 +34,17 @@ use std::path::PathBuf;
 use dkg_adversary::{MaliciousNode, StrategyKind};
 use dkg_arith::{GroupElement, PrimeField, Scalar};
 use dkg_core::group::{
-    apply_group_changes, combine_subshares, subshare_for_new_node, GroupChange, GroupModInput,
-    GroupModNode, GroupModOutput, ParameterAdjustment,
+    apply_group_changes, combine_subshares, subshare_for_new_node, GroupChange, ParameterAdjustment,
 };
 use dkg_core::{
     plan_renewal, CombineRule, DkgConfig, DkgInput, PhaseState, RenewalOptions, SystemSetup,
 };
 use dkg_crypto::{sha256, NodeId, PublicKey};
-use dkg_engine::runner::{attach_sign_sessions, collect_outcomes, collect_signatures};
+use dkg_engine::runner::{
+    attach_sign_sessions, collect_outcomes, collect_signatures, run_group_agreement,
+};
 use dkg_engine::{
-    DatagramOrigin, Endpoint, EndpointConfig, EndpointNet, Event, Executor, InlineExecutor, Reject,
+    DatagramOrigin, Endpoint, EndpointConfig, EndpointNet, Executor, InlineExecutor, Reject,
     SessionKey, ThreadPoolExecutor,
 };
 use dkg_sim::{ChaosModel, DelayModel, TimedPartition};
@@ -745,27 +746,9 @@ impl Fleet<'_> {
             // inline in every mode so the transcript chain stays
             // executor-independent by construction.
             let config = self.endpoint_config(node, epoch.wire, upgraded, false);
-            let mut endpoint = Endpoint::new(node, config);
-            endpoint
-                .add_mod_session(tau, GroupModNode::new(node, self.config.clone()))
-                .expect("fresh endpoint hosts no session");
-            net.add_endpoint(endpoint);
+            net.add_endpoint(Endpoint::new(node, config));
         }
-        net.schedule_mod_input(members[0], tau, GroupModInput::Propose(change), 0);
-        net.run();
-
-        let mut accepted = BTreeSet::new();
-        for record in net.events() {
-            if let Event::Mod {
-                era,
-                output: GroupModOutput::Accepted(c),
-            } = &record.event
-            {
-                if *era == tau && *c == change {
-                    accepted.insert(record.node);
-                }
-            }
-        }
+        let accepted = run_group_agreement(&mut net, &self.config, tau, members[0], change);
         fleet_assert!(
             seed,
             accepted.len() >= self.config.completion_threshold(),

@@ -1,49 +1,38 @@
 //! # dkg-sim
 //!
-//! The "Internet" substrate for the hybrid DKG reproduction of *Distributed
-//! Key Generation for the Internet* (Kate & Goldberg, ICDCS 2009): a
-//! deterministic discrete-event simulation of an asynchronous
-//! message-passing network with
+//! The node model and network model of the hybrid DKG reproduction of
+//! *Distributed Key Generation for the Internet* (Kate & Goldberg, ICDCS
+//! 2009) — the vocabulary every protocol crate and the one network driver
+//! (`dkg_engine::EndpointNet`) share. The crate drives nothing itself:
 //!
-//! * the paper's node model (§7): deterministic state machines driven by
+//! * the paper's node model (§7): deterministic state machines fed
 //!   operator, network and timer messages ([`Protocol`], [`ActionSink`]),
-//! * the hybrid failure model (§2.2): crash/recovery schedules, link
-//!   outages folded into crashes, and a pluggable [`Adversary`] controlling
-//!   delays on corrupted links while honest↔honest delivery is guaranteed,
-//! * chaos link models ([`ChaosModel`]): asymmetric per-link latency
-//!   overrides, reordering windows and timed partitions that heal — either
-//!   dropping severed traffic or holding it until the heal (eventual
-//!   delivery, §2.1) — consumed by `dkg-engine`'s byte-level network,
-//! * weak synchrony for liveness (§2.1): timers and the Castro–Liskov style
-//!   [`DelayFunction`],
-//! * byte-accurate message accounting ([`Metrics`], [`WireSize`]) used by
-//!   every experiment to measure message and communication complexity.
+//! * link models ([`DelayModel`], [`ChaosModel`]): honest-link delays plus
+//!   the scheduling half of the adversary (§2.1–2.3) — asymmetric per-link
+//!   latency overrides on the links it controls, reordering windows and
+//!   timed partitions that heal, either dropping severed traffic or holding
+//!   it until the heal (eventual delivery),
+//! * weak synchrony for liveness (§2.1): the Castro–Liskov style
+//!   [`DelayFunction`] behind every protocol timer,
+//! * message and byte accounting ([`Metrics`], [`MessageKind`]): the driver
+//!   records the length of every encoded datagram under its message's
+//!   label, which is how the experiments measure message and communication
+//!   complexity.
 //!
-//! Substitution note (see DESIGN.md): the paper targets deployment over TLS
-//! links on the real Internet; this simulator replaces that deployment while
-//! preserving the purely message-driven protocol interface, which is what
-//! the paper's correctness and complexity arguments are stated in terms of.
+//! Crashes and recoveries (§2.2), muted nodes and actively Byzantine nodes
+//! are the driver's business (`EndpointNet::schedule_crash` / `mute`, the
+//! `dkg-adversary` crate).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adversary;
 pub mod metrics;
 pub mod network;
 pub mod protocol;
-pub mod simulation;
 pub mod wire;
 
-pub use adversary::{
-    Adversary, CrashEvent, CrashSchedule, MutingAdversary, PassiveAdversary, StallingAdversary,
-    Verdict,
-};
 pub use dkg_crypto::NodeId;
 pub use metrics::{Metrics, Tally};
-pub use network::{
-    ChaosModel, DelayFunction, DelayModel, LinkDelay, LinkFate, LinkOutage, NetworkConfig,
-    TimedPartition,
-};
+pub use network::{ChaosModel, DelayFunction, DelayModel, LinkDelay, LinkFate, TimedPartition};
 pub use protocol::{Action, ActionSink, Protocol, SimTime, TimerId};
-pub use simulation::{OutputRecord, Simulation};
-pub use wire::WireSize;
+pub use wire::MessageKind;

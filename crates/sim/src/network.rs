@@ -3,10 +3,11 @@
 //! §2.1 argues that over the Internet the expected message-transfer delay is
 //! a few seconds while a phase lasts days, and that the adversary may delay
 //! *its own* messages arbitrarily but "cannot control communication channels
-//! for all the honest nodes". The simulator therefore draws honest-link
-//! delays from a configurable [`DelayModel`], and gives the adversary a
-//! separate hook ([`crate::adversary::Adversary`]) to stretch the delay of
-//! the links it controls.
+//! for all the honest nodes". A network driver therefore draws honest-link
+//! delays from a configurable [`DelayModel`], and expresses the adversary's
+//! hold over the links it controls as a [`ChaosModel`]: per-link overrides
+//! that stretch the delay of exactly those links, reordering, and
+//! partitions that heal.
 
 use dkg_crypto::NodeId;
 use rand::Rng;
@@ -57,17 +58,6 @@ impl DelayModel {
             DelayModel::Uniform { max, .. } => max,
         }
     }
-}
-
-/// Static configuration of the simulated network.
-#[derive(Clone, Debug, Default)]
-pub struct NetworkConfig {
-    /// Delay model for honest links.
-    pub delay: DelayModel,
-    /// Whether a message a node sends to itself still pays the network
-    /// delay (false: delivered at the next instant, which matches a local
-    /// loopback).
-    pub self_messages_pay_delay: bool,
 }
 
 /// The `delay(t)` function of the weak synchrony assumption (§2.1, after
@@ -275,35 +265,6 @@ impl ChaosModel {
     }
 }
 
-/// A broken link or crashed node schedule entry: the pair `(from, to)` is
-/// interrupted during `[start, end)`. Per §2.2 a broken link is modelled by
-/// counting one of its endpoints as crashed; the simulator exposes both the
-/// node-level and the link-level view.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LinkOutage {
-    /// Source endpoint (messages from this node are affected).
-    pub from: NodeId,
-    /// Destination endpoint.
-    pub to: NodeId,
-    /// Outage start (inclusive), in milliseconds.
-    pub start: SimTime,
-    /// Outage end (exclusive).
-    pub end: SimTime,
-}
-
-impl LinkOutage {
-    /// Returns `true` if the outage covers time `now`.
-    pub fn active_at(&self, now: SimTime) -> bool {
-        now >= self.start && now < self.end
-    }
-
-    /// Returns `true` if this outage affects a message from `from` to `to`
-    /// (in either direction — a broken link is bidirectional).
-    pub fn affects(&self, from: NodeId, to: NodeId) -> bool {
-        (self.from == from && self.to == to) || (self.from == to && self.to == from)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -418,22 +379,5 @@ mod tests {
         // Unaffected links keep the plain delay.
         assert_eq!(chaos.fate(1, 2, 150, &mut rng), LinkFate::Deliver(5));
         assert_eq!(chaos.fate(1, 3, 250, &mut rng), LinkFate::Deliver(5));
-    }
-
-    #[test]
-    fn link_outage_window_and_direction() {
-        let outage = LinkOutage {
-            from: 1,
-            to: 2,
-            start: 100,
-            end: 200,
-        };
-        assert!(outage.active_at(100));
-        assert!(outage.active_at(199));
-        assert!(!outage.active_at(200));
-        assert!(!outage.active_at(99));
-        assert!(outage.affects(1, 2));
-        assert!(outage.affects(2, 1));
-        assert!(!outage.affects(1, 3));
     }
 }

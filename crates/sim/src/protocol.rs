@@ -8,10 +8,10 @@
 //! consumes operator inputs, network messages and timer expirations and emits
 //! [`Action`]s (send a message, produce an `out` message for its operator,
 //! start or stop a timer). All I/O, clocks and fault injection live in the
-//! simulator, which makes protocol runs reproducible and lets the experiments
-//! count every message and byte.
+//! driver hosting the node (`dkg-engine`'s `Endpoint`), which makes protocol
+//! runs reproducible and lets the experiments count every message and byte.
 
-use crate::wire::WireSize;
+use crate::wire::MessageKind;
 use dkg_crypto::NodeId;
 
 /// Simulated time, in milliseconds since the start of the run.
@@ -121,7 +121,7 @@ impl<M, Out> ActionSink<M, Out> {
 /// A deterministic protocol state machine (one per node).
 pub trait Protocol {
     /// Network messages exchanged between nodes.
-    type Message: Clone + WireSize;
+    type Message: Clone + MessageKind;
     /// Operator `in` messages (e.g. `share`, `reconstruct`, `recover`,
     /// clock ticks).
     type Operator;
@@ -150,7 +150,7 @@ pub trait Protocol {
     /// Handles the expiration of a timer previously set by this node.
     fn on_timer(&mut self, timer: TimerId, sink: &mut ActionSink<Self::Message, Self::Output>);
 
-    /// Invoked by the simulator when the node recovers from a crash, after
+    /// Invoked by the driver when the node recovers from a crash, after
     /// its state has been restored from stable storage. The default
     /// implementation does nothing; protocols with a recovery procedure
     /// (HybridVSS's `recover`/`help`) override it.
@@ -165,10 +165,7 @@ mod tests {
 
     #[derive(Clone, Debug, PartialEq)]
     struct Ping;
-    impl WireSize for Ping {
-        fn wire_size(&self) -> usize {
-            1
-        }
+    impl MessageKind for Ping {
         fn kind(&self) -> &'static str {
             "ping"
         }

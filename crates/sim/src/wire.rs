@@ -1,24 +1,14 @@
-//! Wire-size accounting for protocol messages.
+//! Labelling of protocol messages for the traffic metrics.
 //!
 //! The paper's efficiency claims are stated as *message complexity* (number
 //! of messages transferred) and *communication complexity* (bit length of
-//! messages transferred). To measure both, every protocol message type
-//! implements [`WireSize`], reporting the exact number of bytes its
-//! serialization would occupy on a real link, plus a short label used to
-//! break the totals down by message kind (`send`, `echo`, `ready`, …).
-//!
-//! There is exactly one source of truth for sizes: the canonical `dkg-wire`
-//! codec. Every implementation defines `wire_size()` as the encoded length
-//! of the real encoding (`WireEncode::encoded_len`, asserted equal to
-//! `encode().len()` by round-trip property tests). The estimate-based
-//! `field_size` constants earlier revisions hand-assembled sizes from are
-//! gone — they drifted from reality on every variable-length field.
+//! messages transferred). Byte counts are taken where the bytes exist — the
+//! network driver records the length of every encoded datagram it carries —
+//! so a message type only has to say which row of the per-kind breakdown
+//! (`send`, `echo`, `ready`, …) it belongs to.
 
-/// Byte-size and labelling information for a protocol message.
-pub trait WireSize {
-    /// The number of bytes this message occupies on the wire.
-    fn wire_size(&self) -> usize;
-
+/// The label under which [`crate::Metrics`] tallies a protocol message.
+pub trait MessageKind {
     /// A short static label identifying the message kind, used to break down
     /// metrics per message type (e.g. `"echo"`, `"ready"`, `"lead-ch"`).
     fn kind(&self) -> &'static str;
@@ -28,11 +18,8 @@ pub trait WireSize {
 mod tests {
     use super::*;
 
-    struct Fake(usize);
-    impl WireSize for Fake {
-        fn wire_size(&self) -> usize {
-            self.0
-        }
+    struct Fake;
+    impl MessageKind for Fake {
         fn kind(&self) -> &'static str {
             "fake"
         }
@@ -40,8 +27,7 @@ mod tests {
 
     #[test]
     fn trait_is_object_safe() {
-        let boxed: Box<dyn WireSize> = Box::new(Fake(10));
-        assert_eq!(boxed.wire_size(), 10);
+        let boxed: Box<dyn MessageKind> = Box::new(Fake);
         assert_eq!(boxed.kind(), "fake");
     }
 }

@@ -21,8 +21,8 @@
 //! * [`SignSnapshot`] — crash-recovery snapshots, so a rebooted signer
 //!   resumes mid-request without ever reusing a nonce.
 //!
-//! The state machine implements [`dkg_sim::Protocol`], so it runs under
-//! the simulator, the engine's [`dkg_sim`]-shaped endpoints and the UDP
+//! The state machine implements [`dkg_sim::Protocol`], so the engine's
+//! endpoints host it over the deterministic `EndpointNet` and the UDP
 //! deployment alike.
 
 #![forbid(unsafe_code)]

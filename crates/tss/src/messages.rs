@@ -25,8 +25,7 @@
 
 use dkg_arith::{GroupElement, Scalar};
 use dkg_crypto::{NodeId, Signature};
-use dkg_sim::WireSize;
-use dkg_wire::WireEncode;
+use dkg_sim::MessageKind;
 
 /// Operator messages driving a signing session.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -130,11 +129,7 @@ impl TssMessage {
     }
 }
 
-impl WireSize for TssMessage {
-    fn wire_size(&self) -> usize {
-        self.encoded_len()
-    }
-
+impl MessageKind for TssMessage {
     fn kind(&self) -> &'static str {
         match self {
             TssMessage::SignRequest { package: None, .. } => "sign-request",

@@ -1,12 +1,11 @@
 //! Codec properties for the threshold-signing messages: every message
-//! round-trips `encode → decode` losslessly, `wire_size()` equals the real
+//! round-trips `encode → decode` losslessly, `encoded_len()` equals the real
 //! encoded length, and decoding adversarially mangled bytes never panics.
 //!
 //! `WIRE_FUZZ_CASES` raises the per-test case count (used by CI's fuzz step).
 
 use dkg_arith::{GroupElement, PrimeField, Scalar};
 use dkg_crypto::SigningKey;
-use dkg_sim::WireSize;
 use dkg_tss::{
     NonceCommitEntry, RequestSnapshot, SignSnapshot, SnapshotError, TssInput, TssMessage,
 };
@@ -268,7 +267,7 @@ proptest! {
     #[test]
     fn wire_size_is_the_exact_encoded_length(seed in any::<u64>()) {
         for message in sample_messages(seed) {
-            prop_assert_eq!(message.wire_size(), message.encode().len());
+            prop_assert_eq!(message.encoded_len(), message.encode().len());
         }
     }
 

@@ -11,35 +11,35 @@
 //! * [`VssNode`] — the sharing (`Sh`), reconstruction (`Rec`) and
 //!   crash-recovery state machine, including the extended signed-`ready`
 //!   variant the DKG protocol builds on; it implements
-//!   [`dkg_sim::Protocol`], so one instance runs directly on the
-//!   [`dkg_sim`] network simulator,
-//! * [`faulty`] — Byzantine dealer behaviours for fault-injection tests,
+//!   [`dkg_sim::Protocol`], so a `dkg_engine::Endpoint` hosts one instance
+//!   as a session of its own,
+//! * [`faulty`] — a Byzantine dealer's split dealing for fault-injection
+//!   tests,
 //! * configuration ([`VssConfig`]) enforcing the paper's resilience bound
-//!   and thresholds, and the message/commitment encodings with byte-accurate
-//!   wire sizes for the complexity experiments.
+//!   and thresholds, and the canonical message/commitment encodings
+//!   ([`wire`]) whose lengths the complexity experiments count.
 //!
 //! ## Example
 //!
 //! ```
 //! use dkg_arith::{PrimeField, Scalar};
-//! use dkg_sim::{DelayModel, NetworkConfig, Simulation};
-//! use dkg_vss::{SessionId, VssConfig, VssInput, VssNode, VssOutput};
+//! use dkg_engine::{Endpoint, EndpointConfig, EndpointNet};
+//! use dkg_sim::DelayModel;
+//! use dkg_vss::{SessionId, VssConfig, VssInput, VssNode};
 //!
-//! // n = 4, t = 1, f = 0; node 1 deals a secret.
+//! // n = 4, t = 1, f = 0; node 1 deals a secret. Each node is one session
+//! // on an endpoint; the network carries their encoded datagrams.
 //! let cfg = VssConfig::standard(4, 0).unwrap();
 //! let session = SessionId::new(1, 0);
-//! let mut sim = Simulation::new(NetworkConfig::default(), 1);
+//! let mut net = EndpointNet::new(DelayModel::default(), 1);
 //! for i in 1..=4 {
-//!     sim.add_node(VssNode::new(i, cfg.clone(), session, i, None));
+//!     let mut endpoint = Endpoint::new(i, EndpointConfig::default());
+//!     endpoint.add_vss_session(VssNode::new(i, cfg.clone(), session, i, None)).unwrap();
+//!     net.add_endpoint(endpoint);
 //! }
-//! sim.schedule_operator(1, VssInput::Share { secret: Scalar::from_u64(42) }, 0);
-//! sim.run();
-//! let completions = sim
-//!     .outputs()
-//!     .iter()
-//!     .filter(|o| matches!(o.output, VssOutput::Shared { .. }))
-//!     .count();
-//! assert_eq!(completions, 4);
+//! net.schedule_vss_input(1, session, VssInput::Share { secret: Scalar::from_u64(42) }, 0);
+//! net.run();
+//! assert!((1..=4).all(|i| net.endpoint(i).unwrap().vss_session(session).unwrap().is_complete()));
 //! ```
 
 #![forbid(unsafe_code)]

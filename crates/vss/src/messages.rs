@@ -3,7 +3,7 @@
 use dkg_arith::Scalar;
 use dkg_crypto::{Digest, NodeId, Signature};
 use dkg_poly::{CommitmentMatrix, Univariate};
-use dkg_sim::WireSize;
+use dkg_sim::MessageKind;
 use std::sync::Arc;
 
 /// A session identifier `(P_d, τ)`: the dealer's identity plus a counter.
@@ -93,12 +93,6 @@ impl CommitmentRef {
             CommitmentRef::Full(inline) => Some(&inline.matrix),
             CommitmentRef::Digest(_) => None,
         }
-    }
-
-    /// Wire size of this reference: the exact length of its canonical
-    /// encoding (a tag byte plus the matrix or digest body).
-    pub fn wire_size(&self) -> usize {
-        dkg_wire::WireEncode::encoded_len(self)
     }
 }
 
@@ -190,16 +184,7 @@ impl VssMessage {
     }
 }
 
-impl WireSize for VssMessage {
-    /// The exact length of the message's canonical [`dkg_wire`] encoding.
-    /// Earlier revisions hand-estimated this from `field_size` constants and
-    /// drifted from reality on variable-length fields (length prefixes,
-    /// optional signatures); it is now *defined* as `encode().len()` and
-    /// asserted equal by round-trip property tests.
-    fn wire_size(&self) -> usize {
-        dkg_wire::WireEncode::encoded_len(self)
-    }
-
+impl MessageKind for VssMessage {
     fn kind(&self) -> &'static str {
         match self {
             VssMessage::Send { .. } => "vss-send",
@@ -255,6 +240,7 @@ mod tests {
     use super::*;
     use dkg_arith::PrimeField;
     use dkg_poly::SymmetricBivariate;
+    use dkg_wire::WireEncode;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -281,9 +267,9 @@ mod tests {
         assert_eq!(full.digest(), digest.digest());
         assert!(full.matrix().is_some());
         assert!(digest.matrix().is_none());
-        assert!(full.wire_size() > digest.wire_size());
+        assert!(WireEncode::encoded_len(&full) > WireEncode::encoded_len(&digest));
         // One tag byte plus the 32-byte digest.
-        assert_eq!(digest.wire_size(), 33);
+        assert_eq!(WireEncode::encoded_len(&digest), 33);
     }
 
     #[test]
@@ -300,7 +286,7 @@ mod tests {
             commitment: CommitmentRef::Digest([0u8; 32]),
             point: Scalar::one(),
         };
-        assert!(echo_full.wire_size() > echo_digest.wire_size());
+        assert!(echo_full.encoded_len() > echo_digest.encoded_len());
         assert_eq!(echo_full.kind(), "vss-echo");
         // Send carries the matrix (u32 dimension prefix + entries) plus the
         // t+1 row scalars (u32 count prefix).
@@ -310,11 +296,11 @@ mod tests {
             row: dkg_poly::Univariate::zero(3),
         };
         assert_eq!(
-            send.wire_size(),
+            send.encoded_len(),
             1 + 16 + (4 + c.encoded_len()) + (4 + 4 * 32)
         );
         let help = VssMessage::Help { session };
-        assert_eq!(help.wire_size(), 17);
+        assert_eq!(help.encoded_len(), 17);
         assert_eq!(help.session(), session);
     }
 

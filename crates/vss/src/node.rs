@@ -4,8 +4,9 @@
 //! [`VssNode`] is written as a plain state machine returning [`VssAction`]s
 //! so that it can be used in two ways:
 //!
-//! * run directly on the simulator through its [`dkg_sim::Protocol`]
-//!   implementation (one VSS instance per run, as in experiments E1–E3), or
+//! * hosted by an endpoint as a session of its own through its
+//!   [`dkg_sim::Protocol`] implementation (one VSS instance per run, as in
+//!   experiments E1–E3), or
 //! * embedded `n` times inside a DKG node (`dkg-core`), which multiplexes
 //!   the messages of the `n` parallel sharings of §4.
 //!

@@ -1,6 +1,6 @@
-//! A single HybridVSS instance run directly on the simulator:
-//! [`VssNode`] is itself a [`dkg_sim::Protocol`], as used by the VSS-only
-//! experiments (E1–E3) and the integration tests.
+//! A single HybridVSS instance as a session of its own: [`VssNode`] is
+//! itself a [`dkg_sim::Protocol`], which is how an endpoint hosts the
+//! VSS-only experiments (E1–E3) and integration tests.
 
 use dkg_crypto::NodeId;
 use dkg_sim::{ActionSink, Protocol};
@@ -52,89 +52,5 @@ impl Protocol for VssNode {
         let mut actions = Vec::new();
         self.recover(&mut actions);
         forward(actions, sink);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::config::{CommitmentMode, VssConfig};
-    use crate::messages::SessionId;
-    use dkg_arith::{PrimeField, Scalar};
-    use dkg_sim::{DelayModel, NetworkConfig, Simulation};
-
-    fn build_sim(n: usize, f: usize, mode: CommitmentMode, seed: u64) -> Simulation<VssNode> {
-        let t = (n - 2 * f - 1) / 3;
-        let cfg = VssConfig::new((1..=n as u64).collect(), t, f, 8, mode).unwrap();
-        let session = SessionId::new(1, 0);
-        let mut sim = Simulation::new(
-            NetworkConfig {
-                delay: DelayModel::Uniform { min: 10, max: 80 },
-                self_messages_pay_delay: false,
-            },
-            seed,
-        );
-        for i in 1..=n as u64 {
-            sim.add_node(VssNode::new(
-                i,
-                cfg.clone(),
-                session,
-                seed.wrapping_mul(1000).wrapping_add(i),
-                None,
-            ));
-        }
-        sim
-    }
-
-    #[test]
-    fn sharing_over_the_simulated_network() {
-        let n = 7;
-        let mut sim = build_sim(n, 0, CommitmentMode::Full, 42);
-        sim.schedule_operator(
-            1,
-            VssInput::Share {
-                secret: Scalar::from_u64(2024),
-            },
-            0,
-        );
-        sim.run();
-        let shared: Vec<_> = sim
-            .outputs()
-            .iter()
-            .filter(|o| matches!(o.output, VssOutput::Shared { .. }))
-            .collect();
-        assert_eq!(shared.len(), n);
-        // Message complexity sanity: echo and ready are O(n²).
-        assert_eq!(sim.metrics().kind("vss-send").messages, n as u64);
-        assert_eq!(sim.metrics().kind("vss-echo").messages, (n * n) as u64);
-    }
-
-    #[test]
-    fn crash_and_recovery_still_completes() {
-        let n = 7;
-        let f = 1;
-        let mut sim = build_sim(n, f, CommitmentMode::Full, 7);
-        sim.schedule_operator(
-            1,
-            VssInput::Share {
-                secret: Scalar::from_u64(5),
-            },
-            0,
-        );
-        // Node 7 is crashed for the start of the protocol and recovers later;
-        // recovery triggers help requests and retransmissions.
-        sim.schedule_crash(7, 0);
-        sim.schedule_recover(7, 2_000);
-        sim.schedule_operator(7, VssInput::Recover, 2_001);
-        sim.run();
-        let completed: Vec<NodeId> = sim
-            .outputs()
-            .iter()
-            .filter(|o| matches!(o.output, VssOutput::Shared { .. }))
-            .map(|o| o.node)
-            .collect();
-        // All finally-up nodes (everyone, since 7 recovered) complete.
-        assert_eq!(completed.len(), n);
-        assert!(sim.metrics().kind("vss-help").messages > 0);
     }
 }

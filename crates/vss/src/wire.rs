@@ -15,8 +15,8 @@
 //! ReadyWitness      := node:u64 signature:65B
 //! ```
 //!
-//! `VssMessage::wire_size()` is defined as the exact encoded length, so the
-//! simulator's communication-complexity metrics are measured, not estimated.
+//! The network driver's traffic metrics record the length of these
+//! encodings, so communication complexity is measured, not estimated.
 //!
 //! ## Digest-resolved decoding
 //!

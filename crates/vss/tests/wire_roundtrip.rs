@@ -1,5 +1,5 @@
 //! Codec properties for the HybridVSS messages: every message round-trips
-//! `encode → decode` losslessly, `wire_size()` equals the real encoded
+//! `encode → decode` losslessly, `encoded_len()` equals the real encoded
 //! length, and decoding adversarially mangled bytes never panics — with the
 //! context-free decoder and with the digest-resolved one, whatever its
 //! lookup answers.
@@ -10,7 +10,6 @@ use dkg_arith::{PrimeField, Scalar};
 use dkg_crypto::Digest;
 use dkg_crypto::SigningKey;
 use dkg_poly::{CommitmentMatrix, SymmetricBivariate, Univariate};
-use dkg_sim::WireSize;
 use dkg_vss::{CommitmentRef, ReadyWitness, SessionId, VssMessage};
 use dkg_wire::{WireDecode, WireEncode};
 use proptest::collection::vec;
@@ -194,7 +193,7 @@ proptest! {
     #[test]
     fn wire_size_is_the_exact_encoded_length(seed in any::<u64>()) {
         for message in sample_messages(seed) {
-            prop_assert_eq!(message.wire_size(), message.encode().len());
+            prop_assert_eq!(message.encoded_len(), message.encode().len());
         }
     }
 

@@ -5,7 +5,8 @@
 //! length prefix, and decoders reject non-canonical inputs (trailing bytes,
 //! unsorted sets, over-long lengths) instead of normalising them. This makes
 //! `encode → decode` lossless, digests/signatures over encodings unambiguous,
-//! and `wire_size()` *defined* as `encode().len()`.
+//! and a message's size on the wire one number: `encode().len()`, which
+//! `encoded_len()` reports without allocating.
 
 use crate::error::WireError;
 

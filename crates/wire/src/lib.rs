@@ -8,8 +8,8 @@
 //! is what makes those numbers real. Every protocol message implements
 //! [`WireEncode`]/[`WireDecode`] (the message enums themselves do so in
 //! `dkg-vss` and `dkg-core`, next to their definitions), `encode → decode`
-//! is lossless, and the simulator's `wire_size()` accounting is *defined* as
-//! `encode().len()` — measured, not estimated.
+//! is lossless, and the byte accounting of every experiment is the length
+//! of the datagrams the network driver carries — measured, not estimated.
 //!
 //! Decoding is hardened for untrusted input: every failure path returns a
 //! typed [`WireError`] (truncation, bit flips, wrong version, oversized

@@ -9,13 +9,12 @@
 
 use dkg_arith::GroupElement;
 use dkg_core::group::{
-    apply_group_changes, combine_subshares, subshare_for_new_node, GroupChange, GroupModInput,
-    GroupModNode, GroupModOutput, ParameterAdjustment,
+    apply_group_changes, combine_subshares, subshare_for_new_node, GroupChange, ParameterAdjustment,
 };
 use dkg_core::proactive::RenewalOptions;
-use dkg_engine::runner::SystemSetup;
-use dkg_engine::runner::{run_initial_phase, run_renewal_phase};
-use dkg_sim::{DelayModel, NetworkConfig, Simulation};
+use dkg_engine::runner::{run_group_agreement, run_initial_phase, run_renewal_phase, SystemSetup};
+use dkg_engine::EndpointNet;
+use dkg_sim::DelayModel;
 
 fn main() {
     let n = 7;
@@ -33,17 +32,8 @@ fn main() {
         node: (n + 1) as u64,
         adjustment: ParameterAdjustment::CrashLimit,
     };
-    let mut agreement: Simulation<GroupModNode> = Simulation::new(NetworkConfig::default(), 5);
-    for i in 1..=n as u64 {
-        agreement.add_node(GroupModNode::new(i, setup.config.clone()));
-    }
-    agreement.schedule_operator(3, GroupModInput::Propose(change), 0);
-    agreement.run();
-    let accepted = agreement
-        .outputs()
-        .iter()
-        .filter(|o| matches!(o.output, GroupModOutput::Accepted(_)))
-        .count();
+    let mut agreement = EndpointNet::new(DelayModel::default(), 5);
+    let accepted = run_group_agreement(&mut agreement, &setup.config, 0, 3, change).len();
     println!(
         "add-node proposal accepted at {accepted}/{n} nodes ({} messages)",
         agreement.metrics().message_count()

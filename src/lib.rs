@@ -15,8 +15,9 @@
 //!    via [`crypto`]).
 //! 4. [`wire`] — the canonical, versioned, length-delimited binary codec
 //!    (`WireEncode`/`WireDecode`) every protocol message travels through.
-//! 5. [`sim`] — deterministic asynchronous network simulator with the
-//!    paper's hybrid failure model.
+//! 5. [`sim`] — the paper's node model (`Protocol`: state machines fed
+//!    operator, network and timer messages), link delay / chaos models and
+//!    message/byte metrics; drives nothing itself (see [`engine`]).
 //! 6. [`vss`] — HybridVSS (§3, Fig. 1).
 //! 7. [`core`] — the hybrid DKG (§4, Figs. 2–3), proactive refresh (§5) and
 //!    group modification (§6).

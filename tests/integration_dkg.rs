@@ -21,6 +21,9 @@ fn dkg_liveness_agreement_consistency_without_faults() {
     assert_eq!(outcomes.len(), 4);
     // All traffic round-tripped the codec without a single rejection.
     assert!(net.rejections().is_empty());
+    // The network ran until its queue drained, past every node's leader
+    // timeout: the timers stopped on completion (Fig. 2) never fired.
+    assert_eq!(net.metrics().kind("dkg-lead-ch").messages, 0);
     // Agreement/consistency: a single public key, and any t+1 shares
     // reconstruct a secret matching it.
     let pk = outcomes[0].public_key;
@@ -103,8 +106,8 @@ fn hybridvss_message_complexity_is_quadratic_and_dkg_cubic() {
     // for one sharing and ~cubically for the full DKG — measured on real
     // datagrams through the endpoint stack.
     let delay = DelayModel::Uniform { min: 10, max: 80 };
-    let small = run_vss(4, 0, CommitmentMode::Full, delay.clone(), 11);
-    let large = run_vss(10, 0, CommitmentMode::Full, delay, 12);
+    let small = run_vss(4, 0, CommitmentMode::Full, delay.clone(), &[], 11);
+    let large = run_vss(10, 0, CommitmentMode::Full, delay.clone(), &[], 12);
     let vss_ratio =
         large.net.metrics().message_count() as f64 / small.net.metrics().message_count() as f64;
     let n_ratio_sq = (10.0f64 / 4.0).powi(2);
@@ -113,8 +116,8 @@ fn hybridvss_message_complexity_is_quadratic_and_dkg_cubic() {
         "VSS message growth {vss_ratio} should track n^2 ({n_ratio_sq})"
     );
 
-    let small = run_dkg(4, 0, &[], &[], 13);
-    let large = run_dkg(7, 0, &[], &[], 14);
+    let small = run_dkg(4, 0, &[], &[], delay.clone(), 13);
+    let large = run_dkg(7, 0, &[], &[], delay, 14);
     let dkg_ratio =
         large.net.metrics().message_count() as f64 / small.net.metrics().message_count() as f64;
     let n_ratio_cube = (7.0f64 / 4.0).powi(3);
@@ -127,8 +130,8 @@ fn hybridvss_message_complexity_is_quadratic_and_dkg_cubic() {
 #[test]
 fn digest_mode_costs_fewer_bytes_than_full_mode() {
     let delay = DelayModel::Uniform { min: 10, max: 80 };
-    let full = run_vss(10, 0, CommitmentMode::Full, delay.clone(), 21);
-    let digest = run_vss(10, 0, CommitmentMode::Digest, delay, 22);
+    let full = run_vss(10, 0, CommitmentMode::Full, delay.clone(), &[], 21);
+    let digest = run_vss(10, 0, CommitmentMode::Digest, delay, &[], 22);
     assert_eq!(full.completions.len(), 10);
     assert_eq!(digest.completions.len(), 10);
     assert!(digest.net.metrics().byte_count() * 2 < full.net.metrics().byte_count());

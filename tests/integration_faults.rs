@@ -4,13 +4,16 @@
 //! raw encoded datagrams.
 
 use dkg_arith::{PrimeField, Scalar};
-use dkg_engine::runner::run_dkg;
+use dkg_engine::runner::{run_dkg, run_vss};
 use dkg_engine::{Endpoint, EndpointConfig, EndpointNet, SessionKey};
 use dkg_sim::DelayModel;
-use dkg_vss::faulty::EquivocatingDealer;
-use dkg_vss::{SessionId, VssConfig, VssInput, VssMessage, VssNode, VssOutput};
+use dkg_vss::faulty::equivocating_dealing;
+use dkg_vss::{CommitmentMode, SessionId, VssConfig, VssInput, VssMessage, VssNode, VssOutput};
 use dkg_wire::{encode_datagram, Header};
 use std::collections::BTreeSet;
+
+/// Honest-link delays of the DKG runs.
+const WAN: DelayModel = DelayModel::Uniform { min: 10, max: 80 };
 
 /// Builds a network of endpoints each hosting one VSS session.
 fn vss_net(
@@ -64,26 +67,10 @@ fn equivocating_dealer_cannot_split_the_honest_nodes() {
         DelayModel::Uniform { min: 5, max: 50 },
         3,
     );
-    let mut dealer = EquivocatingDealer::new(
-        1,
-        cfg.clone(),
-        session,
-        9,
-        (Scalar::from_u64(111), Scalar::from_u64(222)),
-    );
-    let mut sink = dkg_sim::ActionSink::new();
-    use dkg_sim::Protocol as _;
-    dealer.on_operator(
-        VssInput::Share {
-            secret: Scalar::zero(),
-        },
-        &mut sink,
-    );
-    for action in sink.into_actions() {
-        if let dkg_sim::Action::Send { to, message } = action {
-            if to != 1 {
-                net.inject_datagram(1, to, vss_datagram(session, &message), 0);
-            }
+    let secrets = (Scalar::from_u64(111), Scalar::from_u64(222));
+    for (to, message) in equivocating_dealing(&cfg, session, 9, secrets) {
+        if to != 1 {
+            net.inject_datagram(1, to, vss_datagram(session, &message), 0);
         }
     }
     net.run();
@@ -107,7 +94,7 @@ fn equivocating_dealer_cannot_split_the_honest_nodes() {
 fn silent_byzantine_leader_does_not_block_the_dkg() {
     // Leader 1 is Byzantine-silent; the leader change (Fig. 3) must still
     // complete the protocol among the remaining nodes with one agreed key.
-    let run = run_dkg(7, 0, &[1], &[], 2002);
+    let run = run_dkg(7, 0, &[1], &[], WAN, 2002);
     assert!(run.completions >= 6);
     assert_eq!(run.distinct_keys, 1);
     assert!(run.leader_changes > 0);
@@ -116,7 +103,7 @@ fn silent_byzantine_leader_does_not_block_the_dkg() {
 
 #[test]
 fn two_successive_faulty_leaders_are_tolerated() {
-    let run = run_dkg(7, 0, &[1, 2], &[], 2003);
+    let run = run_dkg(7, 0, &[1, 2], &[], WAN, 2003);
     assert!(run.completions >= 5);
     assert_eq!(run.distinct_keys, 1);
 }
@@ -125,7 +112,7 @@ fn two_successive_faulty_leaders_are_tolerated() {
 fn beyond_the_byzantine_bound_safety_still_holds() {
     // 3 silent Byzantine nodes in a 7-node t = 2 system: liveness is lost,
     // but no two honest nodes ever output different keys.
-    let run = run_dkg(7, 0, &[5, 6, 7], &[], 2004);
+    let run = run_dkg(7, 0, &[5, 6, 7], &[], WAN, 2004);
     assert!(run.distinct_keys <= 1);
     let honest: Vec<u64> = vec![1, 2, 3, 4];
     assert_eq!(run.completions_among(&honest), 0);
@@ -133,66 +120,21 @@ fn beyond_the_byzantine_bound_safety_still_holds() {
 
 #[test]
 fn crash_recovery_mid_sharing_still_completes_everywhere() {
-    let n = 7usize;
-    let f = 1usize;
-    let cfg = VssConfig::standard(n, f).unwrap();
-    let session = SessionId::new(1, 0);
-    let mut net = vss_net(
-        1..=n as u64,
-        &cfg,
-        session,
-        400,
-        DelayModel::Uniform { min: 10, max: 60 },
-        8,
-    );
     // Node 5 persists to stable storage (a crash really drops the
-    // in-memory endpoint now — recovery reconstructs it from the store),
-    // is down from t = 20 to t = 1500, and runs the §5.3 recovery
-    // procedure right after rebooting.
-    let store = dkg_store::StoreHandle::in_memory();
-    let mut with_store = Endpoint::new(
-        5,
-        EndpointConfig {
-            store: Some(store),
-            ..EndpointConfig::default()
-        },
-    );
-    with_store
-        .add_vss_session(VssNode::new(5, cfg.clone(), session, 400 + 5, None))
-        .unwrap();
-    *net.endpoint_mut(5).unwrap() = with_store;
-    net.schedule_crash(5, 20);
-    net.schedule_recover(5, 1_500);
-    net.schedule_vss_input(5, session, VssInput::Recover, 1_501);
-    net.schedule_vss_input(
-        1,
-        session,
-        VssInput::Share {
-            secret: Scalar::from_u64(5555),
-        },
-        0,
-    );
-    net.run();
-    let completed: BTreeSet<u64> = net
-        .events()
-        .iter()
-        .filter(|r| {
-            matches!(
-                r.event,
-                dkg_engine::Event::Vss {
-                    output: VssOutput::Shared { .. },
-                    ..
-                }
-            )
-        })
-        .map(|r| r.node)
-        .collect();
+    // in-memory endpoint — recovery reconstructs it from the store), is
+    // down from t = 20 to t = 1500, and runs the §5.3 recovery procedure
+    // right after rebooting.
+    let n = 7;
+    let delay = DelayModel::Uniform { min: 10, max: 60 };
+    let run = run_vss(n, 1, CommitmentMode::Full, delay, &[(5, 20, 1_500)], 8);
+    assert_eq!(run.net.recoveries(), 1);
+    let completed: BTreeSet<u64> = run.completions.iter().copied().collect();
     assert_eq!(
         completed.len(),
         n,
         "finally-up nodes (incl. the recovered one) all complete"
     );
-    assert!(net.metrics().kind("vss-help").messages > 0);
+    assert!(run.net.metrics().kind("vss-help").messages > 0);
 }
 
 #[test]

@@ -1,19 +1,17 @@
 //! Integration tests for proactive share renewal (§5) and group
 //! modification (§6) spanning all crates. The DKG phases run through the
-//! sans-I/O `Endpoint` API over real encoded datagrams; the
-//! group-modification agreement (a separate broadcast protocol) stays on
-//! the in-process simulator.
+//! sans-I/O `Endpoint` API over real encoded datagrams, and so does the
+//! group-modification agreement (a separate broadcast protocol).
 
 use dkg_arith::{GroupElement, Scalar};
 use dkg_core::group::{
-    apply_group_changes, combine_subshares, subshare_for_new_node, GroupChange, GroupModInput,
-    GroupModNode, GroupModOutput, ParameterAdjustment,
+    apply_group_changes, combine_subshares, subshare_for_new_node, GroupChange, ParameterAdjustment,
 };
 use dkg_core::proactive::RenewalOptions;
-use dkg_engine::runner::SystemSetup;
-use dkg_engine::runner::{run_initial_phase, run_renewal_phase};
+use dkg_engine::runner::{run_group_agreement, run_initial_phase, run_renewal_phase, SystemSetup};
+use dkg_engine::EndpointNet;
 use dkg_poly::interpolate_secret;
-use dkg_sim::{DelayModel, NetworkConfig, Simulation};
+use dkg_sim::DelayModel;
 
 #[test]
 fn mobile_adversary_across_phases_learns_nothing_useful() {
@@ -77,20 +75,9 @@ fn full_membership_change_lifecycle() {
         node: 5,
         adjustment: ParameterAdjustment::None,
     };
-    let mut agreement: Simulation<GroupModNode> = Simulation::new(NetworkConfig::default(), 1);
-    for i in 1..=n as u64 {
-        agreement.add_node(GroupModNode::new(i, setup.config.clone()));
-    }
-    agreement.schedule_operator(1, GroupModInput::Propose(change), 0);
-    agreement.run();
-    assert_eq!(
-        agreement
-            .outputs()
-            .iter()
-            .filter(|o| matches!(o.output, GroupModOutput::Accepted(_)))
-            .count(),
-        n
-    );
+    let mut agreement = EndpointNet::new(DelayModel::default(), 1);
+    let accepted = run_group_agreement(&mut agreement, &setup.config, 0, 1, change);
+    assert_eq!(accepted.len(), n);
 
     // 3. Resharing run (§6.2: nodes reshare their *current* shares and keep
     //    them unchanged); each existing node derives a sub-share for node 5

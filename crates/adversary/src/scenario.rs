@@ -186,10 +186,10 @@ pub fn run_scenario(kind: StrategyKind, spec: &ScenarioSpec) -> ScenarioOutcome 
     for record in net.events() {
         match &record.event {
             Event::Dkg {
-                output: DkgOutput::Completed { public_key, .. },
+                output: DkgOutput::Completed { commitment, .. },
                 ..
             } => {
-                keys.insert(record.node, public_key.to_bytes().to_vec());
+                keys.insert(record.node, commitment.public_key().to_bytes().to_vec());
             }
             Event::Dkg {
                 output: DkgOutput::LeaderChanged { .. },

@@ -11,10 +11,14 @@
 //!   `KeyDirectory` holds one [`FixedBaseTable`] per registered key.
 //!
 //! A windowed table trades a one-time precomputation for removing all
-//! doublings from every subsequent multiplication: with window width `w`,
-//! the table stores `d · 2^{wi} · B` for every window `i` and digit
-//! `d ∈ [1, 2^w)`, and a scalar multiplication becomes at most `⌈256/w⌉`
-//! point additions.
+//! doublings from every subsequent multiplication. With window width `w`
+//! the scalar is recoded into **signed digits** `d_i ∈ (−2^{w−1}, 2^{w−1}]`
+//! (a window whose value exceeds `2^{w−1}` becomes `value − 2^w` and carries
+//! one into the next), so the table only stores `d · 2^{wi} · B` for
+//! `d ∈ [1, 2^{w−1}]` — half the entries an unsigned digit needs — and a
+//! negative digit adds the negated entry, which is a field negation, not a
+//! group operation. The carry needs one window more than the bits: a
+//! scalar multiplication is at most `⌊256/w⌋ + 1` point additions.
 //!
 //! ## Storage
 //!
@@ -30,7 +34,7 @@
 //! ## Window width
 //!
 //! Wider windows make each multiplication cheaper (fewer windows to add)
-//! but the precomputation exponentially more expensive (`2^w − 1` multiples
+//! but the precomputation exponentially more expensive (`2^{w−1}` multiples
 //! per window), so the right width depends on how many multiplications the
 //! table will serve. [`table_window`] picks the width minimising the
 //! amortised cost model [`table_cost`] via a precomputed crossover table
@@ -39,26 +43,26 @@
 //!
 //! [`generator_table`] is built lazily on first use and sized for a
 //! long-lived process ([`GENERATOR_EXPECTED_MULS`] multiplications → a
-//! 10-bit window, 26 598 entries ≈ 1.6 MiB); [`GroupElement::commit`] routes
-//! through it, so the whole workspace (commitment generation, `verify-poly`
-//! / `verify-point`, the batch engine in `dkg-poly`) inherits the speedup
-//! transparently. A 4-bit per-key table is 960 entries = 60 KiB and costs
-//! 960 group operations to build (≈ 0.8 ms).
+//! 10-bit window, 26 windows × 512 = 13 312 entries = 832 KiB);
+//! [`GroupElement::commit`] routes through it, so the whole workspace
+//! (commitment generation, `verify-poly` / `verify-point`, the batch engine
+//! in `dkg-poly`) inherits the speedup transparently. A 4-bit per-key table
+//! is 65 windows × 8 = 520 entries = 32.5 KiB and costs 520 group operations
+//! to build: per window, 7 for the multiples `2..=8` of the window's base
+//! and one doubling of the 8th, which is the next window's base.
 
 use std::sync::OnceLock;
 
 use crate::curve::{GroupElement, PackedPoint, ProjectivePoint};
 use crate::field::{PrimeField, Scalar};
-
-/// Default window width (bits per digit) when no multiplication budget is
-/// given ([`FixedBaseTable::new`] clamps explicit widths to `[1, 16]`).
-pub const DEFAULT_WINDOW: usize = 8;
+use crate::u256::U256;
 
 /// The multiplication budget the process-wide [`generator_table`] is sized
 /// for. A DKG node computes and verifies commitments for the whole of every
 /// session it joins — thousands of fixed-base multiplications over a
 /// process lifetime — which lands the cost model on a 10-bit window
-/// (~26.6k one-time additions, ~1.6 MiB, 26 additions per multiplication).
+/// (13 312 one-time group operations, 832 KiB, at most 26 additions per
+/// multiplication).
 pub const GENERATOR_EXPECTED_MULS: usize = 4096;
 
 const SCALAR_BITS: usize = 256;
@@ -75,26 +79,34 @@ const NORMALISE_BATCH: usize = 1024;
 /// `w ∈ 1..=12`; `window_crossovers_match_cost_model` pins it to the model.
 const TABLE_CROSSOVERS: &[(usize, usize)] = &[
     (0, 1),
-    (2, 2),
-    (6, 3),
-    (17, 4),
-    (55, 5),
-    (122, 6),
-    (332, 7),
-    (693, 8),
-    (2220, 9),
-    (3927, 10),
-    (11266, 11),
-    (20482, 12),
+    (1, 2),
+    (3, 3),
+    (9, 4),
+    (25, 5),
+    (61, 6),
+    (166, 7),
+    (465, 8),
+    (801, 9),
+    (1963, 10),
+    (5633, 11),
+    (10241, 12),
 ];
 
+/// Windows of a `w`-bit signed-digit recoding of a 256-bit scalar: one per
+/// whole `w` bits plus one for the remaining bits and the last carry.
+fn signed_windows(w: usize) -> usize {
+    SCALAR_BITS / w + 1
+}
+
 /// Cost model for a fixed-base table with window width `w` serving
-/// `expected_muls` multiplications, in point additions: building the table
-/// costs `⌈256/w⌉ · (2^w − 1)` additions, and each multiplication costs at
-/// most `⌈256/w⌉` additions (one per window, no doublings).
+/// `expected_muls` multiplications, in group operations: building the table
+/// costs `2^{w−1}` per window (the multiples `2..=2^{w−1}` of the window's
+/// base, plus the doubling that gives the next base), and each
+/// multiplication at most one addition per window (no doublings), over
+/// `⌊256/w⌋ + 1` windows.
 pub fn table_cost(expected_muls: usize, w: usize) -> u64 {
-    let windows = 256u64.div_ceil(w as u64);
-    windows * ((1u64 << w) - 1) + expected_muls as u64 * windows
+    let windows = signed_windows(w) as u64;
+    windows * (1u64 << (w - 1)) + expected_muls as u64 * windows
 }
 
 /// The window width (in bits) minimising [`table_cost`] for a table
@@ -112,17 +124,18 @@ pub fn table_window(expected_muls: usize) -> usize {
     window
 }
 
-/// A windowed precomputation table for multiples of one fixed base point.
+/// A signed-digit windowed precomputation table for multiples of one fixed
+/// base point.
 #[derive(Clone)]
 pub struct FixedBaseTable {
     window: usize,
-    /// Window `i` occupies `entries[i·(2^w − 1)..][..2^w − 1]`, and its
-    /// entry `d − 1` is `d · 2^{w·i} · B` for digit `d ∈ [1, 2^w)`.
+    /// Window `i` occupies `entries[i·2^{w−1}..][..2^{w−1}]`, and its entry
+    /// `d − 1` is `d · 2^{w·i} · B` for digit `d ∈ [1, 2^{w−1}]`.
     entries: Vec<PackedPoint>,
 }
 
-// A derived Debug would print every entry: 60 KiB for a 4-bit table, 1.6 MiB
-// for the generator's.
+// A derived Debug would print every entry: 32.5 KiB for a 4-bit table,
+// 832 KiB for the generator's.
 impl std::fmt::Debug for FixedBaseTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FixedBaseTable")
@@ -137,19 +150,21 @@ impl FixedBaseTable {
     /// (clamped to `[1, 16]`).
     pub fn new(base: &GroupElement, window: usize) -> Self {
         let window = window.clamp(1, 16);
-        let digits_per_window = (1usize << window) - 1;
-        let num_windows = SCALAR_BITS.div_ceil(window);
-        let mut entries = Vec::with_capacity(num_windows * digits_per_window);
+        let half = 1usize << (window - 1);
+        let num_windows = signed_windows(window);
+        let mut entries = Vec::with_capacity(num_windows * half);
         let mut multiples = Vec::new();
         let mut window_base = ProjectivePoint::from(*base);
         for w in 1..=num_windows {
             let mut acc = window_base;
-            for _ in 0..digits_per_window {
-                multiples.push(acc);
+            multiples.push(acc);
+            for _ in 1..half {
                 acc += window_base;
+                multiples.push(acc);
             }
-            // `acc` is now 2^w · window_base: the next window's base.
-            window_base = acc;
+            // `acc` is now 2^{w−1} · window_base: doubled, the next window's
+            // base.
+            window_base = acc.double();
             if multiples.len() >= NORMALISE_BATCH || w == num_windows {
                 let affine = ProjectivePoint::batch_to_affine(&multiples);
                 entries.extend(affine.into_iter().map(PackedPoint::from));
@@ -186,15 +201,27 @@ impl FixedBaseTable {
         acc
     }
 
-    /// Adds `k · B` to `acc`: one mixed addition per non-zero digit of `k`,
-    /// no doublings.
+    /// Adds `k · B` to `acc`: one mixed addition per non-zero signed digit
+    /// of `k`, no doublings.
     pub fn mul_onto(&self, acc: &mut ProjectivePoint, k: &Scalar) {
-        let bytes = k.to_be_bytes();
-        let digits_per_window = (1usize << self.window) - 1;
-        for (w, multiples) in self.entries.chunks(digits_per_window).enumerate() {
-            let digit = extract_window(&bytes, w, self.window);
+        let k = k.to_u256();
+        let half = 1usize << (self.window - 1);
+        let mut carry = 0;
+        for (w, multiples) in self.entries.chunks(half).enumerate() {
+            let value = window_bits(&k, w * self.window, self.window) + carry;
+            // Recode into (−2^{w−1}, 2^{w−1}]: above half, borrow 2^w from
+            // the next window. A 256-bit scalar's top window holds fewer
+            // than w bits, so it never carries out.
+            let negative = value > half;
+            let digit = if negative {
+                (1 << self.window) - value
+            } else {
+                value
+            };
+            carry = usize::from(negative);
             if let Some(point) = digit.checked_sub(1).and_then(|d| multiples.get(d)) {
-                *acc += GroupElement::from(*point);
+                let point = GroupElement::from(*point);
+                *acc += if negative { -point } else { point };
             }
         }
     }
@@ -209,22 +236,13 @@ impl FixedBaseTable {
     }
 }
 
-/// Extracts window `w` (width `c` bits, windows counted from the least
-/// significant bit) of a big-endian 256-bit integer.
-fn extract_window(be_bytes: &[u8; 32], w: usize, c: usize) -> usize {
-    let start_bit = w * c;
-    let mut value = 0usize;
-    for i in 0..c {
-        let bit = start_bit + i;
-        if bit >= SCALAR_BITS {
-            break;
-        }
-        let byte = be_bytes.get(31 - bit / 8).copied().unwrap_or(0);
-        if (byte >> (bit % 8)) & 1 == 1 {
-            value |= 1 << i;
-        }
-    }
-    value
+/// Bits `[start, start + width)` of `k` (`width ≤ 16`), zero above bit 255.
+fn window_bits(k: &U256, start: usize, width: usize) -> usize {
+    let limbs = k.limbs();
+    let limb = |i: usize| u128::from(limbs.get(i).copied().unwrap_or(0));
+    let (index, shift) = (start / 64, start % 64);
+    let two_limbs = limb(index) | (limb(index + 1) << 64);
+    (two_limbs >> shift) as usize & ((1 << width) - 1)
 }
 
 /// The process-wide precomputed table for the group generator `g`, built on
@@ -265,16 +283,42 @@ mod tests {
 
     #[test]
     fn works_for_non_generator_bases_and_narrow_windows() {
-        // Widths 3, 5, 6, 7, 9, 10 do not divide 256: their top window is
-        // short.
+        // Signed-digit walks against the 4-bit ladder for every width up to
+        // 12. Widths that do not divide 256 have a short top window; widths
+        // that do have a top window holding only the last carry.
         let mut rng = StdRng::seed_from_u64(7);
         let base = GroupElement::random(&mut rng);
-        let edge = [Scalar::zero(), Scalar::one(), -Scalar::one()];
-        for window in 1..=10usize {
-            let table = FixedBaseTable::new(&base, window);
+        let bit = |b: usize| U256::ONE.shl(b);
+        let ones = |bits: usize| bit(bits).wrapping_sub(&U256::ONE);
+        for window in 1..=12usize {
+            let (table, build) = ops::measure(|| FixedBaseTable::new(&base, window));
             assert_eq!(table.window(), window);
-            for k in edge.into_iter().chain([Scalar::random(&mut rng)]) {
-                assert_eq!(table.mul(&k), base.mul(&k), "window {window}");
+            let entries = signed_windows(window) << (window - 1);
+            assert_eq!(table.entries.len(), entries);
+            assert_eq!(build.total(), entries as u64, "one group op per entry");
+            // Every digit exactly 2^{w−1}, the largest that does not carry.
+            let all_half = (0..signed_windows(window))
+                .map(|w| w * window + window - 1)
+                .filter(|&b| b < SCALAR_BITS)
+                .fold(U256::ZERO, |k, b| k.wrapping_add(&bit(b)));
+            let mut scalars = vec![
+                Scalar::zero(),
+                Scalar::one(),
+                -Scalar::one(),
+                -Scalar::from_u64(2),
+                Scalar::from_u256(all_half),
+                // Runs of ones: every window carries, up into the top one.
+                Scalar::from_u256(ones(255)),
+                Scalar::from_u256(ones(248)),
+                Scalar::from_u256(ones(window)),
+                Scalar::random(&mut rng),
+            ];
+            scalars.extend([0, 1, 63, 64, 128, 200, 254, 255].map(|b| Scalar::from_u256(bit(b))));
+            for k in scalars {
+                let (walk, ops) = ops::measure(|| table.mul(&k));
+                assert_eq!(walk, base.mul(&k), "window {window}, {k:?}");
+                assert_eq!(ops.doubles, 0);
+                assert!(ops.adds <= signed_windows(window) as u64);
             }
         }
         let identity = FixedBaseTable::new(&GroupElement::identity(), 4);
@@ -291,7 +335,8 @@ mod tests {
         let ((), walk) = ops::measure(|| table.mul_onto(&mut acc, &b));
         assert_eq!(acc.to_affine(), GroupElement::commit(&a) + base.mul(&b));
         assert_eq!(walk.doubles, 0);
-        assert!(walk.adds <= 64);
+        // 64 four-bit windows plus the signed recoding's carry window.
+        assert!(walk.adds <= 65);
         // Cancelling the accumulator exactly lands on the identity.
         table.mul_onto(&mut acc, &-b);
         generator_table().mul_onto(&mut acc, &-a);
@@ -300,10 +345,12 @@ mod tests {
 
     #[test]
     fn debug_output_does_not_list_entries() {
+        // Signed digits: 65 windows × 8 multiples (unsigned digits stored
+        // 64 × 15 = 960).
         let table = FixedBaseTable::new(&GroupElement::generator(), 4);
         assert_eq!(
             format!("{table:?}"),
-            "FixedBaseTable { window: 4, entries: 960 }"
+            "FixedBaseTable { window: 4, entries: 520 }"
         );
     }
 

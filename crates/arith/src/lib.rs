@@ -10,8 +10,9 @@
 //! cryptographic dependencies:
 //!
 //! * [`U256`] / [`U512`] — fixed-width big integers,
-//! * [`Fp`] and [`Scalar`] — the secp256k1 base and scalar prime fields in
-//!   Montgomery form (the scalar field is the paper's `Z_q`),
+//! * [`Fp`] and [`Scalar`] — the secp256k1 base field (canonical residues,
+//!   special-form reduction) and scalar field (Montgomery form; the
+//!   paper's `Z_q`),
 //! * [`GroupElement`] — the secp256k1 group written as the paper's `G`,
 //!   with [`GroupElement::commit`] playing the role of `g^s`,
 //! * [`mod@multiexp`] — Pippenger multi-exponentiation used by commitment

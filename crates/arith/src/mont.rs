@@ -1,9 +1,11 @@
 //! Montgomery-form modular arithmetic for 256-bit prime moduli.
 //!
-//! The field types in [`crate::field`] keep their values in Montgomery form
-//! (`aR mod m` with `R = 2^256`) and use the CIOS (coarsely integrated
-//! operand scanning) multiplication below. Parameters are derived once per
-//! modulus at first use.
+//! [`crate::field::Scalar`] keeps its values in Montgomery form (`aR mod m`
+//! with `R = 2^256`) and uses the CIOS (coarsely integrated operand
+//! scanning) multiplication below; its parameters are derived once, at
+//! first use. The base field [`crate::field::Fp`] does not: its prime has
+//! special form and it keeps canonical residues, with these routines as
+//! the oracle its tests check it against.
 
 use crate::u256::{borrowing_sub, carrying_add, mul_add_carry, U256};
 use crate::u512::U512;

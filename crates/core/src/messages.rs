@@ -1,6 +1,6 @@
 //! DKG network messages, operator inputs and outputs (Figs. 2 and 3).
 
-use dkg_arith::{GroupElement, Scalar};
+use dkg_arith::Scalar;
 use dkg_crypto::{Digest, NodeId, Signature};
 use dkg_poly::CommitmentMatrix;
 use dkg_sim::MessageKind;
@@ -230,10 +230,9 @@ pub enum DkgOutput {
         leader_rank: u64,
         /// The agreed dealer set `Q`.
         dealers: Vec<NodeId>,
-        /// The combined commitment matrix `C`.
+        /// The combined commitment matrix `C`; the distributed public key
+        /// `g^s` is its `C_{00}` ([`CommitmentMatrix::public_key`]).
         commitment: CommitmentMatrix,
-        /// The distributed public key `g^s = C_{00}`.
-        public_key: GroupElement,
         /// This node's share `s_i`.
         share: Scalar,
     },

@@ -1333,7 +1333,6 @@ impl DkgNode {
             leader_rank: self.leader_rank,
             dealers,
             commitment,
-            public_key: self.completed.as_ref().expect("just set").public_key,
             share,
         });
     }
@@ -1892,10 +1891,10 @@ mod tests {
                 .into_iter()
                 .filter_map(|(node, o)| match o {
                     DkgOutput::Completed {
-                        public_key, share, ..
+                        commitment, share, ..
                     } => Some((
                         node,
-                        public_key.to_bytes().to_vec(),
+                        commitment.public_key().to_bytes().to_vec(),
                         share.to_be_bytes().to_vec(),
                     )),
                     _ => None,

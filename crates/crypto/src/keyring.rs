@@ -38,19 +38,19 @@ impl std::fmt::Display for KeyringError {
 
 impl std::error::Error for KeyringError {}
 
-/// Window width of a key's table: 64 windows × 15 digits = 960 affine
-/// entries (60 KiB) and 960 group operations to build, for at most 64
-/// additions per check. A process verifies thousands of signatures against
-/// each of its `n` keys, but it also holds `n` tables, so the width stays
-/// below the cost model's pick for that budget: 5 bits would be 1 612
-/// entries to save 12 of the 64 additions.
+/// Window width of a key's table: 65 signed-digit windows × 8 multiples =
+/// 520 affine entries (32.5 KiB) and 520 group operations to build, for at
+/// most 65 additions per check. A process verifies thousands of signatures
+/// against each of its `n` keys, but it also holds `n` tables, so the width
+/// stays below the cost model's pick for that budget: 5 bits would be 832
+/// entries to save 13 of the 65 additions.
 const KEY_TABLE_WINDOW: usize = 4;
 
 /// A verification key together with the fixed-base table of its point, for
 /// a key that stays fixed while many signatures are checked under it: a
 /// directory entry, or the group key of a signing session.
 /// [`Self::verify`] is [`PublicKey::verify`]'s predicate with the key's
-/// power taken from the table. The table is built in [`Self::new`] (960
+/// power taken from the table. The table is built in [`Self::new`] (520
 /// group operations) — never on first use, so what a check costs does not
 /// depend on who verified first — and shared by clones.
 #[derive(Clone)]
@@ -59,7 +59,7 @@ pub struct TabledKey {
     table: Arc<FixedBaseTable>,
 }
 
-// The key bytes only: a derived Debug would print the table, 60 KiB, into
+// The key bytes only: a derived Debug would print the table, 32.5 KiB, into
 // any failure message that formats a key holder.
 impl std::fmt::Debug for TabledKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -287,7 +287,9 @@ mod tests {
         let key = SigningKey::generate(&mut rng).public_key();
         let mut directory = KeyDirectory::new();
         let ((), build) = ops::measure(|| directory.register(1, key));
-        assert_eq!(build.total(), 960);
+        // One group op per signed-digit entry: 65 windows × 8 (unsigned
+        // digits took 64 × 15 = 960).
+        assert_eq!(build.total(), 520);
         directory.register(2, SigningKey::generate(&mut rng).public_key());
 
         let copy = directory.clone();

@@ -117,14 +117,14 @@ pub fn collect_outcomes(net: &EndpointNet, tau: u64) -> Vec<NodeOutcome> {
                 tau: event_tau,
                 output:
                     DkgOutput::Completed {
-                        public_key,
+                        commitment,
                         share,
                         leader_rank,
                         ..
                     },
             } if *event_tau == tau => Some(NodeOutcome {
                 node: record.node,
-                public_key: *public_key,
+                public_key: commitment.public_key(),
                 share: *share,
                 leader_rank: *leader_rank,
                 completion_time: record.time,
@@ -302,10 +302,10 @@ pub fn run_dkg(
     for record in net.events() {
         match &record.event {
             Event::Dkg {
-                output: DkgOutput::Completed { public_key, .. },
+                output: DkgOutput::Completed { commitment, .. },
                 ..
             } => {
-                keys.insert(public_key.to_bytes());
+                keys.insert(commitment.public_key().to_bytes());
                 completion_times.push((record.node, record.time));
             }
             Event::Dkg {

@@ -6,7 +6,7 @@ use dkg_arith::{GroupElement, Scalar};
 use dkg_core::group::{GroupChange, ParameterAdjustment};
 use dkg_core::DkgConfig;
 use dkg_engine::runner::{run_dkg, run_group_agreement, run_key_generation, run_vss, SystemSetup};
-use dkg_engine::{EndpointNet, SessionKey};
+use dkg_engine::{EndpointNet, EventRecord, SessionKey};
 use dkg_poly::interpolate_secret;
 use dkg_sim::DelayModel;
 use dkg_vss::CommitmentMode;
@@ -140,4 +140,16 @@ fn group_modification_agreement_accepts_proposals_everywhere() {
     let agreement = net.endpoint(1).unwrap().mod_session(0).unwrap();
     assert_eq!(agreement.accepted(), &[change]);
     assert!(net.rejections().is_empty());
+}
+
+#[test]
+fn an_event_record_fits_in_136_bytes() {
+    // `EndpointNet` keeps every event of a run and the benchmark harness
+    // reads them all at the end — 13 records per signature — so a record's
+    // size is retained memory per operation, and a faster signer shows more
+    // of it (ROADMAP, aim 1, re-pin item (f)). `DkgOutput::Completed` carries
+    // no public key of its own for that reason: the key is the matrix's
+    // `C_00`, `commitment.public_key()`.
+    let size = std::mem::size_of::<EventRecord>();
+    assert!(size <= 136, "EventRecord is {size} bytes");
 }

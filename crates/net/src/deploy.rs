@@ -413,8 +413,8 @@ pub fn run_node(
         .find_map(|record| match &record.event {
             Event::Dkg {
                 tau: event_tau,
-                output: dkg_core::DkgOutput::Completed { public_key, .. },
-            } if *event_tau == tau => Some(public_key.to_string()),
+                output: dkg_core::DkgOutput::Completed { commitment, .. },
+            } if *event_tau == tau => Some(commitment.public_key().to_string()),
             _ => None,
         })
         .or_else(|| {

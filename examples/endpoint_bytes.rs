@@ -88,10 +88,11 @@ fn main() {
         for (&node, endpoint) in endpoints.iter_mut() {
             while let Some(event) = endpoint.poll_event() {
                 if let Event::Dkg {
-                    output: DkgOutput::Completed { public_key: pk, .. },
+                    output: DkgOutput::Completed { commitment, .. },
                     ..
                 } = event
                 {
+                    let pk = commitment.public_key();
                     completed += 1;
                     public_key.get_or_insert(pk);
                     assert_eq!(public_key, Some(pk), "all nodes agree on one key");

@@ -419,14 +419,7 @@ where
         for _ in 0..4 {
             acc = acc.double();
         }
-        let mut digit = 0usize;
-        for b in 0..4 {
-            let bit_index = w * 4 + (3 - b);
-            digit <<= 1;
-            if exp.bit(bit_index) {
-                digit |= 1;
-            }
-        }
+        let digit = exp.window(w * 4, 4);
         if let Some(multiple) = table.get(digit).filter(|_| digit != 0) {
             acc += *multiple;
         }

@@ -55,7 +55,6 @@ use std::sync::OnceLock;
 
 use crate::curve::{GroupElement, PackedPoint, ProjectivePoint};
 use crate::field::{PrimeField, Scalar};
-use crate::u256::U256;
 
 /// The multiplication budget the process-wide [`generator_table`] is sized
 /// for. A DKG node computes and verifies commitments for the whole of every
@@ -208,7 +207,7 @@ impl FixedBaseTable {
         let half = 1usize << (self.window - 1);
         let mut carry = 0;
         for (w, multiples) in self.entries.chunks(half).enumerate() {
-            let value = window_bits(&k, w * self.window, self.window) + carry;
+            let value = k.window(w * self.window, self.window) + carry;
             // Recode into (−2^{w−1}, 2^{w−1}]: above half, borrow 2^w from
             // the next window. A 256-bit scalar's top window holds fewer
             // than w bits, so it never carries out.
@@ -236,15 +235,6 @@ impl FixedBaseTable {
     }
 }
 
-/// Bits `[start, start + width)` of `k` (`width ≤ 16`), zero above bit 255.
-fn window_bits(k: &U256, start: usize, width: usize) -> usize {
-    let limbs = k.limbs();
-    let limb = |i: usize| u128::from(limbs.get(i).copied().unwrap_or(0));
-    let (index, shift) = (start / 64, start % 64);
-    let two_limbs = limb(index) | (limb(index + 1) << 64);
-    (two_limbs >> shift) as usize & ((1 << width) - 1)
-}
-
 /// The process-wide precomputed table for the group generator `g`, built on
 /// first use and sized by the cost model for [`GENERATOR_EXPECTED_MULS`]
 /// multiplications. `GroupElement::commit` is routed through this table.
@@ -259,6 +249,7 @@ pub fn generator_table() -> &'static FixedBaseTable {
 mod tests {
     use super::*;
     use crate::ops;
+    use crate::u256::U256;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

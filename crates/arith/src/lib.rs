@@ -15,12 +15,8 @@
 //!   paper's `Z_q`),
 //! * [`GroupElement`] — the secp256k1 group written as the paper's `G`,
 //!   with [`GroupElement::commit`] playing the role of `g^s`,
-//! * [`mod@multiexp`] — Pippenger multi-exponentiation used by commitment
-//!   verification, with cost-model window selection and a parallel bucket
-//!   phase for large inputs,
-//! * [`mod@parallel`] — the engine-independent parallel-map facade the
-//!   multiexp layer fans out through (scoped threads, merged op counters,
-//!   `DKG_MULTIEXP_WORKERS` / `DKG_MULTIEXP_PAR_THRESHOLD` knobs).
+//! * [`mod@multiexp`] — sequential Pippenger multi-exponentiation used by
+//!   commitment verification, with cost-model window selection.
 //!
 //! ## Example
 //!
@@ -48,7 +44,7 @@ pub mod u512;
 pub use curve::{GroupElement, ProjectivePoint};
 pub use field::{Fp, PrimeField, Scalar};
 pub use fixed_base::{generator_table, FixedBaseTable};
-pub use multiexp::{multiexp, multiexp_powers, multiexp_with_workers, pippenger_window};
+pub use multiexp::{multiexp, multiexp_powers, pippenger_window};
 pub use ops::OpCount;
 pub use u256::U256;
 pub use u512::U512;

@@ -79,19 +79,6 @@ pub fn measure<T>(f: impl FnOnce() -> T) -> (T, OpCount) {
     (value, snapshot() - before)
 }
 
-/// Credits `count` operations to the current thread's counters.
-///
-/// The parallel-map facade ([`crate::parallel`]) measures each worker
-/// thread's operations with [`measure`] and merges them into the calling
-/// thread through this function when the workers join, so `measure` on the
-/// caller observes the *total* work of a parallel region exactly as if it
-/// had run sequentially — the op-count assertions in the workspace stay
-/// meaningful under parallelism.
-pub fn merge(count: OpCount) {
-    ADDS.with(|c| c.set(c.get().wrapping_add(count.adds)));
-    DOUBLES.with(|c| c.set(c.get().wrapping_add(count.doubles)));
-}
-
 /// Point decompressions (one field square root each) performed on this
 /// thread by `GroupElement::from_bytes` since the thread started. Kept apart
 /// from [`OpCount`]: a decompression is codec work, not a group operation,

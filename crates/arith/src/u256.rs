@@ -61,6 +61,16 @@ impl U256 {
         (self.0[i / 64] >> (i % 64)) & 1 == 1
     }
 
+    /// Bits `[start, start + width)` (`width ≤ 16`), zero above bit 255: the
+    /// digit of a `width`-bit window starting at bit `start`.
+    pub fn window(&self, start: usize, width: usize) -> usize {
+        let limbs = self.limbs();
+        let limb = |i: usize| u128::from(limbs.get(i).copied().unwrap_or(0));
+        let (index, shift) = (start / 64, start % 64);
+        let two_limbs = limb(index) | (limb(index + 1) << 64);
+        (two_limbs >> shift) as usize & ((1 << width) - 1)
+    }
+
     /// Returns the number of significant bits (the position of the highest
     /// set bit plus one), or 0 for the value zero.
     pub fn bits(&self) -> usize {
@@ -409,5 +419,23 @@ mod tests {
         assert_eq!(U256([0, 0, 0, 1]).bits(), 193);
         assert!(U256([0, 0, 0, 1]).bit(192));
         assert!(!U256([0, 0, 0, 1]).bit(191));
+    }
+
+    #[test]
+    fn window_matches_bits() {
+        let k = U256([
+            0x0123_4567_89ab_cdef,
+            0xfedc_ba98_7654_3210,
+            u64::MAX,
+            1 << 63,
+        ]);
+        for width in 1..=16 {
+            for start in (0..=260).step_by(3) {
+                let expected = (0..width)
+                    .filter(|&b| k.bit(start + b))
+                    .fold(0, |digit, b| digit | 1 << b);
+                assert_eq!(k.window(start, width), expected, "[{start}, +{width})");
+            }
+        }
     }
 }

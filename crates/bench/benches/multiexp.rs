@@ -1,23 +1,18 @@
-//! Raw multi-exponentiation floor: sequential vs parallel Pippenger, plus
-//! the batched-inversion paths that feed it.
+//! Raw multi-exponentiation floor: Pippenger, plus the batched-inversion
+//! paths that feed it.
 //!
 //! The protocol benches (`batch_verify`, `parallel_verify`) measure the
 //! arithmetic through the job pipeline; this bench isolates the floor
-//! itself so window-tuning and fan-out changes show up undiluted:
+//! itself so window-tuning changes show up undiluted:
 //!
-//! * `multiexp/seq|par{2,4}` — one n-term multiexp (n ∈ {64, 256, 1024})
-//!   under the thread-local worker override, so the comparison is pinned
-//!   regardless of `DKG_MULTIEXP_*` settings on the host,
+//! * `multiexp/seq` — one n-term multiexp (n ∈ {64, 256, 1024}),
 //! * `multiexp_batch_invert` — Montgomery-trick batch inversion vs n
 //!   independent Fermat inversions (n = 256 scalars),
 //! * `multiexp_batch_affine` — `batch_to_affine` vs n per-point
 //!   normalisations (n = 256 projective points).
 //!
-//! Every parallel measurement first asserts bit-identity against the
-//! sequential result — a fan-out that changed a byte would make the
-//! timing comparison meaningless. Besides the per-group Criterion
-//! baselines, a machine-readable summary (group-op counts, best
-//! wall-clock per configuration, speedup ratios, core count) is written
+//! Besides the per-group Criterion baselines, a machine-readable summary
+//! (group-op counts, best wall-clock per size, core count) is written
 //! to `target/criterion/multiexp/summary.json`; CI uploads it and the
 //! repo pins a copy as `BENCH_multiexp.json`.
 
@@ -25,14 +20,12 @@ use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dkg_arith::{
-    multiexp_with_workers, ops, pippenger_window, Fp, GroupElement, PrimeField, ProjectivePoint,
-    Scalar,
+    multiexp, ops, pippenger_window, Fp, GroupElement, PrimeField, ProjectivePoint, Scalar,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const SIZES: [usize; 3] = [64, 256, 1024];
-const PAR_WORKERS: [usize; 2] = [2, 4];
 const INVERT_SIZE: usize = 256;
 
 fn instance(n: usize, seed: u64) -> (Vec<GroupElement>, Vec<Scalar>) {
@@ -49,29 +42,13 @@ fn bench_multiexp(c: &mut Criterion) {
     group.sample_size(10);
     for &n in &SIZES {
         let input = instance(n, n as u64);
-        let expected = multiexp_with_workers(&input.0, &input.1, 1);
         group.bench_with_input(
             BenchmarkId::new("seq", n),
             &input,
             |b, (points, scalars)| {
-                b.iter(|| multiexp_with_workers(points, scalars, 1));
+                b.iter(|| multiexp(points, scalars));
             },
         );
-        for &workers in &PAR_WORKERS {
-            // Fan-out must be invisible in the result before it is timed.
-            assert_eq!(
-                multiexp_with_workers(&input.0, &input.1, workers).to_bytes(),
-                expected.to_bytes(),
-                "n={n} workers={workers}"
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("par{workers}"), n),
-                &input,
-                |b, (points, scalars)| {
-                    b.iter(|| multiexp_with_workers(points, scalars, workers));
-                },
-            );
-        }
     }
     group.finish();
 }
@@ -145,41 +122,24 @@ fn best_of(rounds: usize, mut f: impl FnMut()) -> Duration {
         .expect("rounds > 0")
 }
 
-/// The machine-readable trajectory point: per size, group-op totals plus
-/// best wall-clock sequential and at 2/4 workers, with speedup ratios and
-/// the host's core count (a 1-core box cannot show wall-clock speedups;
-/// the ratio is recorded, not asserted, here — `parallel_verify` owns the
-/// CI gate).
+/// The machine-readable trajectory point: per size, the group-op total and
+/// the best wall-clock, beside the host's core count.
 fn write_summary(_c: &mut Criterion) {
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     let rounds = 5;
     let mut entries = Vec::new();
     for &n in &SIZES {
         let (points, scalars) = instance(n, n as u64);
-        let (_, op_count) = ops::measure(|| multiexp_with_workers(&points, &scalars, 1));
+        let (_, op_count) = ops::measure(|| multiexp(&points, &scalars));
         let seq = best_of(rounds, || {
-            multiexp_with_workers(&points, &scalars, 1);
+            multiexp(&points, &scalars);
         });
-        let speedups: Vec<String> = PAR_WORKERS
-            .iter()
-            .map(|&workers| {
-                let par = best_of(rounds, || {
-                    multiexp_with_workers(&points, &scalars, workers);
-                });
-                let ratio = seq.as_secs_f64() / par.as_secs_f64();
-                println!("multiexp n={n}: seq {seq:?}, {workers} workers {par:?} ({ratio:.2}x)");
-                format!(
-                    "{{\"workers\":{workers},\"best_ns\":{},\"speedup\":{ratio:.3}}}",
-                    par.as_nanos()
-                )
-            })
-            .collect();
+        println!("multiexp n={n}: {seq:?}");
         entries.push(format!(
-            "{{\"n\":{n},\"window\":{},\"group_ops\":{},\"seq_best_ns\":{},\"parallel\":[{}]}}",
+            "{{\"n\":{n},\"window\":{},\"group_ops\":{},\"seq_best_ns\":{}}}",
             pippenger_window(n),
             op_count.total(),
-            seq.as_nanos(),
-            speedups.join(",")
+            seq.as_nanos()
         ));
     }
 

@@ -195,17 +195,14 @@ fn worker_loop(shared: &PoolShared) {
         };
         // A panicking job must not strand `in_flight` (drain would block
         // forever); it resolves to an all-rejecting verdict instead, so the
-        // failure surfaces as refused claims rather than a hang. Jobs run
-        // under `parallel::sequential`: the pool already schedules one job
-        // per worker, so the multiexp-level parallelism inside `dkg-arith`
-        // must not fan out again underneath it (oversubscription).
+        // failure surfaces as refused claims rather than a hang. A job's
+        // arithmetic runs entirely on this worker: the pool's one job per
+        // worker is the only parallelism.
         let claims = job.claim_count();
-        let verdict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            dkg_arith::parallel::sequential(|| job.run())
-        }))
-        .unwrap_or(CryptoVerdict {
-            valid: vec![false; claims],
-        });
+        let verdict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job.run()))
+            .unwrap_or(CryptoVerdict {
+                valid: vec![false; claims],
+            });
         let mut state = shared.state.lock().expect("pool lock");
         state.completed.push(JobOutcome { id, verdict });
         state.in_flight -= 1;

@@ -139,24 +139,6 @@ fn n16_dkg_is_byte_identical_across_executors() {
     }
 }
 
-/// The multiexp-level parallelism knob must not influence a byte either: a
-/// full n = 16 DKG driven with the arithmetic pinned to 1, 2 and 8 multiexp
-/// workers (the `dkg_arith::parallel` override the executor and the benches
-/// use) produces identical transcript digests. This is the transcript-digest
-/// regression for the parallel Pippenger path: the parallel bucket phase is
-/// exact group arithmetic plus a canonical affine normalisation, so fan-out
-/// must be invisible on the wire.
-#[test]
-fn n16_dkg_is_byte_identical_across_multiexp_workers() {
-    let baseline = dkg_arith::parallel::sequential(|| run(16, 0, 4321, &Mode::InlineDeferred));
-    for multiexp_workers in [1, 2, 8] {
-        let fanned = dkg_arith::parallel::with_workers(multiexp_workers, || {
-            run(16, 0, 4321, &Mode::InlineDeferred)
-        });
-        assert_eq!(baseline, fanned, "multiexp workers = {multiexp_workers}");
-    }
-}
-
 /// A signing burst is as deterministic as the DKG that seeded it: the
 /// same n = 16 key generation plus eight round-robined signing requests
 /// leaves a byte-identical wire transcript and the exact same aggregated

@@ -184,15 +184,25 @@ pub enum GroupModOutput {
 
 /// The group-modification agreement state machine (§6.1): a reliable
 /// broadcast per proposal, with acceptance at `n − t − f` ready messages.
-#[derive(Debug)]
+///
+/// The machine is deterministic and message-driven — no RNG, no timers, no
+/// crypto jobs — so it has no transient state and is its own crash-recovery
+/// snapshot: it carries a `dkg-wire` codec (`crate::wire`), and persisting
+/// it is encoding it.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GroupModNode {
-    id: NodeId,
-    config: DkgConfig,
-    echoed: BTreeSet<GroupChangeKey>,
-    ready_sent: BTreeSet<GroupChangeKey>,
-    echo_from: BTreeMap<GroupChangeKey, BTreeSet<NodeId>>,
-    ready_from: BTreeMap<GroupChangeKey, BTreeSet<NodeId>>,
-    accepted: Vec<GroupChange>,
+    pub(crate) id: NodeId,
+    pub(crate) config: DkgConfig,
+    /// Proposals this node has echoed.
+    pub(crate) echoed: BTreeSet<GroupChangeKey>,
+    /// Proposals this node has sent `ready` for.
+    pub(crate) ready_sent: BTreeSet<GroupChangeKey>,
+    /// Echo senders per proposal.
+    pub(crate) echo_from: BTreeMap<GroupChangeKey, BTreeSet<NodeId>>,
+    /// Ready senders per proposal.
+    pub(crate) ready_from: BTreeMap<GroupChangeKey, BTreeSet<NodeId>>,
+    /// The modification queue (accepted changes, in acceptance order).
+    pub(crate) accepted: Vec<GroupChange>,
 }
 
 /// Canonical key for a proposal (used for counting): `(kind, node,
@@ -212,28 +222,6 @@ fn adjustment_key(a: ParameterAdjustment) -> u8 {
         ParameterAdjustment::CrashLimit => 1,
         ParameterAdjustment::None => 2,
     }
-}
-
-/// Serializable image of a [`GroupModNode`], so a group-modification
-/// agreement in flight survives a crash like every other endpoint session.
-/// The broadcast state machine is deterministic and message-driven — no
-/// RNG, no timers, no crypto jobs — so the snapshot is just its counters.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct GroupModSnapshot {
-    /// The node this state belongs to.
-    pub id: NodeId,
-    /// The configuration the agreement runs under.
-    pub config: DkgConfig,
-    /// Proposals this node has echoed.
-    pub echoed: Vec<GroupChangeKey>,
-    /// Proposals this node has sent `ready` for.
-    pub ready_sent: Vec<GroupChangeKey>,
-    /// Echo senders per proposal.
-    pub echo_from: Vec<(GroupChangeKey, Vec<NodeId>)>,
-    /// Ready senders per proposal.
-    pub ready_from: Vec<(GroupChangeKey, Vec<NodeId>)>,
-    /// The modification queue (accepted changes, in acceptance order).
-    pub accepted: Vec<GroupChange>,
 }
 
 impl GroupModNode {
@@ -258,45 +246,6 @@ impl GroupModNode {
     /// The configuration the agreement validates proposals against.
     pub fn config(&self) -> &DkgConfig {
         &self.config
-    }
-
-    /// Captures the complete agreement state for persistence.
-    pub fn snapshot(&self) -> GroupModSnapshot {
-        let flatten = |map: &BTreeMap<GroupChangeKey, BTreeSet<NodeId>>| {
-            map.iter()
-                .map(|(key, from)| (*key, from.iter().copied().collect()))
-                .collect()
-        };
-        GroupModSnapshot {
-            id: self.id,
-            config: self.config.clone(),
-            echoed: self.echoed.iter().copied().collect(),
-            ready_sent: self.ready_sent.iter().copied().collect(),
-            echo_from: flatten(&self.echo_from),
-            ready_from: flatten(&self.ready_from),
-            accepted: self.accepted.clone(),
-        }
-    }
-
-    /// Rebuilds the state machine from a [`snapshot`](Self::snapshot). The
-    /// snapshot's config was re-validated when it was decoded, and every
-    /// other field is plain counting state, so reconstruction cannot fail.
-    pub fn restore(snapshot: GroupModSnapshot) -> Self {
-        let unflatten = |entries: Vec<(GroupChangeKey, Vec<NodeId>)>| {
-            entries
-                .into_iter()
-                .map(|(key, from)| (key, from.into_iter().collect()))
-                .collect()
-        };
-        GroupModNode {
-            id: snapshot.id,
-            config: snapshot.config,
-            echoed: snapshot.echoed.into_iter().collect(),
-            ready_sent: snapshot.ready_sent.into_iter().collect(),
-            echo_from: unflatten(snapshot.echo_from),
-            ready_from: unflatten(snapshot.ready_from),
-            accepted: snapshot.accepted,
-        }
     }
 
     fn validate(&self, change: &GroupChange) -> bool {

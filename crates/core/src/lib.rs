@@ -15,7 +15,12 @@
 //!   [`PhaseState`], [`RenewalOptions`] and the shared [`plan_renewal`]
 //!   safeguards (the end-to-end drivers live in `dkg_engine::runner`).
 //! * [`group`] — group-modification agreement, node addition/removal and
-//!   threshold / crash-limit changes (§6).
+//!   threshold / crash-limit changes (§6). The agreement machine
+//!   [`group::GroupModNode`] carries its own codec and is its own
+//!   crash-recovery image.
+//! * [`snapshot`] — [`DkgSnapshot`], the crash-recovery image of a
+//!   [`DkgNode`], holding its state in the live types ([`CompletedSharing`],
+//!   ordered maps and sets), with its `dkg-wire` codec.
 //! * [`runner`] — system construction ([`SystemSetup`]): keyrings, configs
 //!   and node seeding from a single seed. The canonical end-to-end driver
 //!   is `dkg_engine::runner`, which re-exports it.
@@ -60,4 +65,4 @@ pub use messages::{
 pub use node::{DkgJobId, DkgNode, DkgResult};
 pub use proactive::{plan_renewal, PhaseState, RenewalError, RenewalOptions, RenewalPlan};
 pub use runner::SystemSetup;
-pub use snapshot::{CompletedSharingSnapshot, DkgSnapshot};
+pub use snapshot::{CompletedSharing, DkgSnapshot};

@@ -34,22 +34,13 @@ use crate::messages::{
     payload, CombineRule, DealerProof, DkgInput, DkgMessage, DkgOutput, Justification, Proposal,
     SignedVote,
 };
-use crate::snapshot::{CompletedSharingSnapshot, DkgSnapshot};
+use crate::snapshot::{CompletedSharing, DkgSnapshot};
 
 /// Timer id used for the leader timeout.
 const LEADER_TIMER: TimerId = 1;
 
 /// Sentinel "dealer" used for group-secret reconstruction traffic.
 const GROUP_SESSION_DEALER: NodeId = 0;
-
-/// A completed embedded sharing.
-#[derive(Clone, Debug)]
-struct CompletedSharing {
-    commitment: CommitmentMatrix,
-    share: Scalar,
-    digest: Digest,
-    witnesses: Vec<ReadyWitness>,
-}
 
 /// Identifies a [`CryptoJob`] handed out by [`DkgNode::poll_job`].
 pub type DkgJobId = u64;
@@ -264,69 +255,33 @@ impl DkgNode {
         if !self.jobs.is_idle() {
             return None;
         }
-        let mut vss = Vec::with_capacity(self.vss.len());
-        for (&dealer, instance) in &self.vss {
-            vss.push((dealer, instance.snapshot()?));
-        }
+        let vss = self
+            .vss
+            .iter()
+            .map(|(&dealer, instance)| Some((dealer, instance.snapshot()?)))
+            .collect::<Option<_>>()?;
         let (reconstruct_pending, reconstruct_verified) = self.reconstruct.to_parts();
         Some(DkgSnapshot {
             id: self.id,
             tau: self.tau,
             config: self.config.clone(),
             signing_key: self.keys.signing_key.secret(),
-            directory: self
-                .directory
-                .nodes()
-                .into_iter()
-                .map(|node| {
-                    let key = self
-                        .directory
-                        .public_key(node)
-                        .expect("listed node has a key");
-                    (node, key.point())
-                })
-                .collect(),
+            directory: self.directory.points(),
             combine: self.combine,
             rng: self.rng.state(),
             vss,
-            completed_vss: self
-                .completed_vss
-                .iter()
-                .map(|(&dealer, sharing)| {
-                    (
-                        dealer,
-                        CompletedSharingSnapshot {
-                            commitment: sharing.commitment.clone(),
-                            share: sharing.share,
-                            digest: sharing.digest,
-                            witnesses: sharing.witnesses.clone(),
-                        },
-                    )
-                })
-                .collect(),
+            completed_vss: self.completed_vss.clone(),
             finished_set: self.finished_set.clone(),
-            expected_dealer_keys: self
-                .expected_dealer_keys
-                .iter()
-                .map(|(&d, &k)| (d, k))
-                .collect(),
+            expected_dealer_keys: self.expected_dealer_keys.clone(),
             started: self.started,
             leader_rank: self.leader_rank,
             locked: self.locked.clone(),
-            echoed: self.echoed.iter().cloned().collect(),
+            echoed: self.echoed.clone(),
             ready_sent: self.ready_sent,
-            echo_votes: Self::votes_to_snapshot(&self.echo_votes),
-            ready_votes: Self::votes_to_snapshot(&self.ready_votes),
-            proposals: self
-                .proposals
-                .iter()
-                .map(|(key, proposal)| (key.clone(), proposal.clone()))
-                .collect(),
-            lead_ch_votes: self
-                .lead_ch_votes
-                .iter()
-                .map(|(&rank, votes)| (rank, votes.iter().map(|(&n, &s)| (n, s)).collect()))
-                .collect(),
+            echo_votes: self.echo_votes.clone(),
+            ready_votes: self.ready_votes.clone(),
+            proposals: self.proposals.clone(),
+            lead_ch_votes: self.lead_ch_votes.clone(),
             lc_flag: self.lc_flag,
             lead_ch_certificate: self.lead_ch_certificate.clone(),
             retries: self.retries,
@@ -336,27 +291,10 @@ impl DkgNode {
             reconstruct_pending,
             reconstruct_verified,
             reconstructed: self.reconstructed,
-            outbox: self
-                .outbox
-                .iter()
-                .map(|(&to, messages)| (to, messages.clone()))
-                .collect(),
+            outbox: self.outbox.clone(),
             help_granted_total: self.help_granted_total,
-            help_granted_per: self
-                .help_granted_per
-                .iter()
-                .map(|(&n, &c)| (n, c))
-                .collect(),
+            help_granted_per: self.help_granted_per.clone(),
         })
-    }
-
-    fn votes_to_snapshot(
-        votes: &BTreeMap<Vec<u8>, BTreeMap<NodeId, Signature>>,
-    ) -> crate::snapshot::VoteSetSnapshot {
-        votes
-            .iter()
-            .map(|(key, by_node)| (key.clone(), by_node.iter().map(|(&n, &s)| (n, s)).collect()))
-            .collect()
     }
 
     /// Rebuilds a node from a [`DkgSnapshot`]. The restored machine is
@@ -366,20 +304,17 @@ impl DkgNode {
     pub fn restore(snapshot: DkgSnapshot) -> Result<Self, dkg_vss::SnapshotError> {
         let signing_key = SigningKey::from_scalar(snapshot.signing_key)
             .ok_or(dkg_vss::SnapshotError::InvalidSigningKey)?;
-        let mut directory = dkg_crypto::KeyDirectory::new();
-        for (node, point) in snapshot.directory {
-            let key = dkg_crypto::PublicKey::from_bytes(&point.to_bytes())
-                .ok_or(dkg_vss::SnapshotError::InvalidDirectoryKey { node })?;
-            directory.register(node, key);
-        }
+        let directory = dkg_crypto::KeyDirectory::from_points(snapshot.directory)
+            .map_err(|node| dkg_vss::SnapshotError::InvalidDirectoryKey { node })?;
         let directory = Arc::new(directory);
-        let mut vss = BTreeMap::new();
-        for (dealer, instance) in snapshot.vss {
-            vss.insert(
-                dealer,
-                VssNode::restore(instance, Some(Arc::clone(&directory)))?,
-            );
-        }
+        let vss = snapshot
+            .vss
+            .into_iter()
+            .map(|(dealer, instance)| {
+                let instance = VssNode::restore(instance, Some(Arc::clone(&directory)))?;
+                Ok((dealer, instance))
+            })
+            .collect::<Result<_, _>>()?;
         Ok(DkgNode {
             id: snapshot.id,
             config: snapshot.config,
@@ -392,36 +327,18 @@ impl DkgNode {
             combine: snapshot.combine,
             rng: StdRng::from_state(snapshot.rng),
             vss,
-            completed_vss: snapshot
-                .completed_vss
-                .into_iter()
-                .map(|(dealer, sharing)| {
-                    (
-                        dealer,
-                        CompletedSharing {
-                            commitment: sharing.commitment,
-                            share: sharing.share,
-                            digest: sharing.digest,
-                            witnesses: sharing.witnesses,
-                        },
-                    )
-                })
-                .collect(),
+            completed_vss: snapshot.completed_vss,
             finished_set: snapshot.finished_set,
-            expected_dealer_keys: snapshot.expected_dealer_keys.into_iter().collect(),
+            expected_dealer_keys: snapshot.expected_dealer_keys,
             started: snapshot.started,
             leader_rank: snapshot.leader_rank,
             locked: snapshot.locked,
-            echoed: snapshot.echoed.into_iter().collect(),
+            echoed: snapshot.echoed,
             ready_sent: snapshot.ready_sent,
-            echo_votes: Self::votes_from_snapshot(snapshot.echo_votes),
-            ready_votes: Self::votes_from_snapshot(snapshot.ready_votes),
-            proposals: snapshot.proposals.into_iter().collect(),
-            lead_ch_votes: snapshot
-                .lead_ch_votes
-                .into_iter()
-                .map(|(rank, votes)| (rank, votes.into_iter().collect()))
-                .collect(),
+            echo_votes: snapshot.echo_votes,
+            ready_votes: snapshot.ready_votes,
+            proposals: snapshot.proposals,
+            lead_ch_votes: snapshot.lead_ch_votes,
             lc_flag: snapshot.lc_flag,
             lead_ch_certificate: snapshot.lead_ch_certificate,
             retries: snapshot.retries,
@@ -433,20 +350,11 @@ impl DkgNode {
                 snapshot.reconstruct_verified,
             ),
             reconstructed: snapshot.reconstructed,
-            outbox: snapshot.outbox.into_iter().collect(),
+            outbox: snapshot.outbox,
             help_granted_total: snapshot.help_granted_total,
-            help_granted_per: snapshot.help_granted_per.into_iter().collect(),
+            help_granted_per: snapshot.help_granted_per,
             jobs: JobQueue::new(),
         })
-    }
-
-    fn votes_from_snapshot(
-        votes: crate::snapshot::VoteSetSnapshot,
-    ) -> BTreeMap<Vec<u8>, BTreeMap<NodeId, Signature>> {
-        votes
-            .into_iter()
-            .map(|(key, by_node)| (key, by_node.into_iter().collect()))
-            .collect()
     }
 
     // ------------------------------------------------------------------
@@ -1817,7 +1725,7 @@ mod tests {
         };
         let node = DkgNode::new(1, config, keys, 0, 77);
         let mut snapshot = node.snapshot().expect("idle node snapshots");
-        snapshot.directory[2] = (3, GroupElement::identity());
+        snapshot.directory.insert(3, GroupElement::identity());
         assert_eq!(
             DkgNode::restore(snapshot).err(),
             Some(dkg_vss::SnapshotError::InvalidDirectoryKey { node: 3 })

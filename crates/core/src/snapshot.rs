@@ -3,17 +3,22 @@
 //! The DKG snapshot embeds one [`VssSnapshot`] per dealer (the `n`
 //! parallel sharings of §4) plus the agreement-layer state of Fig. 2/3:
 //! votes, locks, the leader-change certificate, the recovery outbox and
-//! the node's deterministic RNG state. The node's key material — its
-//! Schnorr signing secret and the public **directory** — is part of the
-//! snapshot (the crash-recovery model of §2.2 persists keys on stable
-//! storage), and the directory is stored exactly once: the embedded VSS
-//! snapshots reference it implicitly and get the shared handle back at
-//! [`crate::DkgNode::restore`] time.
+//! the node's deterministic RNG state. Every field has the type the live
+//! node keeps it in — [`CompletedSharing`], vote maps keyed by a
+//! proposal's canonical bytes, ordered maps and sets — so taking a
+//! snapshot clones each field and restoring one moves it back. The node's
+//! key material — its Schnorr signing secret and the public **directory**
+//! — is part of the snapshot (the crash-recovery model of §2.2 persists
+//! keys on stable storage), and the directory is stored exactly once: the
+//! embedded VSS snapshots reference it implicitly and get the shared handle
+//! back at [`crate::DkgNode::restore`] time.
 //!
 //! Like the VSS snapshot, extraction requires a **job-quiescent** machine
 //! (no prepared or in-flight crypto jobs anywhere, including inside the
 //! embedded instances); the persistence layer re-creates in-flight work by
 //! replaying the logged inputs that prepared it.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use dkg_arith::{GroupElement, Scalar};
 use dkg_crypto::{Digest, NodeId, Signature};
@@ -23,16 +28,12 @@ use dkg_vss::{ReadyWitness, VssConfig, VssSnapshot};
 use dkg_wire::{Reader, WireDecode, WireEncode, WireError, WireWrite};
 
 use crate::config::DkgConfig;
-use crate::messages::{CombineRule, Justification, Proposal, SignedVote};
+use crate::messages::{CombineRule, DkgMessage, Justification, Proposal, SignedVote};
 use crate::node::DkgResult;
 
-/// Vote sets keyed by a proposal's canonical bytes — the snapshot form of
-/// the `e_Q` / `r_Q` tallies.
-pub type VoteSetSnapshot = Vec<(Vec<u8>, Vec<(NodeId, Signature)>)>;
-
-/// The stable form of one completed embedded sharing.
+/// A completed embedded sharing.
 #[derive(Clone, Debug, PartialEq)]
-pub struct CompletedSharingSnapshot {
+pub struct CompletedSharing {
     /// The agreed commitment matrix of the dealer's sharing.
     pub commitment: CommitmentMatrix,
     /// This node's sub-share from the sharing.
@@ -54,22 +55,22 @@ pub struct DkgSnapshot {
     pub config: DkgConfig,
     /// This node's Schnorr signing secret.
     pub signing_key: Scalar,
-    /// The public key directory, stored once for the node and all `n`
-    /// embedded VSS instances.
-    pub directory: Vec<(NodeId, GroupElement)>,
+    /// The public key directory ([`dkg_crypto::KeyDirectory::points`]),
+    /// stored once for the node and all `n` embedded VSS instances.
+    pub directory: BTreeMap<NodeId, GroupElement>,
     /// The share-combination rule in effect.
     pub combine: CombineRule,
     /// The node's deterministic RNG state.
     pub rng: [u64; 4],
     /// One embedded VSS snapshot per dealer (signing directory elided —
     /// it is [`DkgSnapshot::directory`]).
-    pub vss: Vec<(NodeId, VssSnapshot)>,
+    pub vss: BTreeMap<NodeId, VssSnapshot>,
     /// Completed sharings, by dealer.
-    pub completed_vss: Vec<(NodeId, CompletedSharingSnapshot)>,
+    pub completed_vss: BTreeMap<NodeId, CompletedSharing>,
     /// `Q̂`: dealers whose sharing finished here, in completion order.
     pub finished_set: Vec<NodeId>,
     /// Renewal safety: expected `g^{s_d}` per dealer.
-    pub expected_dealer_keys: Vec<(NodeId, GroupElement)>,
+    pub expected_dealer_keys: BTreeMap<NodeId, GroupElement>,
     /// Whether the protocol was started at this node.
     pub started: bool,
     /// Current leader rank `L`.
@@ -77,17 +78,17 @@ pub struct DkgSnapshot {
     /// The locked proposal and its certificate, if any.
     pub locked: Option<(Proposal, Justification)>,
     /// Proposals already echoed, keyed by `(rank, proposal bytes)`.
-    pub echoed: Vec<(u64, Vec<u8>)>,
+    pub echoed: BTreeSet<(u64, Vec<u8>)>,
     /// Whether this node has sent its `ready` votes.
     pub ready_sent: bool,
     /// `e_Q`: echo votes per proposal key.
-    pub echo_votes: VoteSetSnapshot,
+    pub echo_votes: BTreeMap<Vec<u8>, BTreeMap<NodeId, Signature>>,
     /// `r_Q`: ready votes per proposal key.
-    pub ready_votes: VoteSetSnapshot,
+    pub ready_votes: BTreeMap<Vec<u8>, BTreeMap<NodeId, Signature>>,
     /// Proposals seen, by their canonical byte key.
-    pub proposals: Vec<(Vec<u8>, Proposal)>,
+    pub proposals: BTreeMap<Vec<u8>, Proposal>,
     /// `lc_L`: lead-ch votes per requested rank.
-    pub lead_ch_votes: Vec<(u64, Vec<(NodeId, Signature)>)>,
+    pub lead_ch_votes: BTreeMap<u64, BTreeMap<NodeId, Signature>>,
     /// `lcflag`: whether a lead-ch was sent for the current view.
     pub lc_flag: bool,
     /// Certificate legitimising our current leadership.
@@ -101,17 +102,17 @@ pub struct DkgSnapshot {
     /// Whether group-secret reconstruction was started.
     pub reconstruct_started: bool,
     /// Pooled (unverified) group reconstruction shares.
-    pub reconstruct_pending: Vec<(NodeId, Scalar)>,
+    pub reconstruct_pending: BTreeMap<NodeId, Scalar>,
     /// Verified group reconstruction shares.
-    pub reconstruct_verified: Vec<(NodeId, Scalar)>,
+    pub reconstruct_verified: BTreeMap<NodeId, Scalar>,
     /// The reconstructed group secret, if `Rec` completed.
     pub reconstructed: Option<Scalar>,
     /// Outgoing agreement messages, by recipient, for recovery.
-    pub outbox: Vec<(NodeId, Vec<crate::messages::DkgMessage>)>,
+    pub outbox: BTreeMap<NodeId, Vec<DkgMessage>>,
     /// `c`: DKG-level help responses granted in total.
     pub help_granted_total: u64,
     /// `c_ℓ`: DKG-level help responses granted per requester.
-    pub help_granted_per: Vec<(NodeId, u64)>,
+    pub help_granted_per: BTreeMap<NodeId, u64>,
 }
 
 impl WireEncode for DkgConfig {
@@ -160,7 +161,7 @@ impl WireDecode for CombineRule {
     }
 }
 
-impl WireEncode for CompletedSharingSnapshot {
+impl WireEncode for CompletedSharing {
     fn encode_to<W: WireWrite + ?Sized>(&self, w: &mut W) {
         self.commitment.encode_to(w);
         self.share.encode_to(w);
@@ -169,11 +170,11 @@ impl WireEncode for CompletedSharingSnapshot {
     }
 }
 
-impl WireDecode for CompletedSharingSnapshot {
+impl WireDecode for CompletedSharing {
     const MIN_WIRE_LEN: usize = CommitmentMatrix::MIN_WIRE_LEN + 32 + 32 + 4;
 
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(CompletedSharingSnapshot {
+        Ok(CompletedSharing {
             commitment: CommitmentMatrix::decode_from(r)?,
             share: Scalar::decode_from(r)?,
             digest: <[u8; 32]>::decode_from(r)?,
@@ -254,34 +255,34 @@ impl WireDecode for DkgSnapshot {
             tau: r.u64()?,
             config: DkgConfig::decode_from(r)?,
             signing_key: Scalar::decode_from(r)?,
-            directory: Vec::decode_from(r)?,
+            directory: BTreeMap::decode_from(r)?,
             combine: CombineRule::decode_from(r)?,
             rng: [r.u64()?, r.u64()?, r.u64()?, r.u64()?],
-            vss: Vec::decode_from(r)?,
-            completed_vss: Vec::decode_from(r)?,
+            vss: BTreeMap::decode_from(r)?,
+            completed_vss: BTreeMap::decode_from(r)?,
             finished_set: Vec::decode_from(r)?,
-            expected_dealer_keys: Vec::decode_from(r)?,
+            expected_dealer_keys: BTreeMap::decode_from(r)?,
             started: bool::decode_from(r)?,
             leader_rank: r.u64()?,
             locked: Option::decode_from(r)?,
-            echoed: Vec::decode_from(r)?,
+            echoed: BTreeSet::decode_from(r)?,
             ready_sent: bool::decode_from(r)?,
-            echo_votes: Vec::decode_from(r)?,
-            ready_votes: Vec::decode_from(r)?,
-            proposals: Vec::decode_from(r)?,
-            lead_ch_votes: Vec::decode_from(r)?,
+            echo_votes: BTreeMap::decode_from(r)?,
+            ready_votes: BTreeMap::decode_from(r)?,
+            proposals: BTreeMap::decode_from(r)?,
+            lead_ch_votes: BTreeMap::decode_from(r)?,
             lc_flag: bool::decode_from(r)?,
             lead_ch_certificate: Vec::decode_from(r)?,
             retries: r.u32()?,
             agreed: Option::decode_from(r)?,
             completed: Option::decode_from(r)?,
             reconstruct_started: bool::decode_from(r)?,
-            reconstruct_pending: Vec::decode_from(r)?,
-            reconstruct_verified: Vec::decode_from(r)?,
+            reconstruct_pending: BTreeMap::decode_from(r)?,
+            reconstruct_verified: BTreeMap::decode_from(r)?,
             reconstructed: Option::decode_from(r)?,
-            outbox: Vec::decode_from(r)?,
+            outbox: BTreeMap::decode_from(r)?,
             help_granted_total: r.u64()?,
-            help_granted_per: Vec::decode_from(r)?,
+            help_granted_per: BTreeMap::decode_from(r)?,
         })
     }
 }

@@ -21,12 +21,13 @@
 //! are not strictly ascending, so equal proposals have equal encodings and
 //! the signatures over [`crate::messages::payload`] bind unambiguously.
 
-use dkg_crypto::{NodeId, Signature};
+use std::collections::{BTreeMap, BTreeSet};
+
+use dkg_crypto::Signature;
 use dkg_wire::{Reader, WireDecode, WireEncode, WireError, WireWrite};
 
 use crate::group::{
-    GroupChange, GroupChangeKey, GroupModInput, GroupModMessage, GroupModSnapshot,
-    ParameterAdjustment,
+    GroupChange, GroupModInput, GroupModMessage, GroupModNode, ParameterAdjustment,
 };
 use crate::messages::{DealerProof, DkgInput, DkgMessage, Justification, Proposal, SignedVote};
 use crate::DkgConfig;
@@ -394,14 +395,18 @@ impl WireDecode for GroupModMessage {
 }
 
 // ---------------------------------------------------------------------
-// Group-modification operator inputs and the agreement snapshot
+// Group-modification operator inputs and the agreement state
 // ---------------------------------------------------------------------
 //
 // ```text
 // GroupModInput    := 0 propose change       (write-ahead-logged, tag 5)
-// GroupModSnapshot := id:u64 config key* key* from* from* change*
+// GroupModNode     := id:u64 config echoed:key-set ready_sent:key-set
+//                     echo_from:from-map ready_from:from-map
+//                     accepted:(count:u32 change × count)
+// key-set          := count:u32 key × count                (strictly ascending)
 // key              := kind:u8 node:u64 adjustment:u8
-// from             := key count:u32 node:u64 × count
+// from-map         := count:u32 (key count:u32 node:u64 × count) × count
+//                     (keys and nodes strictly ascending)
 // ```
 
 impl WireEncode for GroupModInput {
@@ -426,98 +431,31 @@ impl WireDecode for GroupModInput {
     }
 }
 
-const KEY_WIRE_LEN: usize = 1 + 8 + 1;
-
-fn encode_key<W: WireWrite + ?Sized>(key: &GroupChangeKey, w: &mut W) {
-    w.put_u8(key.0);
-    w.put_u64(key.1);
-    w.put_u8(key.2);
-}
-
-fn decode_key(r: &mut Reader<'_>) -> Result<GroupChangeKey, WireError> {
-    Ok((r.u8()?, r.u64()?, r.u8()?))
-}
-
-impl WireEncode for GroupModSnapshot {
+/// The node is its own snapshot: see [`GroupModNode`].
+impl WireEncode for GroupModNode {
     fn encode_to<W: WireWrite + ?Sized>(&self, w: &mut W) {
         w.put_u64(self.id);
         self.config.encode_to(w);
-        for keys in [&self.echoed, &self.ready_sent] {
-            w.put_len(keys.len());
-            for key in keys {
-                encode_key(key, w);
-            }
-        }
-        for map in [&self.echo_from, &self.ready_from] {
-            w.put_len(map.len());
-            for (key, from) in map {
-                encode_key(key, w);
-                w.put_len(from.len());
-                for &node in from {
-                    w.put_u64(node);
-                }
-            }
-        }
-        w.put_len(self.accepted.len());
-        for change in &self.accepted {
-            change.encode_to(w);
-        }
+        self.echoed.encode_to(w);
+        self.ready_sent.encode_to(w);
+        self.echo_from.encode_to(w);
+        self.ready_from.encode_to(w);
+        self.accepted.encode_to(w);
     }
 }
 
-impl WireDecode for GroupModSnapshot {
+impl WireDecode for GroupModNode {
     const MIN_WIRE_LEN: usize = 8 + DkgConfig::MIN_WIRE_LEN + 5 * 4;
 
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let id = r.u64()?;
-        let config = DkgConfig::decode_from(r)?;
-        let mut key_lists: [Vec<GroupChangeKey>; 2] = [Vec::new(), Vec::new()];
-        for list in &mut key_lists {
-            let count = r.len(
-                "group-mod key set",
-                dkg_wire::MAX_SEQUENCE_LEN,
-                KEY_WIRE_LEN,
-            )?;
-            for _ in 0..count {
-                list.push(decode_key(r)?);
-            }
-        }
-        let [echoed, ready_sent] = key_lists;
-        let mut maps: [Vec<(GroupChangeKey, Vec<NodeId>)>; 2] = [Vec::new(), Vec::new()];
-        for map in &mut maps {
-            let count = r.len(
-                "group-mod sender map",
-                dkg_wire::MAX_SEQUENCE_LEN,
-                KEY_WIRE_LEN + 4,
-            )?;
-            for _ in 0..count {
-                let key = decode_key(r)?;
-                let senders = r.len("group-mod sender set", dkg_wire::MAX_SEQUENCE_LEN, 8)?;
-                let mut from = Vec::with_capacity(senders);
-                for _ in 0..senders {
-                    from.push(r.u64()?);
-                }
-                map.push((key, from));
-            }
-        }
-        let [echo_from, ready_from] = maps;
-        let count = r.len(
-            "group-mod accepted queue",
-            dkg_wire::MAX_SEQUENCE_LEN,
-            GroupChange::MIN_WIRE_LEN,
-        )?;
-        let mut accepted = Vec::with_capacity(count);
-        for _ in 0..count {
-            accepted.push(GroupChange::decode_from(r)?);
-        }
-        Ok(GroupModSnapshot {
-            id,
-            config,
-            echoed,
-            ready_sent,
-            echo_from,
-            ready_from,
-            accepted,
+        Ok(GroupModNode {
+            id: r.u64()?,
+            config: DkgConfig::decode_from(r)?,
+            echoed: BTreeSet::decode_from(r)?,
+            ready_sent: BTreeSet::decode_from(r)?,
+            echo_from: BTreeMap::decode_from(r)?,
+            ready_from: BTreeMap::decode_from(r)?,
+            accepted: Vec::decode_from(r)?,
         })
     }
 }

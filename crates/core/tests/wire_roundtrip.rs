@@ -231,11 +231,12 @@ fn non_canonical_proposals_are_rejected() {
 
 /// The durable snapshot types share the canonical codec and must survive
 /// an encode → decode round-trip losslessly: `DkgConfig`, `CombineRule`,
-/// `CompletedSharingSnapshot`, `DkgResult` and the full `DkgSnapshot`.
+/// `CompletedSharing`, `DkgResult` and the full `DkgSnapshot`.
 #[test]
 fn snapshot_types_roundtrip_losslessly() {
     use dkg_arith::GroupElement;
-    use dkg_core::{CombineRule, CompletedSharingSnapshot, DkgConfig, DkgResult, DkgSnapshot};
+    use dkg_core::{CombineRule, CompletedSharing, DkgConfig, DkgResult, DkgSnapshot};
+    use std::collections::{BTreeMap, BTreeSet};
 
     let mut rng = StdRng::seed_from_u64(0xD16);
     let key = SigningKey::generate(&mut rng);
@@ -251,7 +252,7 @@ fn snapshot_types_roundtrip_losslessly() {
         assert_eq!(CombineRule::decode(&rule.encode()), Ok(rule));
     }
 
-    let completed = CompletedSharingSnapshot {
+    let completed = CompletedSharing {
         commitment: matrix.clone(),
         share: Scalar::random(&mut rng),
         digest: dkg_crypto::sha256(&matrix.to_bytes()),
@@ -261,7 +262,7 @@ fn snapshot_types_roundtrip_losslessly() {
         }],
     };
     assert_eq!(
-        CompletedSharingSnapshot::decode(&completed.encode()),
+        CompletedSharing::decode(&completed.encode()),
         Ok(completed.clone())
     );
 
@@ -279,25 +280,25 @@ fn snapshot_types_roundtrip_losslessly() {
         tau: 1,
         config,
         signing_key: Scalar::random(&mut rng),
-        directory: vec![
+        directory: BTreeMap::from([
             (1, GroupElement::generator()),
             (2, GroupElement::generator()),
-        ],
+        ]),
         combine: CombineRule::Sum,
         rng: [11, 22, 33, 44],
-        vss: Vec::new(),
-        completed_vss: vec![(1, completed)],
+        vss: BTreeMap::new(),
+        completed_vss: BTreeMap::from([(1, completed)]),
         finished_set: vec![1],
-        expected_dealer_keys: vec![(1, GroupElement::generator())],
+        expected_dealer_keys: BTreeMap::from([(1, GroupElement::generator())]),
         started: true,
         leader_rank: 3,
         locked: None,
-        echoed: vec![(0, vec![1, 2, 3])],
+        echoed: BTreeSet::from([(0, vec![1, 2, 3])]),
         ready_sent: false,
-        echo_votes: vec![(vec![9], vec![(4, sig)])],
-        ready_votes: Vec::new(),
-        proposals: Vec::new(),
-        lead_ch_votes: vec![(2, vec![(1, sig)])],
+        echo_votes: BTreeMap::from([(vec![9], BTreeMap::from([(4, sig)]))]),
+        ready_votes: BTreeMap::new(),
+        proposals: BTreeMap::new(),
+        lead_ch_votes: BTreeMap::from([(2, BTreeMap::from([(1, sig)]))]),
         lc_flag: true,
         lead_ch_certificate: vec![SignedVote {
             node: 1,
@@ -307,12 +308,12 @@ fn snapshot_types_roundtrip_losslessly() {
         agreed: Some(Proposal::new(vec![1, 3])),
         completed: Some(result),
         reconstruct_started: true,
-        reconstruct_pending: vec![(3, Scalar::random(&mut rng))],
-        reconstruct_verified: Vec::new(),
+        reconstruct_pending: BTreeMap::from([(3, Scalar::random(&mut rng))]),
+        reconstruct_verified: BTreeMap::new(),
         reconstructed: Some(Scalar::random(&mut rng)),
-        outbox: Vec::new(),
+        outbox: BTreeMap::new(),
         help_granted_total: 5,
-        help_granted_per: vec![(2, 3)],
+        help_granted_per: BTreeMap::from([(2, 3)]),
     };
     let bytes = snapshot.encode();
     assert_eq!(bytes.len(), snapshot.encoded_len());
@@ -362,14 +363,15 @@ fn group_mod_messages_roundtrip_and_size_exactly() {
 }
 
 /// The persisted group-modification surface — the `GroupModInput` operator
-/// record the WAL stores and the `GroupModSnapshot` the endpoint snapshot
+/// record the WAL stores and the `GroupModNode` the endpoint snapshot
 /// embeds — round-trips losslessly and refuses unknown tags.
 #[test]
 fn group_mod_input_and_snapshot_roundtrip() {
     use dkg_core::group::{
-        GroupChange, GroupModInput, GroupModNode, GroupModSnapshot, ParameterAdjustment,
+        GroupChange, GroupModInput, GroupModMessage, GroupModNode, ParameterAdjustment,
     };
     use dkg_core::DkgConfig;
+    use dkg_sim::{ActionSink, Protocol};
 
     let input = GroupModInput::Propose(GroupChange::RemoveNode {
         node: 2,
@@ -383,27 +385,28 @@ fn group_mod_input_and_snapshot_roundtrip() {
         Err(WireError::UnknownTag { .. })
     ));
 
-    // A snapshot with live agreement state: keys echoed and readied, vote
+    // A node with live agreement state: changes echoed and readied, vote
     // sets partially filled, one change already accepted.
-    let config = DkgConfig::standard(6, 1).unwrap();
-    let key = (0u8, 9u64, 1u8);
-    let snapshot = GroupModSnapshot {
-        id: 3,
-        config,
-        echoed: vec![key],
-        ready_sent: vec![key, (1, 2, 0)],
-        echo_from: vec![(key, vec![1, 2, 3, 4])],
-        ready_from: vec![((1, 2, 0), vec![5, 6])],
-        accepted: vec![GroupChange::AddNode {
-            node: 9,
-            adjustment: ParameterAdjustment::None,
-        }],
+    let add = GroupChange::AddNode {
+        node: 9,
+        adjustment: ParameterAdjustment::None,
     };
-    let bytes = snapshot.encode();
-    assert_eq!(bytes.len(), snapshot.encoded_len());
-    let back = GroupModSnapshot::decode(&bytes).unwrap();
-    assert_eq!(back, snapshot);
-    // Restoring from the decoded image reproduces the same state machine.
-    let node = GroupModNode::restore(back);
-    assert_eq!(node.snapshot(), snapshot);
+    let remove = GroupChange::RemoveNode {
+        node: 2,
+        adjustment: ParameterAdjustment::Threshold,
+    };
+    let mut node = GroupModNode::new(3, DkgConfig::standard(6, 1).unwrap());
+    let mut sink = ActionSink::new();
+    for from in [4, 1, 2, 3] {
+        node.on_message(from, GroupModMessage::Ready(add), &mut sink);
+    }
+    for from in [6, 5] {
+        node.on_message(from, GroupModMessage::Echo(remove), &mut sink);
+    }
+    assert_eq!(node.accepted(), [add]);
+    let bytes = node.encode();
+    assert_eq!(bytes.len(), node.encoded_len());
+    let back = GroupModNode::decode(&bytes).unwrap();
+    assert_eq!(back, node);
+    assert_eq!(back.encode(), bytes);
 }

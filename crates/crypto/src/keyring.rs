@@ -8,7 +8,7 @@
 //! rotation (§5.1) is modelled by [`KeyDirectory::rotate`].
 
 use crate::schnorr::{PublicKey, Signature, SignatureError, SigningKey};
-use dkg_arith::FixedBaseTable;
+use dkg_arith::{FixedBaseTable, GroupElement};
 use rand::Rng;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -158,6 +158,28 @@ impl KeyDirectory {
     /// Returns the registered node indices in ascending order.
     pub fn nodes(&self) -> Vec<NodeId> {
         self.keys.keys().copied().collect()
+    }
+
+    /// Every registered key's point, by node — the directory's stable
+    /// form, which [`Self::from_points`] reads back.
+    pub fn points(&self) -> BTreeMap<NodeId, GroupElement> {
+        self.keys
+            .iter()
+            .map(|(&node, entry)| (node, entry.key.point()))
+            .collect()
+    }
+
+    /// Builds a directory from `(node, point)` entries, registering each as
+    /// [`Self::register`] does. Fails with the first node whose point is not
+    /// a valid verification key (the identity).
+    pub fn from_points(
+        entries: impl IntoIterator<Item = (NodeId, GroupElement)>,
+    ) -> Result<Self, NodeId> {
+        let mut directory = KeyDirectory::new();
+        for (node, point) in entries {
+            directory.register(node, PublicKey::from_point(point).ok_or(node)?);
+        }
+        Ok(directory)
     }
 
     /// Number of registered nodes.
@@ -361,6 +383,25 @@ mod tests {
             directory.rotate(7, new_key.public_key()),
             Err(KeyringError::UnknownNode(7))
         );
+    }
+
+    #[test]
+    fn points_read_back_into_the_same_directory() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let (secrets, directory) = generate_keyring(&mut rng, 3);
+        let points = directory.points();
+        assert_eq!(
+            points.keys().copied().collect::<Vec<_>>(),
+            directory.nodes()
+        );
+        let back = KeyDirectory::from_points(points.clone()).unwrap();
+        assert_eq!(back.points(), points);
+        let sig = secrets[&2].sign(&mut rng, b"msg");
+        assert!(back.verify(2, b"msg", &sig).is_ok());
+        // The identity is no verification key; the failure names its node.
+        let mut bad = points;
+        bad.insert(2, GroupElement::identity());
+        assert_eq!(KeyDirectory::from_points(bad).err(), Some(2));
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! An [`EndpointSnapshot`] is the stable image of everything an
 //! [`crate::Endpoint`] hosts: one [`SessionStateSnapshot`] per session
 //! ([`DkgSnapshot`], [`VssSnapshot`] plus its signing directory,
-//! [`SignSnapshot`], [`GroupModSnapshot`]), per-session counters and armed
-//! timers, and the endpoint's aggregate statistics. The envelope starts
+//! [`SignSnapshot`], or the [`GroupModNode`] itself), per-session counters
+//! and armed timers, and the endpoint's aggregate statistics. The envelope starts
 //! with a version byte ([`SNAPSHOT_VERSION`]); decoders reject anything
 //! else, so incompatible future formats are safe to deploy incrementally —
 //! and every inner field is validated by the same `dkg-wire` codecs that
@@ -17,8 +17,10 @@
 //! and when the log outgrows its threshold. Restore is snapshot-then-replay
 //! — see [`crate::Endpoint::restore`].
 
+use std::collections::BTreeMap;
+
 use dkg_arith::GroupElement;
-use dkg_core::group::GroupModSnapshot;
+use dkg_core::group::GroupModNode;
 use dkg_core::DkgSnapshot;
 use dkg_crypto::NodeId;
 use dkg_store::StoreError;
@@ -58,13 +60,14 @@ pub enum SessionStateSnapshot {
     Vss {
         /// The state-machine snapshot.
         snapshot: Box<VssSnapshot>,
-        /// The signing directory, when the extended variant is in use.
-        directory: Option<Vec<(NodeId, GroupElement)>>,
+        /// The signing directory ([`dkg_crypto::KeyDirectory::points`]),
+        /// when the extended variant is in use.
+        directory: Option<BTreeMap<NodeId, GroupElement>>,
     },
     /// A threshold-signing session.
     Sign(Box<SignSnapshot>),
-    /// A §6 group-modification agreement.
-    Mod(Box<GroupModSnapshot>),
+    /// A §6 group-modification agreement: the machine is its own image.
+    Mod(Box<GroupModNode>),
 }
 
 /// One hosted session: key, counters, armed timers and machine state.
@@ -335,7 +338,7 @@ impl WireDecode for SessionStateSnapshot {
                 SignSnapshot::decode_from(r)?,
             ))),
             3 => Ok(SessionStateSnapshot::Mod(Box::new(
-                GroupModSnapshot::decode_from(r)?,
+                GroupModNode::decode_from(r)?,
             ))),
             tag => Err(WireError::UnknownTag {
                 context: "session state snapshot",

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use dkg_core::group::{GroupModInput, GroupModMessage, GroupModNode, GroupModOutput};
 use dkg_core::{DkgInput, DkgMessage, DkgNode, DkgOutput};
-use dkg_crypto::{KeyDirectory, NodeId, PublicKey};
+use dkg_crypto::{KeyDirectory, NodeId};
 use dkg_poly::{CryptoJob, CryptoVerdict};
 use dkg_sim::{ActionSink, Protocol};
 use dkg_store::{StoreError, WalRecord};
@@ -264,7 +264,10 @@ impl Machine {
                 snapshot,
                 directory,
             } => {
-                let directory = directory.map(restore_directory).transpose()?;
+                let directory = directory
+                    .map(|points| KeyDirectory::from_points(points).map(Arc::new))
+                    .transpose()
+                    .map_err(|node| dkg_vss::SnapshotError::InvalidDirectoryKey { node })?;
                 let node = VssNode::restore(*snapshot, directory)?;
                 Machine::Vss(Named::new(node.session(), node))
             }
@@ -272,11 +275,11 @@ impl Machine {
                 let session = SignSession::restore(*snapshot)?;
                 Machine::Sign(Named::new(session.sid(), session))
             }
-            SessionStateSnapshot::Mod(snapshot) => {
+            SessionStateSnapshot::Mod(node) => {
                 let SessionKey::Mod { era } = key else {
                     return Err(misfiled.into());
                 };
-                Machine::Mod(Named::new(era, GroupModNode::restore(*snapshot)))
+                Machine::Mod(Named::new(era, *node))
             }
         };
         let (node, hosted_key) = dispatch!(&machine, slot => (slot.node.id(), slot.key()));
@@ -291,18 +294,6 @@ impl Machine {
         }
         Ok(machine)
     }
-}
-
-fn restore_directory(
-    entries: Vec<(NodeId, dkg_arith::GroupElement)>,
-) -> Result<Arc<KeyDirectory>, RestoreError> {
-    let mut directory = KeyDirectory::new();
-    for (node, point) in entries {
-        let key = PublicKey::from_bytes(&point.to_bytes())
-            .ok_or(dkg_vss::SnapshotError::InvalidDirectoryKey { node })?;
-        directory.register(node, key);
-    }
-    Ok(Arc::new(directory))
 }
 
 impl Hosted for DkgNode {
@@ -416,13 +407,9 @@ impl Hosted for VssNode {
     fn snapshot(&self) -> Option<SessionStateSnapshot> {
         // `VssSnapshot` deliberately elides the signing directory, so it
         // travels alongside.
-        let directory = self.signing_directory().map(|directory| {
-            let key_of = |node| Some((node, directory.public_key(node).ok()?.point()));
-            directory.nodes().into_iter().filter_map(key_of).collect()
-        });
         Some(SessionStateSnapshot::Vss {
             snapshot: Box::new(VssNode::snapshot(self)?),
-            directory,
+            directory: self.signing_directory().map(|directory| directory.points()),
         })
     }
 }
@@ -503,7 +490,6 @@ impl Hosted for GroupModNode {
     }
 
     fn snapshot(&self) -> Option<SessionStateSnapshot> {
-        let snapshot = GroupModNode::snapshot(self);
-        Some(SessionStateSnapshot::Mod(Box::new(snapshot)))
+        Some(SessionStateSnapshot::Mod(Box::new(self.clone())))
     }
 }

@@ -616,8 +616,8 @@ fn inline_matrices_by_dealer(
     dkg.vss
         .iter()
         .map(|(dealer, vss)| {
-            let stored = vss.commitments.iter().map(|(_, matrix)| matrix);
-            let sent = vss.outbox.iter().flat_map(|(_, messages)| messages);
+            let stored = vss.commitments.values();
+            let sent = vss.outbox.values().flatten();
             let inline = sent.filter_map(|message| match message {
                 VssMessage::Echo { commitment, .. } | VssMessage::Ready { commitment, .. } => {
                     commitment.matrix()
@@ -726,8 +726,8 @@ fn restored_node_rederives_its_projections_lazily() {
             .expect("quiescent dkg session");
         image
             .vss
-            .iter()
-            .filter(|(_, vss)| vss.tallies.iter().any(|(_, tally)| tally.row.is_some()))
+            .values()
+            .filter(|vss| vss.tallies.values().any(|tally| tally.row.is_some()))
             .count()
     };
 

@@ -9,7 +9,7 @@
 //! Group operations are counted by `dkg_arith::ops`, which is thread-local:
 //! every run here executes its crypto inline on the test's own thread.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use dkg_arith::{ops, GroupElement, PrimeField, Scalar};
 use dkg_core::{DkgConfig, DkgInput};
@@ -61,7 +61,7 @@ fn seed_7_dkg(mode: CommitmentMode, chaos: ChaosModel, deadline: u64) -> Run {
                 .and_then(|endpoint| endpoint.dkg_session(TAU))
                 .expect("session hosted");
             let image = node.snapshot().expect("quiescent");
-            let known = image.vss.iter().map(|(_, vss)| vss.commitments.len()).sum();
+            let known = image.vss.values().map(|vss| vss.commitments.len()).sum();
             (node.projection_count(), known)
         })
         .collect();
@@ -267,18 +267,19 @@ fn flushed_batch_with_one_corrupted_echo_discards_exactly_that_point() {
     );
     assert!(waiting.tallies.is_empty());
     assert_eq!(waiting.pending.len(), 1);
-    assert_eq!(waiting.pending[0].1.len(), 3);
+    assert_eq!(waiting.pending.values().next().map(Vec::len), Some(3));
 
     assert_eq!(sharing.deliver("vss-send", 2, honest), 1);
     let (projections, judged) = sharing.image(2);
     assert_eq!(projections, 0, "the flush found the row in place");
     assert!(judged.pending.is_empty());
-    let [(_, tally)] = judged.tallies.as_slice() else {
+    let mut tallies = judged.tallies.values();
+    let (Some(tally), None) = (tallies.next(), tallies.next()) else {
         panic!("one commitment, one tally");
     };
-    assert_eq!(tally.echo_from, vec![1, 3, 4]);
-    assert_eq!(tally.echo_verified, vec![1, 4]);
-    let senders: Vec<u64> = tally.points.iter().map(|&(m, _)| m).collect();
+    assert_eq!(tally.echo_from, BTreeSet::from([1, 3, 4]));
+    assert_eq!(tally.echo_verified, BTreeSet::from([1, 4]));
+    let senders: Vec<u64> = tally.points.keys().copied().collect();
     assert_eq!(senders, vec![1, 4]);
 
     // The sharing is none the worse for it.

@@ -389,13 +389,13 @@ impl<Ctx> JobQueue<Ctx> {
 /// next batch, so an invalid share can delay but never stall a quorum.
 #[derive(Clone, Debug, Default)]
 pub struct ShareCollector {
-    pending: std::collections::BTreeMap<u64, Scalar>,
-    verified: std::collections::BTreeMap<u64, Scalar>,
+    pending: ShareMap,
+    verified: ShareMap,
 }
 
-/// Index-ordered `(node, share)` entries, as pooled, batched and
-/// snapshotted by a [`ShareCollector`].
-pub type ShareEntries = Vec<(u64, Scalar)>;
+/// Shares by node index, as pooled, verified and snapshotted by a
+/// [`ShareCollector`].
+pub type ShareMap = std::collections::BTreeMap<u64, Scalar>;
 
 /// What a share-batch verdict led to (see [`ShareCollector::absorb`]).
 pub enum ShareProgress {
@@ -456,21 +456,15 @@ impl ShareCollector {
         }
     }
 
-    /// Decomposes the collector into `(pending, verified)` share lists in
-    /// index order — the snapshot form for persistence.
-    pub fn to_parts(&self) -> (ShareEntries, ShareEntries) {
-        (
-            self.pending.iter().map(|(&m, &s)| (m, s)).collect(),
-            self.verified.iter().map(|(&m, &s)| (m, s)).collect(),
-        )
+    /// The collector's `(pending, verified)` shares — the snapshot form for
+    /// persistence.
+    pub fn to_parts(&self) -> (ShareMap, ShareMap) {
+        (self.pending.clone(), self.verified.clone())
     }
 
     /// Rebuilds a collector from [`ShareCollector::to_parts`] output.
-    pub fn from_parts(pending: ShareEntries, verified: ShareEntries) -> Self {
-        ShareCollector {
-            pending: pending.into_iter().collect(),
-            verified: verified.into_iter().collect(),
-        }
+    pub fn from_parts(pending: ShareMap, verified: ShareMap) -> Self {
+        ShareCollector { pending, verified }
     }
 
     fn take_batch(&mut self, needed: usize) -> Option<Vec<(u64, Scalar)>> {

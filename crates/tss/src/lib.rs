@@ -18,8 +18,9 @@
 //! * [`TssMessage`] / [`TssInput`] / [`TssOutput`] — the wire messages,
 //!   operator inputs and protocol outputs, with canonical codecs in
 //!   [`mod@wire`];
-//! * [`SignSnapshot`] — crash-recovery snapshots, so a rebooted signer
-//!   resumes mid-request without ever reusing a nonce.
+//! * [`SignSnapshot`] — crash-recovery snapshots in the session's live
+//!   types (coordinator state is one [`RequestState`] per request), so a
+//!   rebooted signer resumes mid-request without ever reusing a nonce.
 //!
 //! The state machine implements [`dkg_sim::Protocol`], so the engine's
 //! endpoints host it over the deterministic `EndpointNet` and the UDP
@@ -34,5 +35,5 @@ pub mod snapshot;
 pub mod wire;
 
 pub use messages::{NonceCommitEntry, TssInput, TssMessage, TssOutput};
-pub use session::{SignSession, TssConfig};
-pub use snapshot::{RequestSnapshot, SignSnapshot, SnapshotError};
+pub use session::{RequestState, SignSession, TssConfig};
+pub use snapshot::{SignSnapshot, SnapshotError};

@@ -114,12 +114,17 @@ impl TssConfig {
 
 /// Coordinator-side state of one in-flight request.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct RequestState {
-    pub(crate) attempt: u32,
-    pub(crate) excluded: BTreeSet<NodeId>,
-    pub(crate) quorum: Vec<NodeId>,
-    pub(crate) commits: BTreeMap<NodeId, (GroupElement, GroupElement)>,
-    pub(crate) partials: BTreeMap<NodeId, Scalar>,
+pub struct RequestState {
+    /// The current retry round.
+    pub attempt: u32,
+    /// Signers excluded for misbehaviour or silence.
+    pub excluded: BTreeSet<NodeId>,
+    /// The current quorum, ascending.
+    pub quorum: Vec<NodeId>,
+    /// Nonce commitments `(D_i, E_i)` collected this round, by signer.
+    pub commits: BTreeMap<NodeId, (GroupElement, GroupElement)>,
+    /// Partial responses collected this round, by signer.
+    pub partials: BTreeMap<NodeId, Scalar>,
 }
 
 impl RequestState {
@@ -166,7 +171,7 @@ const RESULT_WINDOW: usize = 128;
 
 /// Context carried from partial-sig job submission to verdict application.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct SignCtx {
+pub(crate) struct SignCtx {
     req: u64,
     attempt: u32,
 }
@@ -258,15 +263,15 @@ fn package_digest(
 /// machine and the coordinator talks to itself over ordinary self-sends,
 /// so the message flow is uniform.
 pub struct SignSession {
-    id: NodeId,
-    sid: u64,
-    config: TssConfig,
-    share: Scalar,
-    commitment: Arc<CommitmentMatrix>,
+    pub(crate) id: NodeId,
+    pub(crate) sid: u64,
+    pub(crate) config: TssConfig,
+    pub(crate) share: Scalar,
+    pub(crate) commitment: Arc<CommitmentMatrix>,
     /// The group key `C_00` with its table: fixed for the session's life,
     /// and every aggregate and every broadcast result is checked under it.
-    group_key: TabledKey,
-    rng: StdRng,
+    pub(crate) group_key: TabledKey,
+    pub(crate) rng: StdRng,
     /// `req → message`, for every request this node has seen (verifies
     /// broadcast results); dropped once the request completes.
     pub(crate) requests: BTreeMap<u64, Vec<u8>>,
@@ -281,7 +286,7 @@ pub struct SignSession {
     pub(crate) exhausted: BTreeSet<u64>,
     /// Requests this node coordinates, while in flight.
     pub(crate) coordinating: BTreeMap<u64, RequestState>,
-    jobs: JobQueue<SignCtx>,
+    pub(crate) jobs: JobQueue<SignCtx>,
 }
 
 // The share scalar, the nonce secrets and the RNG state are all
@@ -326,21 +331,22 @@ impl SignSession {
             return None;
         }
         let group_key = PublicKey::from_point(group_key)?;
-        Some(SignSession::from_parts(
+        Some(SignSession {
             id,
             sid,
             config,
             share,
             commitment,
-            group_key,
-            StdRng::seed_from_u64(seed),
-            BTreeMap::new(),
-            BTreeMap::new(),
-            BTreeMap::new(),
-            BTreeMap::new(),
-            BTreeSet::new(),
-            BTreeMap::new(),
-        ))
+            group_key: TabledKey::new(group_key),
+            rng: StdRng::seed_from_u64(seed),
+            requests: BTreeMap::new(),
+            nonces: BTreeMap::new(),
+            signed: BTreeMap::new(),
+            results: BTreeMap::new(),
+            exhausted: BTreeSet::new(),
+            coordinating: BTreeMap::new(),
+            jobs: JobQueue::new(),
+        })
     }
 
     /// Builds a session directly from a completed DKG's result — the
@@ -980,55 +986,5 @@ impl Protocol for SignSession {
 
     fn on_recover(&mut self, sink: &mut Sink) {
         self.resend_current_round(sink);
-    }
-}
-
-// Snapshot plumbing lives in `snapshot.rs`; it reaches into the session's
-// private fields via this constructor.
-impl SignSession {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        id: NodeId,
-        sid: u64,
-        config: TssConfig,
-        share: Scalar,
-        commitment: Arc<CommitmentMatrix>,
-        group_key: PublicKey,
-        rng: StdRng,
-        requests: BTreeMap<u64, Vec<u8>>,
-        nonces: BTreeMap<(u64, u32), (Scalar, Scalar)>,
-        signed: BTreeMap<(u64, u32), [u8; 32]>,
-        results: BTreeMap<u64, Signature>,
-        exhausted: BTreeSet<u64>,
-        coordinating: BTreeMap<u64, RequestState>,
-    ) -> Self {
-        SignSession {
-            id,
-            sid,
-            config,
-            share,
-            commitment,
-            group_key: TabledKey::new(group_key),
-            rng,
-            requests,
-            nonces,
-            signed,
-            results,
-            exhausted,
-            coordinating,
-            jobs: JobQueue::new(),
-        }
-    }
-
-    pub(crate) fn share(&self) -> Scalar {
-        self.share
-    }
-
-    pub(crate) fn commitment(&self) -> &Arc<CommitmentMatrix> {
-        &self.commitment
-    }
-
-    pub(crate) fn rng_state(&self) -> [u64; 4] {
-        self.rng.state()
     }
 }

@@ -1,7 +1,13 @@
 //! Crash-recovery snapshots of a [`SignSession`] and their canonical
 //! codecs.
 //!
-//! Layout (all integers big-endian, lengths `u32`-prefixed):
+//! A [`SignSnapshot`] holds the session's persistent state in the types the
+//! live session keeps it in — the per-request maps and sets, and one
+//! [`RequestState`] per coordinated request — so taking a snapshot clones
+//! each field and restoring one moves it back.
+//!
+//! Layout (all integers big-endian, lengths `u32`-prefixed; every map and
+//! set in strictly ascending key order, which decoders enforce):
 //!
 //! ```text
 //! sign-snapshot  := id:u64 sid:u64 config share:32B commitment
@@ -14,11 +20,10 @@
 //! signed         := count:u32 (req:u64 attempt:u32 digest:32B) × count
 //! results        := count:u32 (req:u64 signature:65B) × count
 //! exhausted      := count:u32 req:u64 × count
-//! coordinating   := count:u32 request-snapshot × count
-//! request-snapshot := req:u64 attempt:u32 excluded:u64-list
-//!                   quorum:u64-list
-//!                   commits:(signer:u64 hiding:33B binding:33B)-list
-//!                   partials:(signer:u64 response:32B)-list
+//! coordinating   := count:u32 (req:u64 request-state) × count
+//! request-state  := attempt:u32 excluded:u64-set quorum:u64-list
+//!                   commits:(signer:u64 hiding:33B binding:33B)-map
+//!                   partials:(signer:u64 response:32B)-map
 //! ```
 //!
 //! Snapshots are taken only at job-quiescent points
@@ -26,17 +31,16 @@
 //! after a restore by the retransmits the recovery procedure provokes, so
 //! no job context ever needs to serialise.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use dkg_arith::{GroupElement, Scalar};
-use dkg_crypto::{NodeId, PublicKey, Signature};
-use dkg_poly::CommitmentMatrix;
-use dkg_sim::Protocol;
+use dkg_crypto::{NodeId, PublicKey, Signature, TabledKey};
+use dkg_poly::{CommitmentMatrix, JobQueue};
 use dkg_wire::{Reader, WireDecode, WireEncode, WireError, WireWrite};
 use rand::rngs::StdRng;
 
-use crate::session::{SignSession, TssConfig};
+use crate::session::{RequestState, SignSession, TssConfig};
 
 /// Serializable image of a [`SignSession`] at a job-quiescent point.
 #[derive(Clone, PartialEq, Eq)]
@@ -54,7 +58,7 @@ pub struct SignSnapshot {
     /// This node's share of the group secret.
     pub share: Scalar,
     /// The DKG's combined commitment matrix.
-    pub commitment: CommitmentMatrix,
+    pub commitment: Arc<CommitmentMatrix>,
     /// The group public key.
     pub group_key: GroupElement,
     /// The RNG state (xoshiro256** words) — restoring resumes the exact
@@ -62,17 +66,17 @@ pub struct SignSnapshot {
     /// already committed to.
     pub rng: [u64; 4],
     /// `req → message` for in-flight requests this node has seen.
-    pub requests: Vec<(u64, Vec<u8>)>,
+    pub requests: BTreeMap<u64, Vec<u8>>,
     /// Participant nonce secrets per `(req, attempt)`.
-    pub nonces: Vec<((u64, u32), (Scalar, Scalar))>,
+    pub nonces: BTreeMap<(u64, u32), (Scalar, Scalar)>,
     /// Signed package digests per `(req, attempt)`.
-    pub signed: Vec<((u64, u32), [u8; 32])>,
+    pub signed: BTreeMap<(u64, u32), [u8; 32]>,
     /// Completed requests.
-    pub results: Vec<(u64, Signature)>,
+    pub results: BTreeMap<u64, Signature>,
     /// Permanently failed requests.
-    pub exhausted: Vec<u64>,
-    /// Coordinator state of in-flight requests.
-    pub coordinating: Vec<RequestSnapshot>,
+    pub exhausted: BTreeSet<u64>,
+    /// Coordinator state of in-flight requests, by request.
+    pub coordinating: BTreeMap<u64, RequestState>,
 }
 
 // Holds the share, the nonce secrets and the RNG state (dkg-lint rule R2).
@@ -85,23 +89,6 @@ impl std::fmt::Debug for SignSnapshot {
             .field("coordinating", &self.coordinating.len())
             .finish_non_exhaustive()
     }
-}
-
-/// Serializable coordinator state of one in-flight request.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RequestSnapshot {
-    /// The request identifier.
-    pub req: u64,
-    /// The current retry round.
-    pub attempt: u32,
-    /// Signers excluded for misbehaviour or silence.
-    pub excluded: Vec<NodeId>,
-    /// The current quorum, ascending.
-    pub quorum: Vec<NodeId>,
-    /// Nonce commitments collected this round.
-    pub commits: Vec<(NodeId, (GroupElement, GroupElement))>,
-    /// Partial responses collected this round.
-    pub partials: Vec<(NodeId, Scalar)>,
 }
 
 /// Why a [`SignSnapshot`] could not be restored into a [`SignSession`].
@@ -151,36 +138,21 @@ impl SignSession {
             return None;
         }
         Some(SignSnapshot {
-            id: self.id(),
-            sid: self.sid(),
-            signers: self.config().signers().to_vec(),
-            threshold: self.config().threshold() as u64,
-            retry_delay: self.config().retry_delay(),
-            share: self.share(),
-            commitment: self.commitment().as_ref().clone(),
-            group_key: self.group_key().point(),
-            rng: self.rng_state(),
-            requests: self
-                .requests
-                .iter()
-                .map(|(&req, message)| (req, message.clone()))
-                .collect(),
-            nonces: self.nonces.iter().map(|(&k, &v)| (k, v)).collect(),
-            signed: self.signed.iter().map(|(&k, &v)| (k, v)).collect(),
-            results: self.results.iter().map(|(&k, &v)| (k, v)).collect(),
-            exhausted: self.exhausted.iter().copied().collect(),
-            coordinating: self
-                .coordinating
-                .iter()
-                .map(|(&req, state)| RequestSnapshot {
-                    req,
-                    attempt: state.attempt,
-                    excluded: state.excluded.iter().copied().collect(),
-                    quorum: state.quorum.clone(),
-                    commits: state.commits.iter().map(|(&k, &v)| (k, v)).collect(),
-                    partials: state.partials.iter().map(|(&k, &v)| (k, v)).collect(),
-                })
-                .collect(),
+            id: self.id,
+            sid: self.sid,
+            signers: self.config.signers().to_vec(),
+            threshold: self.config.threshold() as u64,
+            retry_delay: self.config.retry_delay(),
+            share: self.share,
+            commitment: Arc::clone(&self.commitment),
+            group_key: self.group_key.key().point(),
+            rng: self.rng.state(),
+            requests: self.requests.clone(),
+            nonces: self.nonces.clone(),
+            signed: self.signed.clone(),
+            results: self.results.clone(),
+            exhausted: self.exhausted.clone(),
+            coordinating: self.coordinating.clone(),
         })
     }
 
@@ -189,7 +161,7 @@ impl SignSession {
     /// retransmit in-flight rounds.
     pub fn restore(snapshot: SignSnapshot) -> Result<Self, SnapshotError> {
         let config = TssConfig::new(
-            snapshot.signers.clone(),
+            snapshot.signers,
             snapshot.threshold as usize,
             snapshot.retry_delay,
         )
@@ -197,49 +169,33 @@ impl SignSession {
         if config.threshold() != snapshot.commitment.threshold() {
             return Err(SnapshotError::InvalidConfig);
         }
-        if !snapshot.signers.contains(&snapshot.id) {
+        if !config.signers().contains(&snapshot.id) {
             return Err(SnapshotError::ForeignNode { node: snapshot.id });
         }
         let group_key = PublicKey::from_point(snapshot.group_key)
             .filter(|key| key.point() == snapshot.commitment.public_key())
             .ok_or(SnapshotError::InvalidGroupKey)?;
-        let coordinating: BTreeMap<u64, crate::session::RequestState> = snapshot
-            .coordinating
-            .into_iter()
-            .map(|request| {
-                (
-                    request.req,
-                    crate::session::RequestState {
-                        attempt: request.attempt,
-                        excluded: request.excluded.into_iter().collect(),
-                        quorum: request.quorum,
-                        commits: request.commits.into_iter().collect(),
-                        partials: request.partials.into_iter().collect(),
-                    },
-                )
-            })
-            .collect();
-        Ok(SignSession::from_parts(
-            snapshot.id,
-            snapshot.sid,
+        Ok(SignSession {
+            id: snapshot.id,
+            sid: snapshot.sid,
             config,
-            snapshot.share,
-            Arc::new(snapshot.commitment),
-            group_key,
-            StdRng::from_state(snapshot.rng),
-            snapshot.requests.into_iter().collect(),
-            snapshot.nonces.into_iter().collect(),
-            snapshot.signed.into_iter().collect(),
-            snapshot.results.into_iter().collect(),
-            snapshot.exhausted.into_iter().collect(),
-            coordinating,
-        ))
+            share: snapshot.share,
+            commitment: snapshot.commitment,
+            group_key: TabledKey::new(group_key),
+            rng: StdRng::from_state(snapshot.rng),
+            requests: snapshot.requests,
+            nonces: snapshot.nonces,
+            signed: snapshot.signed,
+            results: snapshot.results,
+            exhausted: snapshot.exhausted,
+            coordinating: snapshot.coordinating,
+            jobs: JobQueue::new(),
+        })
     }
 }
 
-impl WireEncode for RequestSnapshot {
+impl WireEncode for RequestState {
     fn encode_to<W: WireWrite + ?Sized>(&self, w: &mut W) {
-        w.put_u64(self.req);
         w.put_u32(self.attempt);
         self.excluded.encode_to(w);
         self.quorum.encode_to(w);
@@ -248,18 +204,17 @@ impl WireEncode for RequestSnapshot {
     }
 }
 
-impl WireDecode for RequestSnapshot {
-    // req, attempt and four empty-list length prefixes.
-    const MIN_WIRE_LEN: usize = 8 + 4 + 4 * 4;
+impl WireDecode for RequestState {
+    // attempt and four empty-collection length prefixes.
+    const MIN_WIRE_LEN: usize = 4 + 4 * 4;
 
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(RequestSnapshot {
-            req: r.u64()?,
+        Ok(RequestState {
             attempt: r.u32()?,
-            excluded: Vec::decode_from(r)?,
+            excluded: BTreeSet::decode_from(r)?,
             quorum: Vec::decode_from(r)?,
-            commits: Vec::decode_from(r)?,
-            partials: Vec::decode_from(r)?,
+            commits: BTreeMap::decode_from(r)?,
+            partials: BTreeMap::decode_from(r)?,
         })
     }
 }
@@ -299,15 +254,15 @@ impl WireDecode for SignSnapshot {
             threshold: r.u64()?,
             retry_delay: r.u64()?,
             share: Scalar::decode_from(r)?,
-            commitment: CommitmentMatrix::decode_from(r)?,
+            commitment: Arc::decode_from(r)?,
             group_key: GroupElement::decode_from(r)?,
             rng: [r.u64()?, r.u64()?, r.u64()?, r.u64()?],
-            requests: Vec::decode_from(r)?,
-            nonces: Vec::decode_from(r)?,
-            signed: Vec::decode_from(r)?,
-            results: Vec::decode_from(r)?,
-            exhausted: Vec::decode_from(r)?,
-            coordinating: Vec::decode_from(r)?,
+            requests: BTreeMap::decode_from(r)?,
+            nonces: BTreeMap::decode_from(r)?,
+            signed: BTreeMap::decode_from(r)?,
+            results: BTreeMap::decode_from(r)?,
+            exhausted: BTreeSet::decode_from(r)?,
+            coordinating: BTreeMap::decode_from(r)?,
         })
     }
 }

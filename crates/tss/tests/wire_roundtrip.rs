@@ -6,14 +6,14 @@
 
 use dkg_arith::{GroupElement, PrimeField, Scalar};
 use dkg_crypto::SigningKey;
-use dkg_tss::{
-    NonceCommitEntry, RequestSnapshot, SignSnapshot, SnapshotError, TssInput, TssMessage,
-};
+use dkg_tss::{NonceCommitEntry, RequestState, SignSnapshot, SnapshotError, TssInput, TssMessage};
 use dkg_wire::{WireDecode, WireEncode, WireError};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 fn cases(default: u32) -> u32 {
     std::env::var("WIRE_FUZZ_CASES")
@@ -79,7 +79,7 @@ fn sample_messages(seed: u64) -> Vec<TssMessage> {
     ]
 }
 
-/// The durable snapshot types (`SignSnapshot`, `RequestSnapshot`) share
+/// The durable snapshot types (`SignSnapshot`, `RequestState`) share
 /// the canonical codec and must round-trip losslessly like the protocol
 /// messages, and `TssInput` must round-trip for the write-ahead log.
 #[test]
@@ -103,24 +103,20 @@ fn snapshot_and_input_types_roundtrip_losslessly() {
         assert_eq!(TssInput::decode(&input.encode()), Ok(input.clone()));
     }
 
-    let request = RequestSnapshot {
-        req: 12,
+    let request = RequestState {
         attempt: 3,
-        excluded: vec![2, 5],
+        excluded: BTreeSet::from([2, 5]),
         quorum: vec![1, 3, 4],
-        commits: vec![(
+        commits: BTreeMap::from([(
             1,
             (
                 GroupElement::random(&mut rng),
                 GroupElement::random(&mut rng),
             ),
-        )],
-        partials: vec![(1, Scalar::random(&mut rng)), (3, Scalar::random(&mut rng))],
+        )]),
+        partials: BTreeMap::from([(1, Scalar::random(&mut rng)), (3, Scalar::random(&mut rng))]),
     };
-    assert_eq!(
-        RequestSnapshot::decode(&request.encode()),
-        Ok(request.clone())
-    );
+    assert_eq!(RequestState::decode(&request.encode()), Ok(request.clone()));
 
     let snapshot = SignSnapshot {
         id: 3,
@@ -129,18 +125,18 @@ fn snapshot_and_input_types_roundtrip_losslessly() {
         threshold: 2,
         retry_delay: 500,
         share: Scalar::random(&mut rng),
-        commitment: matrix,
+        commitment: Arc::new(matrix),
         group_key: GroupElement::random(&mut rng),
         rng: [5, 6, 7, 8],
-        requests: vec![(12, b"in flight".to_vec())],
-        nonces: vec![(
+        requests: BTreeMap::from([(12, b"in flight".to_vec())]),
+        nonces: BTreeMap::from([(
             (12, 3),
             (Scalar::random(&mut rng), Scalar::random(&mut rng)),
-        )],
-        signed: vec![((12, 2), [9u8; 32])],
-        results: vec![(7, signature)],
-        exhausted: vec![2],
-        coordinating: vec![request],
+        )]),
+        signed: BTreeMap::from([((12, 2), [9u8; 32])]),
+        results: BTreeMap::from([(7, signature)]),
+        exhausted: BTreeSet::from([2]),
+        coordinating: BTreeMap::from([(12, request)]),
     };
     let bytes = snapshot.encode();
     assert_eq!(bytes.len(), snapshot.encoded_len());
@@ -164,15 +160,15 @@ fn snapshot_restore_rejections_cover_every_variant() {
         threshold: 1,
         retry_delay: 500,
         share: poly.row(1).constant_term(),
-        commitment: matrix.clone(),
+        commitment: Arc::new(matrix.clone()),
         group_key: matrix.share_commitment(0),
         rng: [1, 2, 3, 4],
-        requests: Vec::new(),
-        nonces: Vec::new(),
-        signed: Vec::new(),
-        results: Vec::new(),
-        exhausted: Vec::new(),
-        coordinating: Vec::new(),
+        requests: BTreeMap::new(),
+        nonces: BTreeMap::new(),
+        signed: BTreeMap::new(),
+        results: BTreeMap::new(),
+        exhausted: BTreeSet::new(),
+        coordinating: BTreeMap::new(),
     };
     assert!(SignSession::restore(good.clone()).is_ok());
 
@@ -305,6 +301,6 @@ proptest! {
         let _ = TssMessage::decode(&bytes);
         let _ = TssInput::decode(&bytes);
         let _ = SignSnapshot::decode(&bytes);
-        let _ = RequestSnapshot::decode(&bytes);
+        let _ = RequestState::decode(&bytes);
     }
 }

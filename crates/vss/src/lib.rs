@@ -15,6 +15,9 @@
 //!   as a session of its own,
 //! * [`faulty`] — a Byzantine dealer's split dealing for fault-injection
 //!   tests,
+//! * [`snapshot`] — [`VssSnapshot`], the crash-recovery image of a
+//!   [`VssNode`], holding its state in the live types ([`Tally`],
+//!   [`PendingPoint`], ordered maps and sets), with its `dkg-wire` codec,
 //! * configuration ([`VssConfig`]) enforcing the paper's resilience bound
 //!   and thresholds, and the canonical message/commitment encodings
 //!   ([`wire`]) whose lengths the complexity experiments count.
@@ -58,5 +61,5 @@ pub use messages::{
     CommitmentRef, InlineCommitment, ReadyWitness, SessionId, VssInput, VssMessage, VssOutput,
 };
 pub use node::{SigningContext, VssAction, VssJobId, VssNode};
-pub use snapshot::{PendingPointSnapshot, SnapshotError, TallySnapshot, VssSnapshot};
+pub use snapshot::{PendingPoint, SnapshotError, Tally, VssSnapshot};
 pub use wire::KnownCommitments;

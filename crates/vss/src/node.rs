@@ -58,7 +58,7 @@ use crate::config::{CommitmentMode, VssConfig};
 use crate::messages::{
     CommitmentRef, InlineCommitment, ReadyWitness, SessionId, VssInput, VssMessage, VssOutput,
 };
-use crate::snapshot::{PendingPointSnapshot, SnapshotError, TallySnapshot, VssSnapshot};
+use crate::snapshot::{PendingPoint, SnapshotError, Tally, VssSnapshot};
 
 /// An effect produced by the VSS state machine.
 #[derive(Clone, Debug, PartialEq)]
@@ -85,29 +85,6 @@ pub struct SigningContext {
     pub directory: Arc<KeyDirectory>,
 }
 
-/// Per-commitment tallies: the sets `A_C` and counters `e_C`, `r_C` of
-/// Fig. 1, tracked separately for every distinct commitment digest (a
-/// Byzantine dealer may equivocate).
-#[derive(Clone, Debug, Default)]
-struct Tally {
-    /// `A_C`: verified points `(m, f(m, i))`, keyed by sender.
-    points: BTreeMap<NodeId, Scalar>,
-    /// Senders whose `echo` we have processed (first-time guard).
-    echo_from: BTreeSet<NodeId>,
-    /// Senders whose `ready` we have processed (first-time guard).
-    ready_from: BTreeSet<NodeId>,
-    /// Senders whose `echo` point verified (`e_C` counts these).
-    echo_verified: BTreeSet<NodeId>,
-    /// Senders whose `ready` point verified (`r_C` counts these).
-    ready_verified: BTreeSet<NodeId>,
-    /// Signed ready witnesses collected (extended variant).
-    witnesses: Vec<ReadyWitness>,
-    /// Our row polynomial `a_i(y)` under this commitment, once known.
-    row: Option<Univariate>,
-    echo_sent: bool,
-    ready_sent: bool,
-}
-
 impl Tally {
     /// The senders whose `echo` (resp. `ready`) has been processed.
     fn seen(&self, is_ready: bool) -> &BTreeSet<NodeId> {
@@ -117,17 +94,6 @@ impl Tally {
             &self.echo_from
         }
     }
-}
-
-/// A point received before the commitment it refers to was known
-/// (digest mode only), and the per-point context carried from a point
-/// job's prepare stage to its apply stage.
-#[derive(Clone, Debug)]
-struct PendingPoint {
-    from: NodeId,
-    point: Scalar,
-    is_ready: bool,
-    signature: Option<dkg_crypto::Signature>,
 }
 
 /// Identifies a [`CryptoJob`] handed out by [`VssNode::poll_job`].
@@ -281,69 +247,18 @@ impl VssNode {
             rng: self.rng.state(),
             signing_key: self.signing.as_ref().map(|s| s.key.secret()),
             send_handled: self.send_handled,
-            tallies: self
-                .tallies
-                .iter()
-                .map(|(&digest, tally)| {
-                    (
-                        digest,
-                        TallySnapshot {
-                            points: tally.points.iter().map(|(&m, &s)| (m, s)).collect(),
-                            echo_from: tally.echo_from.iter().copied().collect(),
-                            ready_from: tally.ready_from.iter().copied().collect(),
-                            echo_verified: tally.echo_verified.iter().copied().collect(),
-                            ready_verified: tally.ready_verified.iter().copied().collect(),
-                            witnesses: tally.witnesses.clone(),
-                            row: tally.row.clone(),
-                            echo_sent: tally.echo_sent,
-                            ready_sent: tally.ready_sent,
-                        },
-                    )
-                })
-                .collect(),
-            commitments: self
-                .commitments
-                .iter()
-                .map(|(&digest, matrix)| (digest, Arc::clone(matrix)))
-                .collect(),
-            pending: self
-                .pending
-                .iter()
-                .map(|(&digest, points)| {
-                    (
-                        digest,
-                        points
-                            .iter()
-                            .map(|p| PendingPointSnapshot {
-                                from: p.from,
-                                point: p.point,
-                                is_ready: p.is_ready,
-                                signature: p.signature,
-                            })
-                            .collect(),
-                    )
-                })
-                .collect(),
-            completed: self
-                .completed
-                .as_ref()
-                .map(|(matrix, share)| ((**matrix).clone(), *share)),
+            tallies: self.tallies.clone(),
+            commitments: self.commitments.clone(),
+            pending: self.pending.clone(),
+            completed: self.completed.clone(),
             completed_witnesses: self.completed_witnesses.clone(),
             reconstruct_started: self.reconstruct_started,
             reconstruct_pending,
             reconstruct_verified,
             reconstructed: self.reconstructed,
-            outbox: self
-                .outbox
-                .iter()
-                .map(|(&to, messages)| (to, messages.clone()))
-                .collect(),
+            outbox: self.outbox.clone(),
             help_granted_total: self.help_granted_total,
-            help_granted_per: self
-                .help_granted_per
-                .iter()
-                .map(|(&n, &c)| (n, c))
-                .collect(),
+            help_granted_per: self.help_granted_per.clone(),
         })
     }
 
@@ -374,50 +289,12 @@ impl VssNode {
             session: snapshot.session,
             signing,
             rng: StdRng::from_state(snapshot.rng),
-            tallies: snapshot
-                .tallies
-                .into_iter()
-                .map(|(digest, tally)| {
-                    (
-                        digest,
-                        Tally {
-                            points: tally.points.into_iter().collect(),
-                            echo_from: tally.echo_from.into_iter().collect(),
-                            ready_from: tally.ready_from.into_iter().collect(),
-                            echo_verified: tally.echo_verified.into_iter().collect(),
-                            ready_verified: tally.ready_verified.into_iter().collect(),
-                            witnesses: tally.witnesses,
-                            row: tally.row,
-                            echo_sent: tally.echo_sent,
-                            ready_sent: tally.ready_sent,
-                        },
-                    )
-                })
-                .collect(),
-            commitments: snapshot.commitments.into_iter().collect(),
+            tallies: snapshot.tallies,
+            commitments: snapshot.commitments,
             projections: BTreeMap::new(),
-            pending: snapshot
-                .pending
-                .into_iter()
-                .map(|(digest, points)| {
-                    (
-                        digest,
-                        points
-                            .into_iter()
-                            .map(|p| PendingPoint {
-                                from: p.from,
-                                point: p.point,
-                                is_ready: p.is_ready,
-                                signature: p.signature,
-                            })
-                            .collect(),
-                    )
-                })
-                .collect(),
+            pending: snapshot.pending,
             send_handled: snapshot.send_handled,
-            completed: snapshot
-                .completed
-                .map(|(matrix, share)| (Arc::new(matrix), share)),
+            completed: snapshot.completed,
             completed_witnesses: snapshot.completed_witnesses,
             reconstruct_started: snapshot.reconstruct_started,
             reconstruct: ShareCollector::from_parts(
@@ -425,9 +302,9 @@ impl VssNode {
                 snapshot.reconstruct_verified,
             ),
             reconstructed: snapshot.reconstructed,
-            outbox: snapshot.outbox.into_iter().collect(),
+            outbox: snapshot.outbox,
             help_granted_total: snapshot.help_granted_total,
-            help_granted_per: snapshot.help_granted_per.into_iter().collect(),
+            help_granted_per: snapshot.help_granted_per,
             jobs: JobQueue::new(),
             #[cfg(feature = "malice")]
             dealt: None,

@@ -2,13 +2,16 @@
 //!
 //! The paper's crash-recovery model (§2.2, §5.3) assumes nodes persist
 //! their protocol state to stable storage and resume the same session after
-//! a reboot. [`VssSnapshot`] is that stable form: a plain-data image of
-//! every field of the state machine — tallies, commitments, buffered
-//! points, the recovery outbox `B`, the help counters and the node's
-//! deterministic RNG state — encoded with the same canonical
-//! [`dkg_wire`] codec as the protocol messages, so a snapshot read back
-//! from disk is validated field by field (curve points, canonical scalars,
-//! strict booleans) exactly like untrusted network input.
+//! a reboot. [`VssSnapshot`] is that stable form: every field of the state
+//! machine that is not transient — tallies, commitments, buffered points,
+//! the recovery outbox `B`, the help counters and the node's deterministic
+//! RNG state — held in the very types the live node keeps it in ([`Tally`],
+//! [`PendingPoint`], ordered maps and sets), so taking a snapshot clones
+//! each field and restoring one moves it back. It is encoded with the same
+//! canonical [`dkg_wire`] codec as the protocol messages, so a snapshot
+//! read back from disk is validated field by field (curve points,
+//! canonical scalars, strict booleans, strictly ascending map keys) exactly
+//! like untrusted network input.
 //!
 //! Extraction ([`crate::VssNode::snapshot`]) and re-injection
 //! ([`crate::VssNode::restore`]) live on the node itself; this module
@@ -18,15 +21,17 @@
 //! layer re-creates such work by replaying the logged inputs that prepared
 //! it.
 
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
+
 use dkg_arith::Scalar;
 use dkg_crypto::{Digest, NodeId, Signature};
 use dkg_poly::{CommitmentMatrix, Univariate};
+use dkg_wire::primitives::{decode_map, decode_matrix_resolved, decode_sequence};
 use dkg_wire::{Reader, WireDecode, WireEncode, WireError, WireWrite};
 
 use crate::config::{CommitmentMode, VssConfig};
 use crate::messages::{ReadyWitness, SessionId, VssMessage};
-use dkg_wire::primitives::decode_sequence;
-use std::sync::Arc;
 
 /// Errors raised when re-injecting a snapshot into a state machine.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -70,23 +75,25 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// The stable form of one per-commitment tally (`A_C`, `e_C`, `r_C` of
-/// Fig. 1).
-#[derive(Clone, Debug, PartialEq)]
-pub struct TallySnapshot {
-    /// Verified points `(m, f(m, i))`, by sender.
-    pub points: Vec<(NodeId, Scalar)>,
-    /// Senders whose `echo` was processed.
-    pub echo_from: Vec<NodeId>,
-    /// Senders whose `ready` was processed.
-    pub ready_from: Vec<NodeId>,
-    /// Senders whose `echo` point verified.
-    pub echo_verified: Vec<NodeId>,
-    /// Senders whose `ready` point verified.
-    pub ready_verified: Vec<NodeId>,
-    /// Signed ready witnesses collected so far.
+/// Per-commitment tallies: the sets `A_C` and counters `e_C`, `r_C` of
+/// Fig. 1, tracked separately for every distinct commitment digest (a
+/// Byzantine dealer may equivocate).
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Tally {
+    /// `A_C`: verified points `(m, f(m, i))`, keyed by sender.
+    pub points: BTreeMap<NodeId, Scalar>,
+    /// Senders whose `echo` was processed (first-time guard).
+    pub echo_from: BTreeSet<NodeId>,
+    /// Senders whose `ready` was processed (first-time guard).
+    pub ready_from: BTreeSet<NodeId>,
+    /// Senders whose `echo` point verified (`e_C` counts these).
+    pub echo_verified: BTreeSet<NodeId>,
+    /// Senders whose `ready` point verified (`r_C` counts these).
+    pub ready_verified: BTreeSet<NodeId>,
+    /// Signed ready witnesses collected (extended variant).
     pub witnesses: Vec<ReadyWitness>,
-    /// The row polynomial under this commitment, once known.
+    /// This node's row polynomial `a_i(y)` under this commitment, once
+    /// known.
     pub row: Option<Univariate>,
     /// Whether echoes were already sent for this commitment.
     pub echo_sent: bool,
@@ -94,9 +101,11 @@ pub struct TallySnapshot {
     pub ready_sent: bool,
 }
 
-/// A point buffered before its commitment was known (digest mode).
+/// A point received before the commitment it refers to was known (digest
+/// mode only), and the per-point context carried from a point job's
+/// prepare stage to its apply stage.
 #[derive(Clone, Debug, PartialEq)]
-pub struct PendingPointSnapshot {
+pub struct PendingPoint {
     /// The sender.
     pub from: NodeId,
     /// The claimed point.
@@ -128,32 +137,32 @@ pub struct VssSnapshot {
     /// Whether the dealer's `send` was already processed.
     pub send_handled: bool,
     /// Per-commitment tallies, by digest.
-    pub tallies: Vec<(Digest, TallySnapshot)>,
+    pub tallies: BTreeMap<Digest, Tally>,
     /// Fully known commitment matrices, by digest (the key is the SHA-256
     /// of the matrix's point bytes). Shared with the inline commitments of
-    /// [`VssSnapshot::outbox`]: decoding resolves those against this list,
+    /// [`VssSnapshot::outbox`]: decoding resolves those against this map,
     /// so a restored node holds each matrix once, as the live node did.
-    pub commitments: Vec<(Digest, Arc<CommitmentMatrix>)>,
+    pub commitments: BTreeMap<Digest, Arc<CommitmentMatrix>>,
     /// Points buffered until their commitment is known, by digest.
-    pub pending: Vec<(Digest, Vec<PendingPointSnapshot>)>,
+    pub pending: BTreeMap<Digest, Vec<PendingPoint>>,
     /// The sharing result, if completed.
-    pub completed: Option<(CommitmentMatrix, Scalar)>,
+    pub completed: Option<(Arc<CommitmentMatrix>, Scalar)>,
     /// The ready witnesses frozen at completion.
     pub completed_witnesses: Vec<ReadyWitness>,
     /// Whether reconstruction was started at this node.
     pub reconstruct_started: bool,
     /// Pooled (unverified) reconstruction shares.
-    pub reconstruct_pending: Vec<(NodeId, Scalar)>,
+    pub reconstruct_pending: BTreeMap<NodeId, Scalar>,
     /// Verified reconstruction shares.
-    pub reconstruct_verified: Vec<(NodeId, Scalar)>,
+    pub reconstruct_verified: BTreeMap<NodeId, Scalar>,
     /// The reconstructed secret, if `Rec` completed.
     pub reconstructed: Option<Scalar>,
     /// `B`: every sent message, by recipient, for recovery retransmission.
-    pub outbox: Vec<(NodeId, Vec<VssMessage>)>,
+    pub outbox: BTreeMap<NodeId, Vec<VssMessage>>,
     /// `c`: total help responses granted.
     pub help_granted_total: u64,
     /// `c_ℓ`: help responses granted per requester.
-    pub help_granted_per: Vec<(NodeId, u64)>,
+    pub help_granted_per: BTreeMap<NodeId, u64>,
 }
 
 impl WireEncode for VssConfig {
@@ -195,7 +204,7 @@ impl WireDecode for VssConfig {
     }
 }
 
-impl WireEncode for TallySnapshot {
+impl WireEncode for Tally {
     fn encode_to<W: WireWrite + ?Sized>(&self, w: &mut W) {
         self.points.encode_to(w);
         self.echo_from.encode_to(w);
@@ -209,16 +218,16 @@ impl WireEncode for TallySnapshot {
     }
 }
 
-impl WireDecode for TallySnapshot {
+impl WireDecode for Tally {
     const MIN_WIRE_LEN: usize = 6 * 4 + 3;
 
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(TallySnapshot {
-            points: Vec::decode_from(r)?,
-            echo_from: Vec::decode_from(r)?,
-            ready_from: Vec::decode_from(r)?,
-            echo_verified: Vec::decode_from(r)?,
-            ready_verified: Vec::decode_from(r)?,
+        Ok(Tally {
+            points: BTreeMap::decode_from(r)?,
+            echo_from: BTreeSet::decode_from(r)?,
+            ready_from: BTreeSet::decode_from(r)?,
+            echo_verified: BTreeSet::decode_from(r)?,
+            ready_verified: BTreeSet::decode_from(r)?,
             witnesses: Vec::decode_from(r)?,
             row: Option::decode_from(r)?,
             echo_sent: bool::decode_from(r)?,
@@ -227,7 +236,7 @@ impl WireDecode for TallySnapshot {
     }
 }
 
-impl WireEncode for PendingPointSnapshot {
+impl WireEncode for PendingPoint {
     fn encode_to<W: WireWrite + ?Sized>(&self, w: &mut W) {
         w.put_u64(self.from);
         self.point.encode_to(w);
@@ -236,11 +245,11 @@ impl WireEncode for PendingPointSnapshot {
     }
 }
 
-impl WireDecode for PendingPointSnapshot {
+impl WireDecode for PendingPoint {
     const MIN_WIRE_LEN: usize = 8 + 32 + 1 + 1;
 
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(PendingPointSnapshot {
+        Ok(PendingPoint {
             from: r.u64()?,
             point: Scalar::decode_from(r)?,
             is_ready: bool::decode_from(r)?,
@@ -260,11 +269,7 @@ impl WireEncode for VssSnapshot {
         self.signing_key.encode_to(w);
         self.send_handled.encode_to(w);
         self.tallies.encode_to(w);
-        w.put_len(self.commitments.len());
-        for (digest, matrix) in &self.commitments {
-            digest.encode_to(w);
-            matrix.encode_to(w);
-        }
+        self.commitments.encode_to(w);
         self.pending.encode_to(w);
         self.completed.encode_to(w);
         self.completed_witnesses.encode_to(w);
@@ -288,32 +293,34 @@ impl WireDecode for VssSnapshot {
         let rng = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
         let signing_key = Option::decode_from(r)?;
         let send_handled = bool::decode_from(r)?;
-        let tallies = Vec::decode_from(r)?;
-        let commitments = decode_sequence(r, <(Digest, CommitmentMatrix)>::MIN_WIRE_LEN, |r| {
-            let digest = Digest::decode_from(r)?;
-            Ok((digest, Arc::new(CommitmentMatrix::decode_from(r)?)))
-        })?;
-        let pending = Vec::decode_from(r)?;
+        let tallies = BTreeMap::decode_from(r)?;
+        // Each matrix is filed under the digest of its point bytes, which
+        // the outbox below resolves its inline matrices by.
+        let commitments =
+            decode_map(
+                r,
+                CommitmentMatrix::MIN_WIRE_LEN,
+                |digest, r| match decode_matrix_resolved(r, |_| None)? {
+                    (matrix, named) if named == *digest => Ok(matrix),
+                    _ => Err(WireError::InvalidValue {
+                        context: "commitment filed under another digest",
+                    }),
+                },
+            )?;
+        let pending = BTreeMap::decode_from(r)?;
         let completed = Option::decode_from(r)?;
         let completed_witnesses = Vec::decode_from(r)?;
         let reconstruct_started = bool::decode_from(r)?;
-        let reconstruct_pending = Vec::decode_from(r)?;
-        let reconstruct_verified = Vec::decode_from(r)?;
+        let reconstruct_pending = BTreeMap::decode_from(r)?;
+        let reconstruct_verified = BTreeMap::decode_from(r)?;
         let reconstructed = Option::decode_from(r)?;
         // `B` repeats each known matrix up to 2n times (full mode); resolve
-        // them against the list above instead of decompressing each copy.
-        let known = |_: SessionId, digest: &Digest| {
-            commitments
-                .iter()
-                .find(|(known, _)| known == digest)
-                .map(|(_, matrix)| Arc::clone(matrix))
-        };
-        let outbox = decode_sequence(r, <(NodeId, Vec<VssMessage>)>::MIN_WIRE_LEN, |r| {
-            let to = r.u64()?;
-            let messages = decode_sequence(r, VssMessage::MIN_WIRE_LEN, |r| {
+        // them against the map above instead of decompressing each copy.
+        let known = |_: SessionId, digest: &Digest| commitments.get(digest).cloned();
+        let outbox = decode_map(r, Vec::<VssMessage>::MIN_WIRE_LEN, |_, r| {
+            decode_sequence(r, VssMessage::MIN_WIRE_LEN, |r| {
                 VssMessage::decode_known_from(r, &known)
-            })?;
-            Ok((to, messages))
+            })
         })?;
         Ok(VssSnapshot {
             id,
@@ -332,7 +339,7 @@ impl WireDecode for VssSnapshot {
             reconstructed,
             outbox,
             help_granted_total: r.u64()?,
-            help_granted_per: Vec::decode_from(r)?,
+            help_granted_per: BTreeMap::decode_from(r)?,
             commitments,
         })
     }

@@ -84,13 +84,14 @@ fn sample_messages(seed: u64) -> Vec<VssMessage> {
     ]
 }
 
-/// The durable snapshot types (`VssConfig`, `TallySnapshot`,
-/// `PendingPointSnapshot`, `VssSnapshot`) share the canonical codec and
-/// must round-trip losslessly like the protocol messages.
+/// The durable snapshot types (`VssConfig`, `Tally`, `PendingPoint`,
+/// `VssSnapshot`) share the canonical codec and must round-trip losslessly
+/// like the protocol messages.
 #[test]
 fn snapshot_types_roundtrip_losslessly() {
     use dkg_crypto::Digest;
-    use dkg_vss::{PendingPointSnapshot, TallySnapshot, VssConfig, VssSnapshot};
+    use dkg_vss::{PendingPoint, Tally, VssConfig, VssSnapshot};
+    use std::collections::{BTreeMap, BTreeSet};
 
     let mut rng = StdRng::seed_from_u64(0x5A5);
     let key = SigningKey::generate(&mut rng);
@@ -103,29 +104,26 @@ fn snapshot_types_roundtrip_losslessly() {
     let config = VssConfig::standard(4, 1).unwrap();
     assert_eq!(VssConfig::decode(&config.encode()), Ok(config.clone()));
 
-    let tally = TallySnapshot {
-        points: vec![(1, Scalar::random(&mut rng))],
-        echo_from: vec![1, 2],
-        ready_from: vec![3],
-        echo_verified: vec![1],
-        ready_verified: Vec::new(),
+    let tally = Tally {
+        points: BTreeMap::from([(1, Scalar::random(&mut rng))]),
+        echo_from: BTreeSet::from([1, 2]),
+        ready_from: BTreeSet::from([3]),
+        echo_verified: BTreeSet::from([1]),
+        ready_verified: BTreeSet::new(),
         witnesses: vec![ReadyWitness { node: 3, signature }],
         row: Some(Univariate::random(&mut rng, 2)),
         echo_sent: true,
         ready_sent: false,
     };
-    assert_eq!(TallySnapshot::decode(&tally.encode()), Ok(tally.clone()));
+    assert_eq!(Tally::decode(&tally.encode()), Ok(tally.clone()));
 
-    let pending = PendingPointSnapshot {
+    let pending = PendingPoint {
         from: 4,
         point: Scalar::random(&mut rng),
         is_ready: true,
         signature: Some(signature),
     };
-    assert_eq!(
-        PendingPointSnapshot::decode(&pending.encode()),
-        Ok(pending.clone())
-    );
+    assert_eq!(PendingPoint::decode(&pending.encode()), Ok(pending.clone()));
 
     let snapshot = VssSnapshot {
         id: 2,
@@ -134,23 +132,23 @@ fn snapshot_types_roundtrip_losslessly() {
         rng: [5, 6, 7, 8],
         signing_key: Some(Scalar::random(&mut rng)),
         send_handled: true,
-        tallies: vec![(digest, tally)],
-        commitments: vec![(digest, Arc::new(matrix.clone()))],
-        pending: vec![(digest, vec![pending])],
-        completed: Some((matrix, Scalar::random(&mut rng))),
+        tallies: BTreeMap::from([(digest, tally)]),
+        commitments: BTreeMap::from([(digest, Arc::new(matrix.clone()))]),
+        pending: BTreeMap::from([(digest, vec![pending])]),
+        completed: Some((Arc::new(matrix), Scalar::random(&mut rng))),
         completed_witnesses: vec![ReadyWitness { node: 1, signature }],
         reconstruct_started: false,
-        reconstruct_pending: vec![(2, Scalar::random(&mut rng))],
-        reconstruct_verified: Vec::new(),
+        reconstruct_pending: BTreeMap::from([(2, Scalar::random(&mut rng))]),
+        reconstruct_verified: BTreeMap::new(),
         reconstructed: None,
-        outbox: vec![(
+        outbox: BTreeMap::from([(
             3,
             vec![VssMessage::Help {
                 session: SessionId::new(1, 0),
             }],
-        )],
+        )]),
         help_granted_total: 2,
-        help_granted_per: vec![(3, 2)],
+        help_granted_per: BTreeMap::from([(3, 2)]),
     };
     let bytes = snapshot.encode();
     assert_eq!(bytes.len(), snapshot.encoded_len());

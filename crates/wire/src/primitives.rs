@@ -7,6 +7,7 @@ use crate::error::WireError;
 use dkg_arith::{GroupElement, PrimeField, Scalar};
 use dkg_crypto::{Digest, Signature};
 use dkg_poly::{CommitmentMatrix, CommitmentVector, Univariate};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 impl WireEncode for u8 {
@@ -201,9 +202,7 @@ pub fn decode_sequence<T>(
     Ok(out)
 }
 
-/// Pairs encode their elements back to back — the building block for the
-/// association lists (`Vec<(K, V)>`) that snapshot codecs serialise
-/// ordered maps as.
+/// Tuples encode their elements back to back.
 impl<A: WireEncode, B: WireEncode> WireEncode for (A, B) {
     fn encode_to<W: WireWrite + ?Sized>(&self, w: &mut W) {
         self.0.encode_to(w);
@@ -216,6 +215,116 @@ impl<A: WireDecode, B: WireDecode> WireDecode for (A, B) {
 
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok((A::decode_from(r)?, B::decode_from(r)?))
+    }
+}
+
+impl<A: WireEncode, B: WireEncode, C: WireEncode> WireEncode for (A, B, C) {
+    fn encode_to<W: WireWrite + ?Sized>(&self, w: &mut W) {
+        self.0.encode_to(w);
+        self.1.encode_to(w);
+        self.2.encode_to(w);
+    }
+}
+
+impl<A: WireDecode, B: WireDecode, C: WireDecode> WireDecode for (A, B, C) {
+    const MIN_WIRE_LEN: usize = A::MIN_WIRE_LEN + B::MIN_WIRE_LEN + C::MIN_WIRE_LEN;
+
+    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok((A::decode_from(r)?, B::decode_from(r)?, C::decode_from(r)?))
+    }
+}
+
+/// An ordered map is a `u32` entry count followed by its `(key, value)`
+/// entries in ascending key order — the bytes of the key-sorted
+/// `Vec<(K, V)>`. Decoding refuses keys that are not strictly ascending,
+/// so a map has exactly one encoding.
+impl<K: WireEncode, V: WireEncode> WireEncode for BTreeMap<K, V> {
+    fn encode_to<W: WireWrite + ?Sized>(&self, w: &mut W) {
+        w.put_len(self.len());
+        for (key, value) in self {
+            key.encode_to(w);
+            value.encode_to(w);
+        }
+    }
+}
+
+impl<K: WireDecode + Ord, V: WireDecode> WireDecode for BTreeMap<K, V> {
+    const MIN_WIRE_LEN: usize = 4;
+
+    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        decode_map(r, V::MIN_WIRE_LEN, |_, r| V::decode_from(r))
+    }
+}
+
+/// Decodes an ordered map whose values `value` decodes, given their key —
+/// `BTreeMap<K, V>::decode_from` for value decoders that need context the
+/// [`WireDecode`] trait cannot carry. `min_value_size` bounds the
+/// allocation as [`WireDecode::MIN_WIRE_LEN`] does.
+pub fn decode_map<K: WireDecode + Ord, V>(
+    r: &mut Reader<'_>,
+    min_value_size: usize,
+    mut value: impl FnMut(&K, &mut Reader<'_>) -> Result<V, WireError>,
+) -> Result<BTreeMap<K, V>, WireError> {
+    let min_entry_size = K::MIN_WIRE_LEN.saturating_add(min_value_size);
+    let len = r.len("map", crate::MAX_SEQUENCE_LEN, min_entry_size)?;
+    let mut out = BTreeMap::new();
+    for _ in 0..len {
+        let key = K::decode_from(r)?;
+        if out.last_key_value().is_some_and(|(last, _)| *last >= key) {
+            return Err(WireError::InvalidValue {
+                context: "map keys not strictly ascending",
+            });
+        }
+        let entry = value(&key, r)?;
+        out.insert(key, entry);
+    }
+    Ok(out)
+}
+
+/// An ordered set is a `u32` element count followed by its elements in
+/// ascending order — the bytes of the sorted `Vec<T>`. Decoding refuses
+/// elements that are not strictly ascending, so a set has exactly one
+/// encoding.
+impl<T: WireEncode> WireEncode for BTreeSet<T> {
+    fn encode_to<W: WireWrite + ?Sized>(&self, w: &mut W) {
+        w.put_len(self.len());
+        for item in self {
+            item.encode_to(w);
+        }
+    }
+}
+
+impl<T: WireDecode + Ord> WireDecode for BTreeSet<T> {
+    const MIN_WIRE_LEN: usize = 4;
+
+    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let len = r.len("set", crate::MAX_SEQUENCE_LEN, T::MIN_WIRE_LEN)?;
+        let mut out = BTreeSet::new();
+        for _ in 0..len {
+            let item = T::decode_from(r)?;
+            if out.last().is_some_and(|last| *last >= item) {
+                return Err(WireError::InvalidValue {
+                    context: "set elements not strictly ascending",
+                });
+            }
+            out.insert(item);
+        }
+        Ok(out)
+    }
+}
+
+/// A shared value encodes as the value itself.
+impl<T: WireEncode> WireEncode for Arc<T> {
+    fn encode_to<W: WireWrite + ?Sized>(&self, w: &mut W) {
+        (**self).encode_to(w);
+    }
+}
+
+impl<T: WireDecode> WireDecode for Arc<T> {
+    const MIN_WIRE_LEN: usize = T::MIN_WIRE_LEN;
+
+    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        T::decode_from(r).map(Arc::new)
     }
 }
 
@@ -397,6 +506,68 @@ mod tests {
         roundtrip(&Option::<Scalar>::None);
         roundtrip(&vec![1u64, 2, 3]);
         roundtrip(&Vec::<u64>::new());
+    }
+
+    #[test]
+    fn map_set_and_shared_roundtrips() {
+        let mut rng = StdRng::seed_from_u64(5);
+        roundtrip(&BTreeMap::from([
+            (3u64, Scalar::random(&mut rng)),
+            (9, Scalar::one()),
+        ]));
+        roundtrip(&BTreeMap::<u64, Vec<u8>>::new());
+        roundtrip(&BTreeMap::from([
+            ((1u64, 2u32), vec![7u8]),
+            ((1, 3), Vec::new()),
+        ]));
+        roundtrip(&BTreeSet::from([(0u8, 4u64, 2u8), (1, 2, 0)]));
+        roundtrip(&BTreeSet::<u64>::new());
+        roundtrip(&Arc::new(GroupElement::random(&mut rng)));
+    }
+
+    #[test]
+    fn maps_and_sets_encode_as_their_sorted_lists() {
+        let map = BTreeMap::from([(9u64, 90u32), (2, 20), (5, 50)]);
+        assert_eq!(map.encode(), vec![(2u64, 20u32), (5, 50), (9, 90)].encode());
+        let set = BTreeSet::from([(3u64, vec![1u8]), (1, vec![2, 3]), (1, vec![])]);
+        let sorted = vec![(1u64, vec![]), (1, vec![2u8, 3]), (3, vec![1])];
+        assert_eq!(set.encode(), sorted.encode());
+        let nested = BTreeMap::from([(2u64, BTreeSet::from([7u64, 1])), (1, BTreeSet::new())]);
+        let lists: Vec<(u64, Vec<u64>)> = vec![(1, vec![]), (2, vec![1, 7])];
+        assert_eq!(nested.encode(), lists.encode());
+    }
+
+    #[test]
+    fn maps_and_sets_refuse_keys_out_of_order() {
+        let map_error = Some(WireError::InvalidValue {
+            context: "map keys not strictly ascending",
+        });
+        let set_error = Some(WireError::InvalidValue {
+            context: "set elements not strictly ascending",
+        });
+        for keys in [[5u64, 2], [4, 4]] {
+            let entries: Vec<(u64, u8)> = keys.iter().map(|&k| (k, 1)).collect();
+            let map = BTreeMap::<u64, u8>::decode(&entries.encode());
+            assert_eq!(map.err(), map_error);
+            let set = BTreeSet::<u64>::decode(&keys.to_vec().encode());
+            assert_eq!(set.err(), set_error);
+        }
+        // Out of order deep inside a nested value, too.
+        let nested: Vec<(u64, Vec<u64>)> = vec![(1, vec![3, 3])];
+        let map = BTreeMap::<u64, BTreeSet<u64>>::decode(&nested.encode());
+        assert_eq!(map.err(), set_error);
+        // A hostile count is refused before anything is allocated.
+        let mut bytes = Vec::new();
+        bytes.put_u32(1000);
+        bytes.put_u64(1);
+        assert!(matches!(
+            BTreeMap::<u64, u64>::decode(&bytes),
+            Err(WireError::LengthOverflow { context: "map", .. })
+        ));
+        assert!(matches!(
+            BTreeSet::<u64>::decode(&bytes),
+            Err(WireError::LengthOverflow { context: "set", .. })
+        ));
     }
 
     #[test]

@@ -15,8 +15,13 @@
 //!   paper's `Z_q`),
 //! * [`GroupElement`] — the secp256k1 group written as the paper's `G`,
 //!   with [`GroupElement::commit`] playing the role of `g^s`,
-//! * [`mod@multiexp`] — sequential Pippenger multi-exponentiation used by
-//!   commitment verification, with cost-model window selection.
+//! * [`mod@multiexp`] — sequential multi-exponentiation in two algorithms:
+//!   [`multiexp()`], Pippenger with cost-model window selection, for one
+//!   product (commitment verification, signing nonces); and
+//!   [`multiexp_many`], interleaved width-5 NAF with the scalars recoded
+//!   once and two batched inversions, for many products under one vector
+//!   of scalars (the weighted commitment combines of renewal and node
+//!   addition).
 //!
 //! ## Example
 //!
@@ -44,7 +49,7 @@ pub mod u512;
 pub use curve::{GroupElement, ProjectivePoint};
 pub use field::{Fp, PrimeField, Scalar};
 pub use fixed_base::{generator_table, FixedBaseTable};
-pub use multiexp::{multiexp, multiexp_powers, pippenger_window};
+pub use multiexp::{multiexp, multiexp_many, multiexp_powers, pippenger_window};
 pub use ops::OpCount;
 pub use u256::U256;
 pub use u512::U512;

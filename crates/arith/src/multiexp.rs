@@ -25,6 +25,29 @@
 //! model ([`pippenger_cost`]) via a precomputed crossover table
 //! ([`pippenger_window`]), replacing the old hand-tuned step function. A
 //! unit test pins the table to the model's argmin.
+//!
+//! ## Many sets, one set of scalars
+//!
+//! [`multiexp_many`] is the second algorithm, for many products that share
+//! their exponents: `Σ_d s_d · P_{k,d}` for every set `k`. A weighted
+//! combination of commitments has this shape — the renewal combine raises
+//! every entry `(j, ℓ)` of the agreed matrices to the same Lagrange
+//! weights `λ_d`, and the node-addition combine every entry of the
+//! commitment vectors. Pippenger pays its bucket set-up and a normalising
+//! inversion per product and recodes the scalars each time; here the
+//! scalars are recoded **once** into width-[`SHARED_WINDOW`] NAF (odd
+//! signed digits, at least `w − 1` zeros between two of them), each point
+//! gets a table of its odd multiples `P, 3P, …, 15P`, and all tables are
+//! normalised to affine with one inversion. Each set is then one
+//! interleaved (Straus) loop: 257 digit positions, each a doubling of one
+//! accumulator plus a mixed addition of a table entry (negated for a
+//! negative digit) for every non-zero digit. A last inversion normalises
+//! all the outputs. [`shared_cost`] is the model; at five points a set
+//! costs ≈ 510 group operations against Pippenger's ≈ 960.
+//!
+//! Which applies: [`multiexp`] for one product (a `verify-poly` column, a
+//! projection row, a signing nonce set), [`multiexp_many`] for a batch of
+//! products under one vector of scalars.
 
 use crate::curve::{GroupElement, ProjectivePoint};
 use crate::field::{PrimeField, Scalar};
@@ -151,6 +174,117 @@ pub fn multiexp_powers(points: &[GroupElement], base: Scalar) -> GroupElement {
     multiexp(points, &scalars)
 }
 
+/// The NAF width of [`multiexp_many`]: the argmin over `w` of
+/// [`shared_cost`] for every set size from 1 to 128 (the model is linear in
+/// the set size, so one width serves them all), pinned by
+/// `shared_window_matches_cost_model`.
+pub const SHARED_WINDOW: usize = 5;
+
+/// The odd multiples `P, 3P, …, (2^{w−1} − 1)P` a width-`w` NAF digit
+/// selects from.
+const ODD_MULTIPLES: usize = 1 << (SHARED_WINDOW - 2);
+
+/// Digit positions of a NAF of a 256-bit scalar: one more than its bits,
+/// for the recoding's last carry.
+const NAF_DIGITS: usize = 257;
+
+/// A scalar recoded into width-[`SHARED_WINDOW`] NAF; entry `i` is the
+/// digit of `2^i`.
+type Naf = [i8; NAF_DIGITS];
+
+/// Group-operation cost model for one `m`-point set of [`multiexp_many`]
+/// with a `w`-bit NAF (`w ≥ 2`): `2^{w−2}` operations per point for its odd
+/// multiples (a doubling, then additions), 256 doublings, and one mixed
+/// addition per non-zero digit, at the NAF's density `1/(w + 1)` over 257
+/// positions.
+pub fn shared_cost(m: usize, w: usize) -> u64 {
+    let m = m as u64;
+    m * (1u64 << (w - 2)) + 256 + m * 257u64.div_ceil(w as u64 + 1)
+}
+
+/// Recodes `k` into width-[`SHARED_WINDOW`] NAF: `k = Σ_i naf_i · 2^i`, each
+/// non-zero digit odd and in `(−2^{w−1}, 2^{w−1})`. A window whose top bit is
+/// set becomes negative and carries one into the bits above it.
+fn naf(k: &Scalar) -> Naf {
+    let k = k.to_u256();
+    let mut digits = [0i8; NAF_DIGITS];
+    let mut carry = 0;
+    let mut bit = 0;
+    while bit < NAF_DIGITS {
+        if k.window(bit, 1) == carry {
+            bit += 1;
+            continue;
+        }
+        let width = SHARED_WINDOW.min(NAF_DIGITS - bit);
+        let word = k.window(bit, width) + carry;
+        carry = (word >> (SHARED_WINDOW - 1)) & 1;
+        if let Some(digit) = digits.get_mut(bit) {
+            *digit = (word as i16 - ((carry as i16) << SHARED_WINDOW)) as i8;
+        }
+        bit += width;
+    }
+    digits
+}
+
+/// Computes `Σ_d scalars_d · sets_k,d` for every set `k` (written
+/// multiplicatively: `Π_d sets_k,d ^ scalars_d`), each scalar recoded once
+/// for all sets, one inversion for all the point tables and one for all the
+/// outputs. Output order matches `sets`; each element equals what
+/// [`multiexp`] returns for that set and `scalars`.
+///
+/// Empty `scalars` give the identity for every set. A set whose length is
+/// not `scalars.len()` is a programming error and panics.
+pub fn multiexp_many(sets: &[Vec<GroupElement>], scalars: &[Scalar]) -> Vec<GroupElement> {
+    for set in sets {
+        assert_eq!(
+            set.len(),
+            scalars.len(),
+            "multiexp_many requires one scalar per point of every set"
+        );
+    }
+    let digits: Vec<Naf> = scalars.iter().map(naf).collect();
+    let mut multiples = Vec::with_capacity(sets.len() * scalars.len() * ODD_MULTIPLES);
+    for point in sets.iter().flatten() {
+        let mut odd = ProjectivePoint::from(*point);
+        let twice = odd.double();
+        multiples.push(odd);
+        for _ in 1..ODD_MULTIPLES {
+            odd += twice;
+            multiples.push(odd);
+        }
+    }
+    let tables = ProjectivePoint::batch_to_affine(&multiples);
+    let mut tables = tables.chunks(ODD_MULTIPLES);
+    let sums: Vec<ProjectivePoint> = sets
+        .iter()
+        .map(|_| {
+            let set: Vec<&[GroupElement]> = tables.by_ref().take(scalars.len()).collect();
+            interleaved_sum(&set, &digits)
+        })
+        .collect();
+    ProjectivePoint::batch_to_affine(&sums)
+}
+
+/// One set of [`multiexp_many`]: a single chain of doublings, most
+/// significant digit first, with a mixed addition of `±|d|·P` from `P`'s odd
+/// multiples for every non-zero digit `d`.
+fn interleaved_sum(tables: &[&[GroupElement]], digits: &[Naf]) -> ProjectivePoint {
+    let mut acc = ProjectivePoint::identity();
+    for bit in (0..NAF_DIGITS).rev() {
+        acc = acc.double();
+        for (odd, naf) in tables.iter().zip(digits) {
+            let digit = naf.get(bit).copied().unwrap_or(0);
+            if digit == 0 {
+                continue;
+            }
+            if let Some(&entry) = odd.get(usize::from(digit.unsigned_abs() / 2)) {
+                acc += if digit < 0 { -entry } else { entry };
+            }
+        }
+    }
+    acc
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,6 +375,50 @@ mod tests {
                     "crossover n={n}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn shared_window_matches_cost_model() {
+        for m in 1..=128usize {
+            let argmin = (2..=16).min_by_key(|&w| shared_cost(m, w)).unwrap();
+            assert_eq!(argmin, SHARED_WINDOW, "m={m}");
+        }
+        // Five points — a t = 4 commitment entry — for under half of what
+        // Pippenger's model charges.
+        assert_eq!(shared_cost(5, SHARED_WINDOW), 511);
+        assert!(2 * shared_cost(5, SHARED_WINDOW) < pippenger_cost(5, pippenger_window(5)));
+    }
+
+    #[test]
+    fn naf_recodes_every_scalar_exactly() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let half = 1i8 << (SHARED_WINDOW - 1);
+        let mut scalars = vec![
+            Scalar::zero(),
+            Scalar::one(),
+            -Scalar::one(),
+            Scalar::from_u64(15),
+            Scalar::from_u64(16),
+            Scalar::from_u64(u64::MAX),
+            Scalar::from_u256(U256::MAX.shr(1)),
+            Scalar::from_u256(U256::ONE.shl(255)),
+        ];
+        scalars.extend((0..32).map(|_| Scalar::random(&mut rng)));
+        for k in scalars {
+            let digits = naf(&k);
+            let value = digits.iter().rev().fold(Scalar::zero(), |acc, &d| {
+                let digit = Scalar::from_u64(u64::from(d.unsigned_abs()));
+                acc.double() + if d < 0 { -digit } else { digit }
+            });
+            assert_eq!(value, k);
+            let set: Vec<usize> = (0..NAF_DIGITS).filter(|&i| digits[i] != 0).collect();
+            assert!(set
+                .iter()
+                .all(|&i| digits[i] % 2 != 0 && digits[i].abs() < half));
+            assert!(set
+                .windows(2)
+                .all(|pair| pair[1] - pair[0] >= SHARED_WINDOW));
         }
     }
 

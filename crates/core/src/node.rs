@@ -1224,7 +1224,8 @@ impl DkgNode {
                     .zip(&weights)
                     .map(|(d, w)| self.completed_vss[d].share * *w)
                     .sum::<Scalar>();
-                let commitment = combine_weighted_matrices(&matrices, &weights);
+                let commitment = CommitmentMatrix::combine_weighted(&matrices, &weights)
+                    .expect("uniform dimensions, one weight per dealer");
                 (share, commitment)
             }
         };
@@ -1532,23 +1533,6 @@ impl DkgNode {
             ShareProgress::Pending => {}
         }
     }
-}
-
-/// Entry-wise weighted combination `Π_d (C_d)^{λ_d}` of commitment matrices,
-/// used by the share-renewal combine rule.
-fn combine_weighted_matrices(
-    matrices: &[&CommitmentMatrix],
-    weights: &[Scalar],
-) -> CommitmentMatrix {
-    let t = matrices[0].threshold();
-    let mut entries = vec![vec![GroupElement::identity(); t + 1]; t + 1];
-    for (j, row) in entries.iter_mut().enumerate() {
-        for (l, entry) in row.iter_mut().enumerate() {
-            let points: Vec<GroupElement> = matrices.iter().map(|m| m.entry(j, l)).collect();
-            *entry = dkg_arith::multiexp(&points, weights);
-        }
-    }
-    CommitmentMatrix::from_entries(entries).expect("square by construction")
 }
 
 impl Protocol for DkgNode {

@@ -8,8 +8,8 @@
 //! burst on the DKG'd key and the fleet determinism plan, plus the snapshot
 //! and the store contents (snapshot + WAL) of every endpoint after a
 //! store-backed DKG, and the snapshots of every endpoint halfway through
-//! the signing burst, after a group-modification agreement and part-way
-//! through a digest-mode sharing.
+//! the signing burst, after a group-modification agreement, part-way
+//! through a digest-mode sharing and after a renewal epoch.
 //!
 //! A constant here changes only when a PR changes the wire format, the
 //! snapshot/WAL format, a protocol's message order or the seeded
@@ -20,12 +20,13 @@ use std::sync::Arc;
 
 use dkg_arith::{PrimeField, Scalar};
 use dkg_core::group::{GroupChange, GroupModInput, ParameterAdjustment};
+use dkg_core::proactive::RenewalOptions;
 use dkg_core::{DkgConfig, DkgInput};
 use dkg_crypto::generate_keyring;
 use dkg_crypto::sha256::{hex, sha256};
 use dkg_engine::runner::{
     attach_sign_sessions, build_dkg_net, collect_outcomes, collect_signatures, run_group_agreement,
-    SystemSetup,
+    run_initial_phase, run_renewal_phase, SystemSetup,
 };
 use dkg_engine::{Endpoint, EndpointConfig, EndpointNet, EndpointSnapshot, SessionStateSnapshot};
 use dkg_sim::DelayModel;
@@ -105,6 +106,20 @@ const VSS_DIGEST_MID_SHARING: [&str; N] = [
     "02dfe4dbd09a771cd31a70a942edea1e52423a0a6f6391d50bcdec3db14823d5",
     "c2937748f1f3591b9722cbc7ddee284b9d6c8034467ff15b7adb8e08fdbd2e87",
     "fbb04a53da72ebe07a9b11ed749266529a320cb69e85da75b364c671adc4852d",
+];
+/// SHA-256 of `snapshot().to_bytes()` of endpoints 1..=7 after a
+/// digest-mode DKG followed by one interpolate-at-zero renewal epoch. Only
+/// column 0 of the renewed commitment matrix reaches the wire (as the next
+/// epoch's expected commitments), so no transcript notices a wrong entry
+/// `(j, ℓ > 0)`; the snapshot holds the whole matrix.
+const RENEWAL_SNAPSHOTS: [&str; N] = [
+    "cac15f2dd54aee064e38444c0b0bcd493468ca34e385fed75fb1667c704e98f3",
+    "9c6e331c7ea3ef444add3e8319bcd9a12856af6c65926b540dedc35489e4ee80",
+    "938d81aeb965c330c81f4f7fbcf802bfeb50428732767222646f4ae9d2002d25",
+    "7f5a7153376620d3dd40b65a82f72f65c77a68456c8cbdb92d11ec4560ff2fe2",
+    "6a0ea307f9e4ad238780d7a5b3be627c64b963f385a371e26634e90030b29e61",
+    "17dc631bc2578b8441991d3039e1337db20876626289bc6a8bfaeb30f6fc3516",
+    "800ce937853e54ea84eb679e2fe52a625b3e6556c59a42e01867eb4ddb649fac",
 ];
 
 fn setup(mode: CommitmentMode, seed: u64) -> SystemSetup {
@@ -297,6 +312,31 @@ fn standalone_vss_n7_digest_mid_sharing_snapshots() {
         "points buffered ahead of the dealer's send"
     );
     assert_eq!(digests, VSS_DIGEST_MID_SHARING);
+}
+
+#[test]
+fn renewal_epoch_n7_snapshots() {
+    let setup = setup(CommitmentMode::Digest, 2010);
+    let (phase0, _) = run_initial_phase(&setup, DELAY);
+    assert_eq!(phase0.len(), N, "every node completes the DKG");
+    let options = RenewalOptions {
+        delay: DELAY,
+        ..RenewalOptions::default()
+    };
+    let (phase1, net) = run_renewal_phase(&setup, &phase0, 1, &options).expect("renewal runs");
+    assert_eq!(phase1.len(), N, "every node renews its share");
+    let (images, digests) = endpoint_images(&net);
+    assert!(
+        images
+            .iter()
+            .flat_map(|image| &image.sessions)
+            .all(|session| matches!(
+                &session.state,
+                SessionStateSnapshot::Dkg(dkg) if dkg.completed.is_some()
+            )),
+        "every image holds its renewed result, whole matrix included"
+    );
+    assert_eq!(digests, RENEWAL_SNAPSHOTS);
 }
 
 #[test]

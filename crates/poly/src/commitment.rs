@@ -15,7 +15,10 @@
 
 use crate::bivariate::SymmetricBivariate;
 use crate::univariate::Univariate;
-use dkg_arith::{generator_table, multiexp, multiexp_powers, GroupElement, PrimeField, Scalar};
+use dkg_arith::{
+    generator_table, multiexp, multiexp_many, multiexp_powers, GroupElement, PrimeField,
+    ProjectivePoint, Scalar,
+};
 
 /// Errors arising when combining or validating commitments.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -166,19 +169,72 @@ impl CommitmentMatrix {
     }
 
     /// Entry-wise product of several matrices: the DKG's final commitment
-    /// `C_{p,q} = Π_{P_d ∈ Q} (C_d)_{p,q}` (Fig. 2).
+    /// `C_{p,q} = Π_{P_d ∈ Q} (C_d)_{p,q}` (Fig. 2). Each entry accumulates
+    /// with mixed additions and all of them are normalised with one
+    /// inversion. When every input [`Self::is_symmetric`], so is the
+    /// product: only the lower triangle is computed, and mirrored.
     pub fn combine(matrices: &[&CommitmentMatrix]) -> Result<CommitmentMatrix, CommitmentError> {
+        Self::combine_cells(matrices, |cells| {
+            let sums: Vec<ProjectivePoint> = cells
+                .iter()
+                .map(|&(j, l)| {
+                    matrices
+                        .iter()
+                        .fold(ProjectivePoint::identity(), |acc, m| acc + m.entries[j][l])
+                })
+                .collect();
+            ProjectivePoint::batch_to_affine(&sums)
+        })
+    }
+
+    /// Entry-wise weighted product `Π_d (C_d)^{λ_d}` of several matrices:
+    /// the share-renewal combine (§5.2), with `weights[d]` the Lagrange
+    /// weight of `matrices[d]`. Every entry shares the weights, so the whole
+    /// matrix is one [`multiexp_many`]. Symmetric inputs compute the lower
+    /// triangle only, as in [`Self::combine`]; `weights` must hold one
+    /// weight per matrix.
+    pub fn combine_weighted(
+        matrices: &[&CommitmentMatrix],
+        weights: &[Scalar],
+    ) -> Result<CommitmentMatrix, CommitmentError> {
+        if weights.len() != matrices.len() {
+            return Err(CommitmentError::DimensionMismatch);
+        }
+        Self::combine_cells(matrices, |cells| {
+            let sets: Vec<Vec<GroupElement>> = cells
+                .iter()
+                .map(|&(j, l)| matrices.iter().map(|m| m.entries[j][l]).collect())
+                .collect();
+            multiexp_many(&sets, weights)
+        })
+    }
+
+    /// The walk both combines share: checks that `matrices` is non-empty and
+    /// of one dimension, asks `values` for the combined entry of every cell
+    /// `(j, ℓ)` it lists, and assembles the matrix. When every input
+    /// `is_symmetric()` so is any entry-wise combination of them, so the
+    /// cells are the lower triangle `ℓ ≤ j` and each value is mirrored to
+    /// `(ℓ, j)`; otherwise the cells are all `(t+1)²` entries, each written
+    /// once.
+    fn combine_cells(
+        matrices: &[&CommitmentMatrix],
+        values: impl FnOnce(&[(usize, usize)]) -> Vec<GroupElement>,
+    ) -> Result<CommitmentMatrix, CommitmentError> {
         let first = matrices.first().ok_or(CommitmentError::Empty)?;
         let t = first.threshold();
         if matrices.iter().any(|m| m.threshold() != t) {
             return Err(CommitmentError::DimensionMismatch);
         }
+        let symmetric = matrices.iter().all(|m| m.is_symmetric());
+        let cells: Vec<(usize, usize)> = (0..=t)
+            .flat_map(|j| (0..=t).map(move |l| (j, l)))
+            .filter(|&(j, l)| !symmetric || l <= j)
+            .collect();
         let mut entries = vec![vec![GroupElement::identity(); t + 1]; t + 1];
-        for m in matrices {
-            for (j, row) in m.entries.iter().enumerate() {
-                for (l, &e) in row.iter().enumerate() {
-                    entries[j][l] += e;
-                }
+        for (&(j, l), value) in cells.iter().zip(values(&cells)) {
+            entries[j][l] = value;
+            if symmetric {
+                entries[l][j] = value;
             }
         }
         Ok(CommitmentMatrix { entries })
@@ -275,13 +331,13 @@ impl CommitmentVector {
         if vectors.iter().any(|(v, _)| v.degree() != degree) {
             return Err(CommitmentError::DimensionMismatch);
         }
-        let mut entries = Vec::with_capacity(degree + 1);
-        for l in 0..=degree {
-            let points: Vec<GroupElement> = vectors.iter().map(|(v, _)| v.entries[l]).collect();
-            let scalars: Vec<Scalar> = vectors.iter().map(|&(_, w)| w).collect();
-            entries.push(multiexp(&points, &scalars));
-        }
-        Ok(CommitmentVector { entries })
+        let sets: Vec<Vec<GroupElement>> = (0..=degree)
+            .map(|l| vectors.iter().map(|(v, _)| v.entries[l]).collect())
+            .collect();
+        let weights: Vec<Scalar> = vectors.iter().map(|&(_, w)| w).collect();
+        Ok(CommitmentVector {
+            entries: multiexp_many(&sets, &weights),
+        })
     }
 
     /// Serialized size in bytes.
@@ -406,6 +462,44 @@ mod tests {
             Err(CommitmentError::DimensionMismatch)
         );
         assert_eq!(CommitmentMatrix::combine(&[]), Err(CommitmentError::Empty));
+        let two = [Scalar::one(), Scalar::one()];
+        assert_eq!(
+            CommitmentMatrix::combine_weighted(&[&c1, &c2], &two),
+            Err(CommitmentError::DimensionMismatch)
+        );
+        assert_eq!(
+            CommitmentMatrix::combine_weighted(&[&c1], &two),
+            Err(CommitmentError::DimensionMismatch)
+        );
+        assert_eq!(
+            CommitmentMatrix::combine_weighted(&[], &[]),
+            Err(CommitmentError::Empty)
+        );
+    }
+
+    #[test]
+    fn combine_weighted_interpolates_the_dealt_polynomials() {
+        // Renewal rule on matrices: Π_d (C_d)^{λ_d} commits to
+        // Σ_d λ_d · f_d(x, y), checked on every row through verify-poly.
+        let mut r = rng();
+        let dealt: Vec<_> = (0..3).map(|s| sample(2, 40 + s, &mut r)).collect();
+        let indices = [2u64, 5, 6];
+        let weights: Vec<Scalar> = indices
+            .iter()
+            .map(|&d| Scalar::lagrange_coefficient(&indices, d, Scalar::zero()).unwrap())
+            .collect();
+        let matrices: Vec<&CommitmentMatrix> = dealt.iter().map(|(_, c)| c).collect();
+        let combined = CommitmentMatrix::combine_weighted(&matrices, &weights).unwrap();
+        assert!(combined.is_symmetric());
+        for i in 1..=4u64 {
+            let row = dealt
+                .iter()
+                .zip(&weights)
+                .map(|((f, _), w)| f.row(i).scale(*w))
+                .reduce(|a, b| a.add(&b))
+                .unwrap();
+            assert!(combined.verify_poly(i, &row), "row {i}");
+        }
     }
 
     #[test]

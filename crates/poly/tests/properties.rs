@@ -152,6 +152,49 @@ proptest! {
         }
     }
 
+    /// Both combines, entry by entry, against the naive product computed one
+    /// term at a time — `Σ_d (C_d)_{jℓ}` and `Σ_d λ_d·(C_d)_{jℓ}` — on
+    /// honest (symmetric) matrices, whose lower triangle is mirrored, and
+    /// with one matrix's transposed pair disturbed, which makes every entry
+    /// computed on its own: a mirror that wrote `(ℓ, j)` regardless would
+    /// leave `(0, t)` holding `(t, 0)`'s product.
+    #[test]
+    fn combines_match_the_naive_product_on_asymmetric_input(
+        seed in any::<u64>(), t in 1usize..5, dealers in 1usize..5, disturbed in any::<usize>()
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let honest: Vec<CommitmentMatrix> = (0..dealers)
+            .map(|_| {
+                let secret = Scalar::random(&mut rng);
+                CommitmentMatrix::commit(&SymmetricBivariate::random_with_secret(&mut rng, t, secret))
+            })
+            .collect();
+        let weights: Vec<Scalar> = (0..dealers).map(|_| Scalar::random(&mut rng)).collect();
+        let mut asymmetric = honest.clone();
+        let one = &mut asymmetric[disturbed % dealers];
+        let mut entries = one.entries().to_vec();
+        entries[t][0] += GroupElement::generator();
+        *one = CommitmentMatrix::from_entries(entries).expect("square");
+
+        for matrices in [honest, asymmetric] {
+            let refs: Vec<&CommitmentMatrix> = matrices.iter().collect();
+            let sum = CommitmentMatrix::combine(&refs).unwrap();
+            let weighted = CommitmentMatrix::combine_weighted(&refs, &weights).unwrap();
+            let symmetric = refs.iter().all(|m| m.is_symmetric());
+            prop_assert_eq!(sum.is_symmetric(), symmetric);
+            prop_assert_eq!(weighted.is_symmetric(), symmetric);
+            for j in 0..=t {
+                for l in 0..=t {
+                    let terms: Vec<GroupElement> = refs.iter().map(|m| m.entry(j, l)).collect();
+                    prop_assert_eq!(sum.entry(j, l), terms.iter().copied().sum::<GroupElement>());
+                    let product: GroupElement =
+                        terms.iter().zip(&weights).map(|(p, w)| p.mul(w)).sum();
+                    prop_assert_eq!(weighted.entry(j, l), product);
+                }
+            }
+        }
+    }
+
     /// Commitment vectors verify exactly the committed polynomial's values.
     #[test]
     fn commitment_vector_share_verification(seed in any::<u64>(), t in 1usize..5, i in 1u64..10) {
